@@ -278,8 +278,10 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
         for k in range(1, k_hi + 1):
             for l in range(prog.s(k + 1) + 2):
                 m = seq.ladder(k, l)
-                record("ladder_coprime", (k, l), gcd(m.trace(), abs(m.det())), 1)
-                record("ladder_primitive", (k, l), m.content(), 1)
+                g = gcd(m.trace(), abs(m.det()))
+                record("ladder_coprime", (k, l), g, 1)
+                # content c divides tr and c^2 divides det, so c | gcd(tr, det)
+                record("ladder_primitive", (k, l), 1 if g == 1 else m.content(), 1)
         dN = abs(seed.det_N)
         for j in range(-2, i_max + 1):
             record("y_content_divides_detN", (j,), dN % ys.content(j), 0)

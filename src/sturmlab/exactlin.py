@@ -59,11 +59,6 @@ class IntMat2:
     def identity() -> "IntMat2":
         return IntMat2(1, 0, 0, 1)
 
-    @staticmethod
-    def from_rows(rows) -> "IntMat2":
-        (a, b), (c, d) = rows
-        return IntMat2(int(a), int(b), int(c), int(d))
-
     def rows(self):
         return [[self.a, self.b], [self.c, self.d]]
 

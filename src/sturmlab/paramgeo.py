@@ -9,7 +9,9 @@ u = (1, xi, xi^2):
     L*_x(q) = max(log|x^u|, log|x| - q)        (dual trajectory)
 
 L_j(q) (j = 1,2,3) are the logs of the successive minima of the corresponding
-convex bodies with respect to Z^3.
+convex bodies with respect to Z^3.  Both sides go through one code path
+indexed by PRIMAL/DUAL: the bodies max(|x|, e^q|x.u|) and max(|x^u|, e^-q|x|),
+with the quadratic forms |x|^2 + e^{2q}(x.u)^2 and |x^u|^2 + e^{-2q}|x|^2.
 """
 from __future__ import annotations
 
@@ -472,8 +474,7 @@ def validate_3system(P, q_span=None, tol: float = 1e-9) -> ValidityReport:
         # condition 3 + continuity at interior nodes
         for qx in nodes[1:-1]:
             eps = max(mpmath.mpf(1e-12), (w.q_hi - w.q_lo) * mpmath.mpf(1e-9))
-            lv = sorted((f.value(qx - eps) + f.slope(qx - eps) * eps * 0, f.slope(qx - eps))
-                        for f in funcs)
+            lv = sorted((f.value(qx - eps), f.slope(qx - eps)) for f in funcs)
             rv = sorted((f.value(qx + eps), f.slope(qx + eps)) for f in funcs)
             lvals = sorted(f.value(qx) for f in funcs)
             r = next(j for j, (_, sl) in enumerate(lv) if sl == 1) if any(
@@ -565,20 +566,14 @@ def _shape_checks(P: SystemBreakpoints, tol):
 # trajectories and minima
 # ---------------------------------------------------------------------------
 
-def _vec_mpf(x):
-    return (mpmath.mpf(x.x0), mpmath.mpf(x.x1), mpmath.mpf(x.x2))
-
-
 def _dot_u_mpf(x, u):
     return mpmath.mpf(x.x0) * u[0] + mpmath.mpf(x.x1) * u[1] + mpmath.mpf(x.x2) * u[2]
 
 
-def _log_norm(x, u=None):
+def _log_norm(x, u):
     """(log|x|, log|x.u|, log|x^u|) at current mpmath precision."""
-    fx = _vec_mpf(x)
+    fx = (mpmath.mpf(x.x0), mpmath.mpf(x.x1), mpmath.mpf(x.x2))
     ln = mpmath.log(mpmath.sqrt(fx[0] ** 2 + fx[1] ** 2 + fx[2] ** 2))
-    if u is None:
-        return ln, None, None
     dot = fx[0] * u[0] + fx[1] * u[1] + fx[2] * u[2]
     w0 = fx[1] * u[2] - fx[2] * u[1]
     w1 = fx[2] * u[0] - fx[0] * u[2]
@@ -589,14 +584,39 @@ def _log_norm(x, u=None):
     return ln, ldot, lw
 
 
+PRIMAL, DUAL = 0, 1      # the two sides, as indices into (L_x(q), L*_x(q))
+
+
+def _traj(x, u, q):
+    """(L_x(q), L*_x(q)) at current mpmath precision; q an mpf."""
+    ln, ldot, lw = _log_norm(x, u)
+    return max(ln, ldot + q), max(lw, ln - q)
+
+
+def _quad_form(side, u, q):
+    """The quadratic form B of a side's body at q, at current mpmath
+    precision: B(x, x) is within a factor 2 of the squared size of x."""
+    if side == PRIMAL:
+        e2q = mpmath.exp(2 * q)
+
+        def B(p, r):  # <p, r> + e^{2q} (p.u)(r.u)
+            return mpmath.mpf(p.dot(r)) + e2q * _dot_u_mpf(p, u) * _dot_u_mpf(r, u)
+    else:
+        e2q = mpmath.exp(-2 * q)
+        usq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
+
+        def B(p, r):  # <p^u, r^u> + e^{-2q} <p, r>
+            pr = mpmath.mpf(p.dot(r))
+            return pr * usq - _dot_u_mpf(p, u) * _dot_u_mpf(r, u) + e2q * pr
+    return B
+
+
 def traj_eval(x: SymVec, u, q, prec: int = DEFAULT_PRECISION):
     """(L_x(q), L*_x(q)) for a nonzero integer point."""
     if x.is_zero():
         raise ZeroObject("trajectory of the zero point")
     with mpmath.workprec(prec):
-        q = mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q
-        ln, ldot, lw = _log_norm(x, u)
-        return max(ln, ldot + q), max(lw, ln - q)
+        return _traj(x, u, mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q)
 
 
 @dataclass
@@ -681,78 +701,32 @@ class CandidateBuilder:
             pts.append((self._zhat_at(j), f"z[{j}]"))
         return pts
 
-    def primal(self, q, extra=()):
-        """MinimaSample upper bounds from the candidate set at q."""
+    def score(self, q, side):
+        """MinimaSample upper bounds for one side's minima (L if side is
+        PRIMAL, L* if DUAL) from the candidate set at q; points are taken up
+        to sign."""
         prec = self.prec_for(q)
         with mpmath.workprec(prec):
             qm = mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q
             u = self.u(prec)
-            cands = self.base_points(q) + list(extra)
-            if not cands:
-                raise NoCandidates("empty candidate set")
             seen = {}
-            for p, lbl in cands:
+            for p, lbl in self.base_points(q):
                 key = p.as_tuple() if p.x0 > 0 or (p.x0 == 0 and (p.x1, p.x2) > (0, 0)) \
                     else (-p).as_tuple()
                 if key not in seen:
                     seen[key] = (SymVec(*key), lbl)
             pts = [p for p, _ in seen.values()]
             labels = [l for _, l in seen.values()]
-            lams = []
-            for p in pts:
-                ln, ldot, _ = _log_norm(p, u)
-                lams.append(max(ln, ldot + qm))
+
+            def lam_of(p):
+                return _traj(p, u, qm)[side]
+
+            lams = [lam_of(p) for p in pts]
             triple = _greedy_triple(pts, lams)
             if triple is None:
                 raise NoCandidates("candidate set spans less than 3 dimensions")
-            e2q = mpmath.exp(2 * qm)
-
-            def B(p, r):  # quadratic form whose sqrt is comparable to lam
-                du_p = _dot_u_mpf(p, u)
-                du_r = _dot_u_mpf(r, u)
-                return mpmath.mpf(p.dot(r)) + e2q * du_p * du_r
-
-            def lam_of(p):
-                ln, ldot, _ = _log_norm(p, u)
-                return max(ln, ldot + qm)
-
-            triple, pts, labels, lams = self._complete(triple, pts, labels,
-                                                       lams, B, lam_of)
-            L = tuple(lams[i] for i in triple)
-            return MinimaSample(q=qm, L=L, Lstar=None, method="candidate",
-                                points=[pts[i] for i in triple],
-                                notes={"labels": [labels[i] for i in triple]})
-
-    def dual(self, q, extra=()):
-        prec = self.prec_for(q)
-        with mpmath.workprec(prec):
-            qm = mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q
-            u = self.u(prec)
-            cands = self.base_points(q) + list(extra)
-            pts = [p for p, _ in cands]
-            labels = [l for _, l in cands]
-            lams = []
-            for p in pts:
-                ln, _, lw = _log_norm(p, u)
-                lams.append(max(lw, ln - qm))
-            triple = _greedy_triple(pts, lams)
-            if triple is None:
-                raise NoCandidates("candidate set spans less than 3 dimensions")
-            e2q = mpmath.exp(-2 * qm)
-            usq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
-
-            def B(p, r):
-                # <p^u, r^u> + e^{-2q} <p, r>
-                pr = mpmath.mpf(p.dot(r))
-                return (pr * usq - _dot_u_mpf(p, u) * _dot_u_mpf(r, u)
-                        + e2q * pr)
-
-            def lam_of(p):
-                ln, _, lw = _log_norm(p, u)
-                return max(lw, ln - qm)
-
-            triple, pts, labels, lams = self._complete(triple, pts, labels,
-                                                       lams, B, lam_of)
+            triple, pts, labels, lams = self._complete(
+                triple, pts, labels, lams, _quad_form(side, u, qm), lam_of)
             L = tuple(lams[i] for i in triple)
             return MinimaSample(q=qm, L=L, Lstar=None, method="candidate",
                                 points=[pts[i] for i in triple],
@@ -829,8 +803,8 @@ def _ext_gcd(a, b):
 
 def minima_candidates(builder: CandidateBuilder, q, P: Optional[SystemBreakpoints] = None,
                       kind=None, k=None) -> MinimaSample:
-    sample = builder.primal(q)
-    dual = builder.dual(q)
+    sample = builder.score(q, PRIMAL)
+    dual = builder.score(q, DUAL)
     sample.Lstar = dual.L
     sample.dual_points = dual.points
     sample.kind = kind
@@ -849,37 +823,33 @@ def minima_bruteforce(builder: CandidateBuilder, q, R_max: int = 10 ** 4,
     with mpmath.workprec(prec):
         qm = mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q
         u = builder.u(prec)
-        cutoff = float(mpmath.exp(cand.L[2])) * (1 + 1e-9)
-        R = math.ceil(safety * cutoff)
-        if R > R_max:
-            raise TooLarge(f"search radius {R} exceeds R_max = {R_max}")
         xi_f, xi2_f = builder.u_float()
-        pts, lams = kernels.collect_primal(xi_f, xi2_f, float(qm), R, cutoff)
-        spts = [SymVec(int(a), int(b), int(c)) for a, b, c in pts]
-        triple = _greedy_triple(spts, list(lams))
-        if triple is None:
-            raise TooLarge("enumeration returned fewer than 3 independent points")
-        chosen = [spts[i] for i in triple]
-        L = []
-        for p in chosen:
-            ln, ldot, _ = _log_norm(p, u)
-            L.append(max(ln, ldot + qm))
-        # dual side
-        cutoff_s = float(mpmath.exp(cand.Lstar[2])) * (1 + 1e-9)
-        R0 = math.ceil(cutoff_s * float(mpmath.exp(qm)) * 1.01) + 1
-        if R0 > dual_R_max:
-            raise TooLarge(f"dual search radius {R0} exceeds {dual_R_max}")
-        dpts, dlams = kernels.collect_dual(xi_f, xi2_f, float(qm), R0, cutoff_s)
-        sdp = [SymVec(int(a), int(b), int(c)) for a, b, c in dpts]
-        dtriple = _greedy_triple(sdp, list(dlams))
-        dchosen = [sdp[i] for i in dtriple]
-        Ls = []
-        for p in dchosen:
-            ln, _, lw = _log_norm(p, u)
-            Ls.append(max(lw, ln - qm))
-        return MinimaSample(q=qm, L=tuple(L), Lstar=tuple(Ls), method="bruteforce",
-                            points=chosen, dual_points=dchosen,
-                            notes={"R": R, "R0": R0})
+        # side -> (name, candidate bound on the third minimum, search radius
+        # for a cutoff c, radius limit, kernel); a dual point of size c has
+        # |x| <= e^q c
+        sides = (
+            ("primal", cand.L[2], lambda c: math.ceil(safety * c),
+             R_max, kernels.collect_primal),
+            ("dual", cand.Lstar[2], lambda c: math.ceil(c * float(mpmath.exp(qm)) * 1.01) + 1,
+             dual_R_max, kernels.collect_dual),
+        )
+        radii, minima, chosen = [], [], []
+        for side, (name, bound, radius, limit, collect) in enumerate(sides):
+            cutoff = float(mpmath.exp(bound)) * (1 + 1e-9)
+            R = radius(cutoff)
+            if R > limit:
+                raise TooLarge(f"{name} search radius {R} exceeds {limit}")
+            pts, lams = collect(xi_f, xi2_f, float(qm), R, cutoff)
+            spts = [SymVec(int(a), int(b), int(c)) for a, b, c in pts]
+            triple = _greedy_triple(spts, list(lams))
+            if triple is None:
+                raise TooLarge(f"{name} enumeration returned fewer than 3 independent points")
+            radii.append(R)
+            chosen.append([spts[i] for i in triple])
+            minima.append(tuple(_traj(p, u, qm)[side] for p in chosen[-1]))
+        return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="bruteforce",
+                            points=chosen[PRIMAL], dual_points=chosen[DUAL],
+                            notes={"R": radii[PRIMAL], "R0": radii[DUAL]})
 
 
 # ---------------------------------------------------------------------------

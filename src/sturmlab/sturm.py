@@ -87,11 +87,6 @@ class QuadSurd:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not rational")
-        return Fraction(self.p, self.r)
-
     def __add__(self, other):
         if not isinstance(other, QuadSurd):
             other = QuadSurd.from_fraction(other)
@@ -324,9 +319,6 @@ class SturmianProgram:
         """True when s_k = 1 for every k >= 1 (then t_k = k - 1)."""
         return all(v == 1 for v in self.prefix[1:]) and all(v == 1 for v in self.period)
 
-    def s_max(self) -> int:
-        return max(max(self.prefix[1:], default=1), max(self.period))
-
     # --- combinatorics -----------------------------------------------------
     def t_index_of(self, i: int) -> Optional[int]:
         """Return k >= 1 with t_k = i, or None.  (t_k, k >= 1, increases from 0.)"""
@@ -359,10 +351,6 @@ class SturmianProgram:
         if m is not None and m >= 1:
             return self.t(m + 1)
         return i + 1
-
-    def is_t_value(self, i: int) -> bool:
-        """n is some t_k (k >= 1) iff psi(n) <= n - 2."""
-        return self.t_index_of(i) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +389,13 @@ def _phase_surds(prog: SturmianProgram):
     following the phase's leading index (i.e. s_{m+1}).
     """
     p = len(prog.period)
-    base = len(prog.prefix)
     out = []
     for phase in range(p):
-        # leading index m with (m - base) % p == phase; downward word:
+        # leading index m with (m - len(prefix)) % p == phase; downward word:
         word = [prog.period[(phase - j) % p] for j in range(p)]
         val = cf_purely_periodic(word)
         s_next = prog.period[(phase + 1) % p]
         out.append((val, s_next))
-    del base
     return out
 
 
@@ -490,7 +476,6 @@ def cassaigne_member(prefix, period, K: int = 64) -> bool:
     if any(v < 1 for v in prefix + period) or not period:
         raise BadSequence("sequence terms must be positive integers with a non-empty period")
     base = cf_eventually_periodic(prefix, period)
-    seq = prefix + period * (K // max(1, len(period)) + 2)
     for k in range(1, K + 1):
         if k < len(prefix):
             shifted = cf_eventually_periodic(prefix[k:], period)
@@ -499,7 +484,6 @@ def cassaigne_member(prefix, period, K: int = 64) -> bool:
             shifted = cf_eventually_periodic([], period[rot:] + period[:rot])
         if base.compare(shifted) < 0:
             return False
-    del seq
     return True
 
 

@@ -95,18 +95,20 @@ def bl_xi_oracle(a: int, b: int, s1_prime: int, prog: SturmianProgram,
     while len(m_cur) < need:
         m_prev, m_cur = m_cur, m_cur * prog.s(k + 1) + m_prev
         k += 1
-    target = Fraction(1, 2 ** precision_bits)
+    # stop once the error bound 1/(q_n q_{n-1}) is at most 2^-(bits+2); the
+    # product can reach the bound only when its bit lengths sum past bits + 2
+    bound = 2 ** (precision_bits + 2)
     p_prev, q_prev = 1, 0
     p_cur, q_cur = 0, 1   # value [0; ...]
     for n, u in enumerate(m_cur):
         p_prev, p_cur = p_cur, u * p_cur + p_prev
         q_prev, q_cur = q_cur, u * q_cur + q_prev
-        if n >= 2 and q_cur * q_prev > 0:
+        if (n >= 2 and q_cur.bit_length() + q_prev.bit_length() > precision_bits + 2
+                and q_cur * q_prev >= bound):
             err = Fraction(1, q_cur * q_prev)
-            if err <= target / 4:
-                r = Fraction(p_cur, q_cur)
-                return XiValue(lo=r - err, hi=r + err, index=n,
-                               precision_bits=precision_bits)
+            r = Fraction(p_cur, q_cur)
+            return XiValue(lo=r - err, hi=r + err, index=n,
+                           precision_bits=precision_bits)
     raise NoConvergence("continued-fraction oracle ran out of quotients")
 
 

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sturmlab.exactlin import (
@@ -134,3 +135,19 @@ def test_ratvec_reduction():
     assert v.den == 2 and v.num == SymVec(-1, -2, -3)
     assert v.components() == (Fraction(-1, 2), Fraction(-1), Fraction(-3, 2))
     assert RatVec.make(SymVec(3, 0, 0), 1).is_integral()
+
+
+@given(mats)
+@example(IntMat2(3, 1, 4, 1))      # gcd(tr, det) = 1
+@example(IntMat2(2, 1, 1, 2))      # gcd(tr, det) = 1
+@example(IntMat2(1, 1, 1, 3))      # gcd(tr, det) = 2, content 1
+@example(IntMat2(2, 4, 6, 8))      # gcd(tr, det) = 2, content 2
+@example(IntMat2(3, 0, 0, 3))      # gcd(tr, det) = 3, content 3
+def test_content_divides_gcd_trace_det(m):
+    """content(m) | gcd(tr m, det m), so a coprime (tr, det) pair implies a
+    primitive matrix; verify_identities derives ladder_primitive from it."""
+    assume(m != IntMat2(0, 0, 0, 0))
+    g = math.gcd(m.trace(), abs(m.det()))
+    assert g % m.content() == 0
+    if g == 1:
+        assert m.content() == 1

@@ -205,6 +205,33 @@ def test_bruteforce_radius_guard(cb_bl):
         minima_bruteforce(cb_bl, mpmath.mpf(40), R_max=100)
 
 
+def test_bruteforce_dual_guard(cb_bl, monkeypatch):
+    import numpy as np
+    from sturmlab import kernels
+
+    def two_points(xi, xi2, q, R0, cutoff):
+        return np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64), np.array([0.5, 0.6])
+
+    monkeypatch.setattr(kernels, "collect_dual", two_points)
+    with pytest.raises(TooLarge, match="fewer than 3 independent points"):
+        minima_bruteforce(cb_bl, mpmath.mpf(2))
+
+
+@pytest.mark.parametrize("builder, qs", [("cb_bl", (1.5, 6.0, 11.0, 25.0)),
+                                         ("cb_roy", (2.5, 8.0))])
+def test_candidate_minima_are_own_trajectories(request, builder, qs):
+    """Each L_j and L*_j of a candidate sample is the trajectory of its own
+    point, exactly, at the sample's precision."""
+    cb = request.getfixturevalue(builder)
+    for q in qs:
+        s = minima_candidates(cb, mpmath.mpf(q))
+        prec = cb.prec_for(q)
+        u = cb.u(prec)
+        for j in range(3):
+            assert s.L[j] == traj_eval(s.points[j], u, s.q, prec)[0], (q, j)
+            assert s.Lstar[j] == traj_eval(s.dual_points[j], u, s.q, prec)[1], (q, j)
+
+
 def test_duality(cb_bl):
     rep = duality_check(cb_bl, [2.0, 4.0, 6.0, 8.0])
     for j in (1, 2, 3):
