@@ -164,23 +164,15 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
                seq.w(k - 1) @ seq.w(k) @ seed.N_parity(k + 1),
                seq.w(k) @ seq.w(k - 1) @ seed.N_parity(k))
 
-    # block power form: y_{t_k + l} = w_k^{l+1} y_{psi(t_k)}  (k >= 1, 0 <= l <= s_{k+1})
-    for k in range(1, k_hi + 1):
-        base = ys.mat(prog.psi(prog.t(k)))
-        for l in range(prog.s(k + 1) + 1):
-            i = prog.t(k) + l
-            if i > i_max:
-                break
-            record("block_power", (k, l), ys.mat(i), (seq.w(k) ** (l + 1)) @ base)
-
-    # one-step / psi-step matrix factorizations
+    # one-step / psi-step matrix factorizations; psi_step is recorded only at
+    # block starts, since elsewhere psi(j) = j - 1 and it is step at j - 1.
+    # Together they give the block power form y_{t_k + l} = w_k^{l+1} y_{psi(t_k)}.
     for j in range(-1, i_max):
         k = prog.block_of(j)[0] if j >= 0 else 0
         record("step", (j,), ys.mat(j + 1), seq.w(k) @ ys.mat(j))
-    for j in range(0, i_max + 1):
-        k = prog.block_of(j)[0]
-        if k >= 1:
-            record("psi_step", (j,), ys.mat(j), seq.w(k) @ ys.mat(prog.psi(j)))
+    for k in range(1, k_hi + 1):
+        j = prog.t(k)
+        record("psi_step", (j,), ys.mat(j), seq.w(k) @ ys.mat(prog.psi(j)))
 
     # palindromic square step: det(y_psi(j)) y_{j+1} = y_j adj(y_psi(j)) y_j
     for j in range(0, i_max):
@@ -277,14 +269,9 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
     if hyp:
         for k in range(1, k_hi + 1):
             for l in range(prog.s(k + 1) + 2):
+                # the content divides gcd(tr, det), so coprime ladders are primitive
                 m = seq.ladder(k, l)
-                g = gcd(m.trace(), abs(m.det()))
-                record("ladder_coprime", (k, l), g, 1)
-                # content c divides tr and c^2 divides det, so c | gcd(tr, det)
-                record("ladder_primitive", (k, l), 1 if g == 1 else m.content(), 1)
-        dN = abs(seed.det_N)
-        for j in range(-2, i_max + 1):
-            record("y_content_divides_detN", (j,), dN % ys.content(j), 0)
+                record("ladder_coprime", (k, l), gcd(m.trace(), abs(m.det())), 1)
     return IdentityReport(checks=checks, failures=failures, i_max=i_max)
 
 
@@ -352,7 +339,7 @@ class GrayFan:
     # only: it fails for roy(2,1,2) at i = 3 (contents [1, 2, 1, 1, 16, 1], d_3 = 8)
     content_pairs_relaxed_ok: bool  # c_m c_{m+1} | content(d_i z_{i+1}) (what the
     # wedge identity actually gives: content(x_m ^ x_{m+1}) = content(d_i z_{i+1}),
-    # which exceeds |d_i| when z_{i+1} is not primitive)
+    # which exceeds |d_i| when z_{i+1} is not primitive); implied by wedge_ok
     content_gcd_ok: bool    # gcd(c_m, c_{m+1}) | content(y_i)
     decomposition_ok: bool  # d_{i+2} x_m = alpha_m y_i + beta_m y_{i+1}
     reduced_endpoint: bool  # gcd(tr, det) = 1 so the last convergent is (tr, det)
@@ -411,9 +398,10 @@ def gray_fan(bundle: Bundle, i: int) -> GrayFan:
     cy = ys.content(i)
     content_pairs_ok = all(abs(d_i) % (contents[m] * contents[m + 1]) == 0
                            for m in range(len(contents) - 1))
-    dz_content = ys.at(i - 2).wedge(ys.at(i)).content()  # = content(d_i z_{i+1})
-    content_pairs_relaxed_ok = all(dz_content % (contents[m] * contents[m + 1]) == 0
-                                   for m in range(len(contents) - 1))
+    # x_{-1} ^ x_0 = y_{i-2} ^ y_i, so wedge_ok makes every x_m ^ x_{m+1} equal
+    # +-d_i z_{i+1}; the content of a ^ b is a multiple of content(a) content(b),
+    # so the relaxed divisibility follows from wedge_ok
+    content_pairs_relaxed_ok = wedge_ok
     content_gcd_ok = all(cy % gcd(contents[m], contents[m + 1]) == 0
                          for m in range(len(contents) - 1))
     # integer decomposition over (y_i, y_{i+1}):

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 
 import mpmath
 
@@ -112,6 +113,13 @@ def _out_path(args, name):
     return os.path.join(out_dir, name)
 
 
+def _fraction_str(x) -> str:
+    """str(x) for a Fraction, without the interpreter's limit on the digits of
+    int-to-decimal conversion (Decimal converts from the binary form)."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
 def _json_dump(obj, cfg):
     return json.dumps({"schema": SCHEMA, "config": {k: str(v) for k, v in cfg.items()},
                        "data": obj}, indent=2, sort_keys=True)
@@ -135,7 +143,7 @@ def cmd_verify(args) -> int:
     print(f"contents: max content(y)={max(crep.y_contents.values())} divides "
           f"|det N|={abs(bundle.seed.det_N)}: {crep.y_divides_detN}; "
           f"z integral: {crep.z_integral}, bounded: {crep.z_divides_bound}")
-    print(f"multiplicative growth ratios in [{grep.ratio_min}, {grep.ratio_max}]"
+    print(f"multiplicative growth ratios in [{float(grep.ratio_min)}, {float(grep.ratio_max)}]"
           f" shape_ok={grep.shape_ok}")
     # the entrywise shape certificate only applies to the roy seeds
     growth_ok = grep.shape_ok if bundle.seed.family == "roy" else grep.ratio_min >= 1
@@ -255,7 +263,7 @@ def cmd_xi(args) -> int:
               f"-> {'ok' if verdict else 'MISMATCH'}")
     if args.json:
         _write(_out_path(args, "xi.json"), _json_dump(
-            {"xi_lo": str(xv.lo), "xi_hi": str(xv.hi), "index": xv.index,
+            {"xi_lo": _fraction_str(xv.lo), "xi_hi": _fraction_str(xv.hi), "index": xv.index,
              "proper": prop.proper, "cross_check": verdict}, cfg))
     if verdict is False:
         return 1

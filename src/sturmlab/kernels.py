@@ -1,12 +1,7 @@
 """Hot enumeration kernels for brute-force successive minima.
 
-Two implementations are provided for each kernel: a numba ``@njit`` scalar
-loop and a pure-numpy vectorized fallback.  Selection: the numpy path is used
-when the environment variable ``STURMLAB_NO_NUMBA`` is set (to any non-empty
-value) or when numba is unavailable.
-
-Both kernels enumerate integer points x = (x0, x1, x2) and return those whose
-parametric size is below a cutoff:
+Both kernels enumerate integer points x = (x0, x1, x2) in numpy chunks and
+return those whose parametric size is below a cutoff:
 
 * primal: lam(x) = max(|x|_2, e^q |x . u|)           (u = (1, xi, xi^2))
 * dual:   lam*(x) = max(|x ^ u|_2, e^{-q} |x|_2)
@@ -16,70 +11,25 @@ inner products ~1e-11); callers re-evaluate the shortlisted points exactly.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-HAS_NUMBA = False
-if not os.environ.get("STURMLAB_NO_NUMBA"):
-    try:
-        from numba import njit
 
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        pass
-
-if not HAS_NUMBA:
-    def njit(*args, **kwargs):  # passthrough decorator
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
+class KernelOverflow(RuntimeError):
+    pass
 
 
-USE_NUMBA = HAS_NUMBA
+_CAP = 4_000_000
 
 
-# ---------------------------------------------------------------------------
-# primal kernel
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _primal_njit(xi, xi2, q, R, cutoff, out_pts, out_lam):  # pragma: no cover - jitted
-    n = 0
-    cap = out_lam.shape[0]
-    eq = np.exp(q)
-    w = cutoff * np.exp(-q)
-    for x1 in range(-R, R + 1):
-        for x2 in range(-R, R + 1):
-            c = -(x1 * xi + x2 * xi2)
-            lo = int(np.ceil(max(c - w, -cutoff)))
-            hi = int(np.floor(min(c + w, cutoff)))
-            for x0 in range(lo, hi + 1):
-                if x0 == 0 and x1 == 0 and x2 == 0:
-                    continue
-                nrm = np.sqrt(float(x0 * x0 + x1 * x1 + x2 * x2))
-                if nrm > cutoff:
-                    continue
-                dot = abs(x0 + x1 * xi + x2 * xi2) * eq
-                lam = nrm if nrm > dot else dot
-                if lam <= cutoff:
-                    if n >= cap:
-                        return -1
-                    out_pts[n, 0] = x0
-                    out_pts[n, 1] = x1
-                    out_pts[n, 2] = x2
-                    out_lam[n] = lam
-                    n += 1
-    return n
+def _overflow():
+    return KernelOverflow(f"more than {_CAP} candidate points; tighten the cutoff")
 
 
-def _primal_numpy(xi, xi2, q, R, cutoff, out_pts, out_lam):
-    n = 0
-    cap = out_lam.shape[0]
+def collect_primal(xi: float, xi2: float, q: float, R: int, cutoff: float):
+    """All nonzero integer points with lam(x) <= cutoff and |x|_2 <= cutoff,
+    enumerated over |x1|, |x2| <= R.  Returns (points int64 (n,3), lam (n,))."""
+    xi, xi2, q, R, cutoff = float(xi), float(xi2), float(q), int(R), float(cutoff)
+    pts, lams, n = [np.empty((0, 3), dtype=np.int64)], [np.empty(0)], 0
     eq = float(np.exp(q))
     w = cutoff * float(np.exp(-q))
     x2v = np.arange(-R, R + 1, dtype=np.float64)
@@ -103,55 +53,19 @@ def _primal_numpy(xi, xi2, q, R, cutoff, out_pts, out_lam):
             m = idx.size
             if m == 0:
                 continue
-            if n + m > cap:
-                return -1
-            out_pts[n:n + m, 0] = x0[idx]
-            out_pts[n:n + m, 1] = x1
-            out_pts[n:n + m, 2] = x2i[idx]
-            out_lam[n:n + m] = lam[idx]
             n += m
-    return n
+            if n > _CAP:
+                raise _overflow()
+            pts.append(np.stack((x0[idx], np.full(m, x1, dtype=np.int64), x2i[idx]), axis=1))
+            lams.append(lam[idx])
+    return np.concatenate(pts), np.concatenate(lams)
 
 
-# ---------------------------------------------------------------------------
-# dual kernel
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _dual_njit(xi, xi2, q, R0, cutoff, out_pts, out_lam):  # pragma: no cover - jitted
-    n = 0
-    cap = out_lam.shape[0]
-    emq = np.exp(-q)
-    span = int(cutoff * np.sqrt(1.0 + xi * xi)) + 2
-    for x0 in range(-R0, R0 + 1):
-        c1 = x0 * xi
-        c2 = x0 * xi2
-        for d1 in range(-span, span + 1):
-            x1 = int(np.floor(c1)) + d1
-            for d2 in range(-span, span + 1):
-                x2 = int(np.floor(c2)) + d2
-                if x0 == 0 and x1 == 0 and x2 == 0:
-                    continue
-                w0 = x1 * xi2 - x2 * xi
-                w1 = x2 - x0 * xi2
-                w2 = x0 * xi - x1
-                wn = np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-                nrm = np.sqrt(float(x0 * x0 + x1 * x1 + x2 * x2)) * emq
-                lam = wn if wn > nrm else nrm
-                if lam <= cutoff:
-                    if n >= cap:
-                        return -1
-                    out_pts[n, 0] = x0
-                    out_pts[n, 1] = x1
-                    out_pts[n, 2] = x2
-                    out_lam[n] = lam
-                    n += 1
-    return n
-
-
-def _dual_numpy(xi, xi2, q, R0, cutoff, out_pts, out_lam):
-    n = 0
-    cap = out_lam.shape[0]
+def collect_dual(xi: float, xi2: float, q: float, R0: int, cutoff: float):
+    """All nonzero integer points with lam*(x) <= cutoff, enumerated over
+    |x0| <= R0 with x1, x2 in windows around x0*xi, x0*xi^2."""
+    xi, xi2, q, R0, cutoff = float(xi), float(xi2), float(q), int(R0), float(cutoff)
+    pts, lams, n = [np.empty((0, 3), dtype=np.int64)], [np.empty(0)], 0
     emq = float(np.exp(-q))
     span = int(cutoff * float(np.sqrt(1.0 + xi * xi))) + 2
     x0i = np.arange(-R0, R0 + 1, dtype=np.int64)
@@ -175,46 +89,9 @@ def _dual_numpy(xi, xi2, q, R0, cutoff, out_pts, out_lam):
             m = idx.size
             if m == 0:
                 continue
-            if n + m > cap:
-                return -1
-            out_pts[n:n + m, 0] = x0i[idx]
-            out_pts[n:n + m, 1] = x1[idx]
-            out_pts[n:n + m, 2] = x2[idx]
-            out_lam[n:n + m] = lam[idx]
             n += m
-    return n
-
-
-# ---------------------------------------------------------------------------
-# public wrappers
-# ---------------------------------------------------------------------------
-
-class KernelOverflow(RuntimeError):
-    pass
-
-
-_CAP = 4_000_000
-
-
-def collect_primal(xi: float, xi2: float, q: float, R: int, cutoff: float):
-    """All nonzero integer points with lam(x) <= cutoff and |x|_2 <= cutoff,
-    enumerated over |x1|, |x2| <= R.  Returns (points int64 (n,3), lam (n,))."""
-    pts = np.empty((_CAP, 3), dtype=np.int64)
-    lam = np.empty(_CAP, dtype=np.float64)
-    fn = _primal_njit if USE_NUMBA else _primal_numpy
-    n = fn(float(xi), float(xi2), float(q), int(R), float(cutoff), pts, lam)
-    if n < 0:
-        raise KernelOverflow(f"more than {_CAP} candidate points; tighten the cutoff")
-    return pts[:n].copy(), lam[:n].copy()
-
-
-def collect_dual(xi: float, xi2: float, q: float, R0: int, cutoff: float):
-    """All nonzero integer points with lam*(x) <= cutoff, enumerated over
-    |x0| <= R0 with x1, x2 in windows around x0*xi, x0*xi^2."""
-    pts = np.empty((_CAP, 3), dtype=np.int64)
-    lam = np.empty(_CAP, dtype=np.float64)
-    fn = _dual_njit if USE_NUMBA else _dual_numpy
-    n = fn(float(xi), float(xi2), float(q), int(R0), float(cutoff), pts, lam)
-    if n < 0:
-        raise KernelOverflow(f"more than {_CAP} candidate points; tighten the cutoff")
-    return pts[:n].copy(), lam[:n].copy()
+            if n > _CAP:
+                raise _overflow()
+            pts.append(np.stack((x0i[idx], x1[idx], x2[idx]), axis=1))
+            lams.append(lam[idx])
+    return np.concatenate(pts), np.concatenate(lams)

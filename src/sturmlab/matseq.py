@@ -302,7 +302,7 @@ class DeltaReport:
     deltas: dict            # k -> mpf  (only for k with ||w_k|| > 1)
     delta_hat: object       # mpf: last available delta_k
     increments: dict        # k -> |delta_k - delta_{k-1}| where both defined
-    bracket: Optional[tuple]  # certified (alpha, beta) for roy seeds
+    bracket: Optional[tuple]  # (alpha, beta) for roy seeds, when checked to k_max
     exact_zero: bool        # unimodular seeds: delta = 0 exactly
     k_max: int
 
@@ -315,14 +315,17 @@ def delta_estimate(seq: MatrixSequence, k_max: int, prec: int = DEFAULT_PRECISIO
     <= ||w_k||^beta: on the upper side the multiplicativity constant is 1
     (||w_{k+1}|| >= ||w_k|| ||w_{k-1}||), so beta carries no extra factor 2;
     with a factor 2 there the base case k = 0 already fails (a(b+1))^beta < a,
-    and empirically delta sits outside such an interval."""
+    and empirically delta sits outside such an interval.  The bracket is
+    returned only when its integer form holds for every k <= k_max (see
+    `_bracket_holds`); otherwise it is None."""
     deltas = {}
+    dets = [abs(seq.det(k)) for k in range(k_max + 1)]
     with mpmath.workprec(prec):
         for k in range(k_max + 1):
             n = seq.norm(k)
             if n <= 1:
                 continue
-            deltas[k] = log_real(abs(seq.det(k)), prec) / log_real(n, prec)
+            deltas[k] = log_real(dets[k], prec) / log_real(n, prec)
     if not deltas:
         raise DegenerateGrowth("no index with ||w_k|| > 1")
     increments = {}
@@ -331,7 +334,7 @@ def delta_estimate(seq: MatrixSequence, k_max: int, prec: int = DEFAULT_PRECISIO
         if b == a + 1:
             increments[b] = abs(deltas[b] - deltas[a])
     bracket = None
-    if seq.seed.family == "roy":
+    if seq.seed.family == "roy" and _bracket_holds(seq, dets):
         a, b, c = seq.seed.params
         with mpmath.workprec(prec):
             la = mpmath.log(a)
@@ -344,6 +347,20 @@ def delta_estimate(seq: MatrixSequence, k_max: int, prec: int = DEFAULT_PRECISIO
         exact_zero=seq.is_unimodular(),
         k_max=k_max,
     )
+
+
+def _bracket_holds(seq: MatrixSequence, dets: list) -> bool:
+    """|det w_k| = a^{f_k}, (a(b+1))^{f_k} <= ||w_k|| and 2||w_k|| <= (2a(c+1))^{f_k}
+    for k < len(dets), where dets[k] = |det w_k|, f_0 = f_1 = 1 and
+    f_{k+1} = s_{k+1} f_k + f_{k-1}: the bracket's two sides in exact integers."""
+    a, b, c = seq.seed.params
+    f = [1, 1]
+    for k in range(1, len(dets) - 1):
+        f.append(seq.prog.s(k + 1) * f[k] + f[k - 1])
+    return all(d == a ** f[k]
+               and (a * (b + 1)) ** f[k] <= seq.norm(k)
+               and 2 * seq.norm(k) <= (2 * a * (c + 1)) ** f[k]
+               for k, d in enumerate(dets))
 
 
 # ---------------------------------------------------------------------------

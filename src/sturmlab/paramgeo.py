@@ -814,8 +814,14 @@ def minima_candidates(builder: CandidateBuilder, q, P: Optional[SystemBreakpoint
     return sample
 
 
-def minima_bruteforce(builder: CandidateBuilder, q, R_max: int = 10 ** 4,
-                      safety: float = 2.0, dual_R_max: int = 5 * 10 ** 6) -> MinimaSample:
+# brute-force search limits: the primal radius is SAFETY times the cutoff and
+# at most R_MAX; the dual radius over x0 is at most DUAL_R_MAX
+R_MAX = 10 ** 4
+SAFETY = 2.0
+DUAL_R_MAX = 5 * 10 ** 6
+
+
+def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
     """Exact successive minima by exhaustive enumeration; the search radius is
     certified by a candidate-based upper bound on lambda_3(q)."""
     cand = minima_candidates(builder, q)
@@ -828,10 +834,10 @@ def minima_bruteforce(builder: CandidateBuilder, q, R_max: int = 10 ** 4,
         # for a cutoff c, radius limit, kernel); a dual point of size c has
         # |x| <= e^q c
         sides = (
-            ("primal", cand.L[2], lambda c: math.ceil(safety * c),
-             R_max, kernels.collect_primal),
+            ("primal", cand.L[2], lambda c: math.ceil(SAFETY * c),
+             R_MAX, kernels.collect_primal),
             ("dual", cand.Lstar[2], lambda c: math.ceil(c * float(mpmath.exp(qm)) * 1.01) + 1,
-             dual_R_max, kernels.collect_dual),
+             DUAL_R_MAX, kernels.collect_dual),
         )
         radii, minima, chosen = [], [], []
         for side, (name, bound, radius, limit, collect) in enumerate(sides):

@@ -6,16 +6,15 @@ from sturmlab.approx import (
     BadIndex, FibonacciOnly, contents_report, gray_fan, make_bundle,
     verify_identities, z_dot_y_identity,
 )
-from sturmlab.exactlin import det3
+from sturmlab.exactlin import IntMat2, det3
 from sturmlab.matseq import bl_family, roy_family
 from sturmlab.sturm import SturmianProgram
 
 EXPECTED_CHECKS = {
-    "step", "square_step", "psi_step", "block_power", "commutation",
+    "step", "square_step", "psi_step", "commutation",
     "trace_recurrence", "trace_congruence", "y_recurrence_boundary",
     "y_recurrence_block", "y_wedge_power", "z_recurrence_boundary",
-    "z_wedge", "det3_triple", "ladder_coprime", "ladder_primitive",
-    "y_content_divides_detN", "coprimality_hypothesis",
+    "z_wedge", "det3_triple", "ladder_coprime", "coprimality_hypothesis",
 }
 
 
@@ -25,6 +24,23 @@ def test_identity_suite_roy(roy212):
     assert EXPECTED_CHECKS <= set(rep.checks)
     assert all(n > 0 for n in rep.checks.values())
     assert "ok" in rep.summary()
+
+
+@pytest.mark.parametrize("bump", [IntMat2(1, 0, 0, 0), IntMat2(0, 1, 1, 0), IntMat2(0, 0, 0, -1)])
+def test_corrupted_y_fails(prog_twos, bump):
+    """Replacing any one y_i of a block by a nearby symmetric matrix is caught,
+    at the block start and inside the block."""
+    k = 3
+    prog = prog_twos
+    block = range(prog.t(k), prog.t(k + 1))
+    assert len(block) > 1
+    for i in block:
+        bundle = make_bundle(roy_family(2, 1, 2), prog)
+        bundle.ys._memo[i] = bundle.ys.mat(i) + bump
+        assert bundle.ys.mat(i).is_symmetric()
+        rep = verify_identities(bundle, prog.t(k + 2))
+        assert not rep.ok, i
+        assert any(f[0] == "step" for f in rep.failures), i
 
 
 def test_identity_suite_all_seeds(roy313, bl12, roy212_p2):

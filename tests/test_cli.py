@@ -1,8 +1,15 @@
 import json
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from sturmlab.approx import make_bundle
 from sturmlab.cli import main
+from sturmlab.matseq import roy_family
+from sturmlab.sturm import SturmianProgram
+from sturmlab.xi import xi_value
 
 
 def run(capsys, *argv):
@@ -30,6 +37,32 @@ def test_verify_json_deterministic(capsys, tmp_path):
     assert doc["schema"] == "sturmlab/1"
     assert doc["data"]["identities_ok"] is True
     capsys.readouterr()
+
+
+def test_verify_past_int_digit_limit(capsys):
+    # the growth ratios at this depth have more than 4300 decimal digits
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "--family", "roy", "--abc", "2,1,2",
+                       "verify", "--up-to", "18")
+    assert code == 0
+    assert "multiplicative growth ratios in [1.08" in out
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_xi_json_past_int_digit_limit(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    code, _, _ = run(capsys, "--family", "roy", "--abc", "2,1,2", "--out-dir", str(tmp_path),
+                     "--json", "xi", "--digits", "2000")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    data = json.loads((tmp_path / "xi.json").read_text())["data"]
+    # Decimal parses past the digit limit, as the writer does
+    lo, hi = (Fraction(*(int(Decimal(part)) for part in data[key].split("/")))
+              for key in ("xi_lo", "xi_hi"))
+    xv = xi_value(make_bundle(roy_family(2, 1, 2), SturmianProgram.all_ones()),
+                  int(2000 * 3.33) + 32)
+    assert (lo, hi) == (xv.lo, xv.hi)
+    assert len(data["xi_lo"]) > 2 * 4300
 
 
 def test_three_system_valid_and_invalid(capsys, tmp_path):

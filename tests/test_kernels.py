@@ -9,33 +9,74 @@ XI2 = XI * XI
 
 
 def _sorted(pts, lam):
+    pts, lam = np.asarray(pts, dtype=np.int64).reshape(-1, 3), np.asarray(lam)
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     return pts[order], lam[order]
 
 
-def _run(fn, xi, xi2, q, R, cutoff):
-    pts = np.empty((kernels._CAP, 3), dtype=np.int64)
-    lam = np.empty(kernels._CAP, dtype=np.float64)
-    n = fn(xi, xi2, q, R, cutoff, pts, lam)
-    assert n >= 0
-    return _sorted(pts[:n].copy(), lam[:n].copy())
+def _primal_reference(xi, xi2, q, R, cutoff):
+    """Scalar loop over the same window as ``collect_primal``."""
+    pts, lams = [], []
+    eq = np.exp(q)
+    w = cutoff * np.exp(-q)
+    for x1 in range(-R, R + 1):
+        for x2 in range(-R, R + 1):
+            c = -(x1 * xi + x2 * xi2)
+            lo = int(np.ceil(max(c - w, -cutoff)))
+            hi = int(np.floor(min(c + w, cutoff)))
+            for x0 in range(lo, hi + 1):
+                if x0 == 0 and x1 == 0 and x2 == 0:
+                    continue
+                nrm = np.sqrt(float(x0 * x0 + x1 * x1 + x2 * x2))
+                if nrm > cutoff:
+                    continue
+                dot = abs(x0 + x1 * xi + x2 * xi2) * eq
+                lam = nrm if nrm > dot else dot
+                if lam <= cutoff:
+                    pts.append((x0, x1, x2))
+                    lams.append(lam)
+    return _sorted(pts, lams)
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not importable")
+def _dual_reference(xi, xi2, q, R0, cutoff):
+    """Scalar loop over the same window as ``collect_dual``."""
+    pts, lams = [], []
+    emq = np.exp(-q)
+    span = int(cutoff * np.sqrt(1.0 + xi * xi)) + 2
+    for x0 in range(-R0, R0 + 1):
+        c1 = x0 * xi
+        c2 = x0 * xi2
+        for d1 in range(-span, span + 1):
+            x1 = int(np.floor(c1)) + d1
+            for d2 in range(-span, span + 1):
+                x2 = int(np.floor(c2)) + d2
+                if x0 == 0 and x1 == 0 and x2 == 0:
+                    continue
+                w0 = x1 * xi2 - x2 * xi
+                w1 = x2 - x0 * xi2
+                w2 = x0 * xi - x1
+                wn = np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+                nrm = np.sqrt(float(x0 * x0 + x1 * x1 + x2 * x2)) * emq
+                lam = wn if wn > nrm else nrm
+                if lam <= cutoff:
+                    pts.append((x0, x1, x2))
+                    lams.append(lam)
+    return _sorted(pts, lams)
+
+
 @pytest.mark.parametrize("q,R,cutoff", [(2.0, 12, 8.0), (5.0, 40, 30.0)])
-def test_primal_numpy_matches_njit(q, R, cutoff):
-    p1, l1 = _run(kernels._primal_numpy, XI, XI2, q, R, cutoff)
-    p2, l2 = _run(kernels._primal_njit, XI, XI2, q, R, cutoff)
+def test_primal_matches_reference(q, R, cutoff):
+    p1, l1 = _sorted(*kernels.collect_primal(XI, XI2, q, R, cutoff))
+    p2, l2 = _primal_reference(XI, XI2, q, R, cutoff)
     assert p1.shape == p2.shape
     assert np.array_equal(p1, p2)
     assert np.allclose(l1, l2, rtol=1e-12)
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not importable")
 @pytest.mark.parametrize("q,R0,cutoff", [(2.0, 10, 2.0), (6.0, 300, 1.5)])
-def test_dual_numpy_matches_njit(q, R0, cutoff):
-    p1, l1 = _run(kernels._dual_numpy, XI, XI2, q, R0, cutoff)
-    p2, l2 = _run(kernels._dual_njit, XI, XI2, q, R0, cutoff)
+def test_dual_matches_reference(q, R0, cutoff):
+    p1, l1 = _sorted(*kernels.collect_dual(XI, XI2, q, R0, cutoff))
+    p2, l2 = _dual_reference(XI, XI2, q, R0, cutoff)
     assert np.array_equal(p1, p2)
     assert np.allclose(l1, l2, rtol=1e-12)
 
@@ -62,9 +103,12 @@ def test_collect_dual_filters():
     assert (lam <= 2.5).all()
 
 
-def test_env_flag_reflected():
-    import os
-    if os.environ.get("STURMLAB_NO_NUMBA"):
-        assert not kernels.USE_NUMBA
-    else:
-        assert kernels.USE_NUMBA == kernels.HAS_NUMBA
+@pytest.mark.parametrize("collect, args", [(kernels.collect_primal, (2.0, 12, 8.0)),
+                                           (kernels.collect_dual, (2.0, 10, 2.0))])
+def test_overflow_past_cap(monkeypatch, collect, args):
+    n = len(collect(XI, XI2, *args)[1])
+    monkeypatch.setattr(kernels, "_CAP", n)
+    assert len(collect(XI, XI2, *args)[1]) == n
+    monkeypatch.setattr(kernels, "_CAP", n - 1)
+    with pytest.raises(kernels.KernelOverflow):
+        collect(XI, XI2, *args)

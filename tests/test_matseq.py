@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -157,6 +158,15 @@ def test_delta_bracket_exact_integers(abc, period):
         assert abs(seq.det(k)) == a ** f[k]
         assert (a * (b + 1)) ** f[k] <= n
         assert 2 * n <= (2 * a * (c + 1)) ** f[k]
+
+
+def test_delta_bracket_needs_its_integer_form():
+    # roy(2,1,2) matrices labelled (2,3,2): (a(b+1))^{f_0} = 8 > ||w_0||, so the
+    # bracket for those parameters is not proved and none is returned
+    seed = dataclasses.replace(roy_family(2, 1, 2), params=(2, 3, 2))
+    rep = delta_estimate(_seq(seed), 12)
+    assert rep.bracket is None
+    assert delta_estimate(_seq(roy_family(2, 1, 2)), 12).bracket is not None
 
 
 def test_delta_settling():

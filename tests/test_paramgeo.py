@@ -201,8 +201,8 @@ def test_minima_are_ordered_and_independent(cb_bl):
 
 
 def test_bruteforce_radius_guard(cb_bl):
-    with pytest.raises(TooLarge):
-        minima_bruteforce(cb_bl, mpmath.mpf(40), R_max=100)
+    with pytest.raises(TooLarge, match="primal search radius .* exceeds 10000"):
+        minima_bruteforce(cb_bl, mpmath.mpf(40))
 
 
 def test_bruteforce_dual_guard(cb_bl, monkeypatch):
