@@ -5,10 +5,9 @@ intermediate lattice points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
-from .exactlin import IntMat2, RatVec, SymVec, det3, rat_dot, rat_wedge
+from .exactlin import IntMat2, RatVec, SymVec, det3, rat_wedge
 from .matseq import MatrixSequence
 
 
@@ -433,16 +432,3 @@ def gray_fan(bundle: Bundle, i: int) -> GrayFan:
         reduced_endpoint=reduced,
     )
 
-
-# ---------------------------------------------------------------------------
-# exact inner-product identity used by the norm diagnostics
-# ---------------------------------------------------------------------------
-
-def z_dot_y_identity(bundle: Bundle, i: int) -> tuple:
-    """Exact check of |<z_i, y_{i+1}>| = |det w_k|^{-1} |det3(y_{t_k-1}, y_i, y_{i+1})|
-    for i = t_k + l; returns (lhs, rhs) as Fractions."""
-    prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
-    k, _ = prog.block_of(i)
-    lhs = abs(rat_dot(zs.at(i), RatVec.from_sym(ys.at(i + 1))))
-    rhs = Fraction(abs(det3(ys.at(prog.t(k) - 1), ys.at(i), ys.at(i + 1))), abs(seq.det(k)))
-    return lhs, rhs

@@ -15,9 +15,8 @@ from decimal import Decimal
 
 import mpmath
 
-from .sturm import SturmianProgram, quantities, spectrum_endpoints, delta_an
-from .matseq import roy_family, bl_family, MatrixSequence, check_mult_growth, \
-    delta_estimate
+from .sturm import SturmianProgram, quantities, spectrum_endpoints
+from .matseq import roy_family, bl_family, check_mult_growth, resolve_delta
 from .approx import make_bundle, verify_identities, contents_report, gray_fan, \
     FibonacciOnly
 from .xi import xi_value, bl_xi_oracle, properness_check
@@ -203,13 +202,7 @@ def cmd_exponents(args) -> int:
     bundle = build_bundle(cfg)
     prec = cfg["precision"]
     qs = quantities(bundle.prog, prec=prec)
-    rep = delta_estimate(bundle.seq, 18, prec)
-    if rep.exact_zero:
-        delta = mpmath.mpf(0)
-    elif rep.bracket is not None and rep.bracket[1] < qs.sigma / (1 + qs.sigma):
-        delta = (rep.bracket[0] + rep.bracket[1]) / 2
-    else:
-        delta = rep.delta_hat
+    delta = resolve_delta(bundle.seq, prec).value
     try:
         es = exponents.closed_form(qs.sigma, delta, qs.tau, qs.sigma_prime, prec)
     except exponents.ImproperDelta as e:

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -143,13 +142,6 @@ class SymVec:
     x1: int
     x2: int
 
-    @staticmethod
-    def from_mat(m: IntMat2) -> "SymVec":
-        return m.sym_vec()
-
-    def as_mat(self) -> IntMat2:
-        return IntMat2(self.x0, self.x1, self.x1, self.x2)
-
     def as_tuple(self):
         return (self.x0, self.x1, self.x2)
 
@@ -200,33 +192,10 @@ class SymVec:
     def sup_norm(self) -> int:
         return max(abs(self.x0), abs(self.x1), abs(self.x2))
 
-    def norm_sq(self) -> int:
-        return self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2
-
-    def eucl_norm(self, prec: int = DEFAULT_PRECISION):
-        with mpmath.workprec(prec):
-            return mpmath.sqrt(mpmath.mpf(self.norm_sq()))
-
-    # --- serialization: coefficients as decimal strings so bigints survive ---
-    def to_json(self) -> str:
-        return json.dumps([str(self.x0), str(self.x1), str(self.x2)])
-
-    @staticmethod
-    def from_json(s: str) -> "SymVec":
-        parts = json.loads(s)
-        if not isinstance(parts, list) or len(parts) != 3:
-            raise ValueError(f"expected a 3-element list, got {s!r}")
-        return SymVec(int(parts[0]), int(parts[1]), int(parts[2]))
-
 
 def det3(x: SymVec, y: SymVec, z: SymVec) -> int:
     """Determinant of the 3x3 matrix with rows x, y, z."""
     return x.dot(y.wedge(z))
-
-
-def det3_trace_form(x: SymVec, y: SymVec, z: SymVec) -> int:
-    """Same determinant computed as Tr(J x J y J z) over the matrix alias."""
-    return (J @ x.as_mat() @ J @ y.as_mat() @ J @ z.as_mat()).trace()
 
 
 @dataclass(frozen=True)
@@ -298,10 +267,6 @@ class RatVec:
     def sup_norm(self) -> Fraction:
         return Fraction(self.num.sup_norm(), self.den)
 
-    def eucl_norm(self, prec: int = DEFAULT_PRECISION):
-        with mpmath.workprec(prec):
-            return self.num.eucl_norm(prec) / mpmath.mpf(self.den)
-
 
 def rat_wedge(a, b) -> RatVec:
     """Wedge of SymVec/RatVec operands, promoted to RatVec."""
@@ -309,8 +274,3 @@ def rat_wedge(a, b) -> RatVec:
     rb = b if isinstance(b, RatVec) else RatVec.from_sym(b)
     return ra.wedge(rb)
 
-
-def rat_dot(a, b) -> Fraction:
-    ra = a if isinstance(a, RatVec) else RatVec.from_sym(a)
-    rb = b if isinstance(b, RatVec) else RatVec.from_sym(b)
-    return ra.dot(rb)

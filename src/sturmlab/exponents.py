@@ -1,7 +1,7 @@
 """Diophantine exponents: closed forms from (sigma, delta, tau, sigma'),
-the parametric/standard dictionary with the Jarnik identity, empirical
-estimation from minima samples, the joint-spectrum curve, and the omega_2
-sweep over the power-of-two seed recipe.
+the parametric/standard dictionary, empirical estimation from minima samples
+(with a Jarnik cross-check of the lower third exponent), and the omega_2 sweep
+over the power-of-two seed recipe.
 
 Parametric exponents are denoted psi1_low, psi1_up, ..., psi3_up (lower/upper
 j-th parametric exponents); standard ones omega2, omega2_hat, lambda2,
@@ -9,13 +9,12 @@ lambda2_hat.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import mpmath
 
 from .exactlin import DEFAULT_PRECISION
+from .matseq import roy_bracket
 from .sturm import h_of_sigma
 
 
@@ -265,13 +264,6 @@ def dictionary(values: dict, direction: str = "to_parametric",
         raise ValueError(f"unknown direction {direction!r}")
 
 
-def jarnik_parametric_residual(psi3_low, psi1_up, prec: int = DEFAULT_PRECISION):
-    """2 psi3_low + 2 psi1_up - 3 psi3_low psi1_up - 1 (zero on the Jarnik locus)."""
-    with mpmath.workprec(prec):
-        a, b = mpmath.mpf(psi3_low), mpmath.mpf(psi1_up)
-        return 2 * a + 2 * b - 3 * a * b - 1
-
-
 # ---------------------------------------------------------------------------
 # empirical estimation from minima samples
 # ---------------------------------------------------------------------------
@@ -317,26 +309,6 @@ def empirical(samples, prec: int = DEFAULT_PRECISION) -> ExponentSet:
         p1u = es.psi1_up.est
         es.notes["psi3_low_jarnik"] = (1 - 2 * p1u) / (2 - 3 * p1u)
         return es
-
-
-# ---------------------------------------------------------------------------
-# joint-spectrum curve
-# ---------------------------------------------------------------------------
-
-def joint_curve(sigma, c_lo=0, grid_n: int = 100, prec: int = DEFAULT_PRECISION):
-    """(lambda2, lambda2_hat, omega2, omega2_hat) along the one-parameter
-    family x in [c_lo, 1]; endpoints included exactly."""
-    if not (0 <= c_lo < 1):
-        raise ValueError(f"c_lo = {c_lo} outside [0, 1)")
-    with mpmath.workprec(prec):
-        sigma = mpmath.mpf(sigma)
-        lo = mpmath.mpf(c_lo)
-        out = []
-        for t in range(grid_n + 1):
-            x = lo + (1 - lo) * mpmath.mpf(t) / grid_n
-            g = 1 + (1 + sigma) * x
-            out.append((x, 1 - 1 / g, g / sigma, g))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +372,7 @@ def omega2_sweep(sigma, triples=None, prec: int = DEFAULT_PRECISION) -> SweepRep
             return (2 - d) / sigma + 1 - d
 
         for (a, b, c) in triples:
-            la = mpmath.log(a)
-            alpha = la / mpmath.log(2 * a * (c + 1))
-            beta = la / mpmath.log(a * (b + 1))
+            alpha, beta = roy_bracket(a, b, c, prec)
             proper = bool(beta < threshold)
             o = (omega2_of(beta), omega2_of(alpha))   # omega2 decreasing in delta
             rows.append(SweepRow(triple=(a, b, c), bracket=(alpha, beta),

@@ -335,10 +335,7 @@ def delta_estimate(seq: MatrixSequence, k_max: int, prec: int = DEFAULT_PRECISIO
             increments[b] = abs(deltas[b] - deltas[a])
     bracket = None
     if seq.seed.family == "roy" and _bracket_holds(seq, dets):
-        a, b, c = seq.seed.params
-        with mpmath.workprec(prec):
-            la = mpmath.log(a)
-            bracket = (la / mpmath.log(2 * a * (c + 1)), la / mpmath.log(a * (b + 1)))
+        bracket = roy_bracket(*seq.seed.params, prec)
     return DeltaReport(
         deltas=deltas,
         delta_hat=deltas[keys[-1]],
@@ -347,6 +344,14 @@ def delta_estimate(seq: MatrixSequence, k_max: int, prec: int = DEFAULT_PRECISIO
         exact_zero=seq.is_unimodular(),
         k_max=k_max,
     )
+
+
+def roy_bracket(a: int, b: int, c: int, prec: int = DEFAULT_PRECISION) -> tuple:
+    """(log a / log(2a(c+1)), log a / log(a(b+1))): the bracket of delta for
+    the roy seed (a, b, c)."""
+    with mpmath.workprec(prec):
+        la = mpmath.log(a)
+        return la / mpmath.log(2 * a * (c + 1)), la / mpmath.log(a * (b + 1))
 
 
 def _bracket_holds(seq: MatrixSequence, dets: list) -> bool:
@@ -361,6 +366,33 @@ def _bracket_holds(seq: MatrixSequence, dets: list) -> bool:
                and (a * (b + 1)) ** f[k] <= seq.norm(k)
                and 2 * seq.norm(k) <= (2 * a * (c + 1)) ** f[k]
                for k, d in enumerate(dets))
+
+
+# delta_hat is taken at the deepest k whose ||w_k|| has at most this many bits
+DELTA_BITS = 2 ** 14
+
+
+@dataclass
+class DeltaChoice:
+    value: object                   # mpf: the delta every caller uses
+    source: str
+    report: Optional[DeltaReport]   # None for unimodular seeds
+
+
+def resolve_delta(seq: MatrixSequence, prec: int = DEFAULT_PRECISION) -> DeltaChoice:
+    """The delta of a seed: exactly 0 for unimodular seeds, otherwise
+    delta_hat = delta_{k_max} for the largest k_max with ||w_{k_max}|| of at
+    most DELTA_BITS bits.  A bit budget rather than a fixed index bounds the
+    cost on every program: log||w_k|| grows like f_{k+1} = s_{k+1} f_k + f_{k-1},
+    much faster on the period-2 program than on the Fibonacci one.  The
+    report's roy bracket is used only to certify properness."""
+    if seq.is_unimodular():
+        return DeltaChoice(mpmath.mpf(0), "exact (unimodular seed)", None)
+    k_max = 0
+    while seq.norm(k_max + 1).bit_length() <= DELTA_BITS:
+        k_max += 1
+    rep = delta_estimate(seq, k_max, prec)
+    return DeltaChoice(rep.delta_hat, f"empirical delta_hat at k = {k_max}", rep)
 
 
 # ---------------------------------------------------------------------------

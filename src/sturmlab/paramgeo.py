@@ -24,7 +24,7 @@ import mpmath
 
 from .exactlin import DEFAULT_PRECISION, SymVec, ZeroObject, det3
 from .approx import Bundle
-from .matseq import HatW, DegenerateGrowth, delta_estimate
+from .matseq import HatW, resolve_delta
 from .sturm import quantities
 from . import kernels
 
@@ -201,22 +201,10 @@ class SystemBreakpoints:
             qs = quantities(self.prog, prec=prec)
             self.sigma = qs.sigma
             threshold = qs.sigma / (1 + qs.sigma)
-            self.delta_frac = None
             if delta is None:
-                rep = delta_estimate(bundle.seq, min(self.k_hi, 18), prec)
-                if rep.exact_zero:
-                    self.delta = mpmath.mpf(0)
-                    self.delta_frac = Fraction(0)
-                    self.delta_source = "exact (unimodular seed)"
-                elif rep.bracket is not None:
-                    self.delta = (rep.bracket[0] + rep.bracket[1]) / 2
-                    self.delta_source = f"bracket midpoint {rep.bracket}"
-                else:
-                    self.delta = rep.delta_hat
-                    self.delta_source = "empirical delta_hat"
+                choice = resolve_delta(bundle.seq, prec)
+                self.delta, self.delta_source = choice.value, choice.source
             else:
-                if isinstance(delta, Fraction) or isinstance(delta, int):
-                    self.delta_frac = Fraction(delta)
                 self.delta = mpmath.mpf(str(delta)) if not isinstance(delta, mpmath.mpf) else delta
                 self.delta_source = "forced"
             self.invalid_delta = bool(self.delta >= threshold)

@@ -10,7 +10,6 @@ explicit finite prefix plus a (non-empty) periodic tail.  The derived objects:
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -83,9 +82,6 @@ class QuadSurd:
     def from_fraction(x) -> "QuadSurd":
         x = Fraction(x)
         return QuadSurd.make(x.numerator, 0, 0, x.denominator)
-
-    def is_rational(self) -> bool:
-        return self.q == 0
 
     def __add__(self, other):
         if not isinstance(other, QuadSurd):
@@ -267,7 +263,7 @@ class SturmianProgram:
             raise BadSequence(f"period terms must be >= 1; got {self.period}")
         self._t_cache = [-1]  # t_0
 
-    # --- construction / serialization -------------------------------------
+    # --- construction -----------------------------------------------------
     @staticmethod
     def all_ones() -> "SturmianProgram":
         return SturmianProgram([-1, 1], [1])
@@ -283,20 +279,6 @@ class SturmianProgram:
             return [int(v) for v in s.split(",")] if s else []
 
         return SturmianProgram(ints(m.group(1)), ints(m.group(2)))
-
-    @staticmethod
-    def from_json(text: str) -> "SturmianProgram":
-        obj = json.loads(text)
-        return SturmianProgram(list(obj["prefix"]), list(obj["period"]))
-
-    def to_text(self) -> str:
-        return "prefix=[%s];period=[%s]" % (
-            ",".join(map(str, self.prefix)),
-            ",".join(map(str, self.period)),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps({"prefix": self.prefix, "period": self.period})
 
     # --- basic accessors ---------------------------------------------------
     def s(self, k: int) -> int:
@@ -451,9 +433,10 @@ def h_of_sigma(sigma, prec: int = DEFAULT_PRECISION):
 # words and spectrum helpers
 # ---------------------------------------------------------------------------
 
-def characteristic_word(s1_prime: int, prog: SturmianProgram, a: str, b: str, n: int) -> str:
+def characteristic_word(s1_prime: int, prog: SturmianProgram, a, b, n: int):
     """First n letters of the limit of m_0 = b, m_1 = b^{s1'-1} a,
-    m_{k+1} = m_k^{s'_{k+1}} m_{k-1}, where s'_k = s_k of `prog` for k >= 2."""
+    m_{k+1} = m_k^{s'_{k+1}} m_{k-1}, where s'_k = s_k of `prog` for k >= 2.
+    The words a and b are strings or lists; the result has their type."""
     if s1_prime < 1:
         raise BadSequence("s1' must be >= 1")
     m_prev = b
@@ -462,29 +445,9 @@ def characteristic_word(s1_prime: int, prog: SturmianProgram, a: str, b: str, n:
     while len(m_cur) < n:
         m_prev, m_cur = m_cur, m_cur * prog.s(k + 1) + m_prev
         k += 1
-        if len(m_cur) == len(m_prev):  # cannot happen (lengths strictly grow)
+        if len(m_cur) == len(m_prev):  # lengths grow unless b is empty
             raise Unbounded("word recurrence stalled")
     return m_cur[:n]
-
-
-def cassaigne_member(prefix, period, K: int = 64) -> bool:
-    """Test [b] >= [T^k b] for k = 0..K, for the eventually periodic positive
-    integer sequence b given by (prefix, period); [.] is the continued-fraction
-    value and T the shift."""
-    prefix = [int(v) for v in prefix]
-    period = [int(v) for v in period]
-    if any(v < 1 for v in prefix + period) or not period:
-        raise BadSequence("sequence terms must be positive integers with a non-empty period")
-    base = cf_eventually_periodic(prefix, period)
-    for k in range(1, K + 1):
-        if k < len(prefix):
-            shifted = cf_eventually_periodic(prefix[k:], period)
-        else:
-            rot = (k - len(prefix)) % len(period)
-            shifted = cf_eventually_periodic([], period[rot:] + period[:rot])
-        if base.compare(shifted) < 0:
-            return False
-    return True
 
 
 def u_value(a: int, n: int) -> QuadSurd:

@@ -1,5 +1,6 @@
 """The limit point (1, xi, xi^2) of the projective sequence [y_i], with exact
-rational enclosures, properness verdicts, and norm-comparison diagnostics.
+rational enclosures, a continued-fraction cross-check for two-letter seeds,
+and properness verdicts.
 """
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ from typing import Optional
 
 import mpmath
 
-from .exactlin import DEFAULT_PRECISION, RatVec, det3, rat_dot, to_real
-from .approx import Bundle, z_dot_y_identity
-from .sturm import SturmianProgram
+from .exactlin import DEFAULT_PRECISION, to_real
+from .approx import Bundle
+from .matseq import resolve_delta
+from .sturm import SturmianProgram, characteristic_word, quantities
 
 
 class NoConvergence(ValueError):
@@ -87,20 +89,14 @@ def bl_xi_oracle(a: int, b: int, s1_prime: int, prog: SturmianProgram,
     [0; u_1, u_2, ...] whose partial quotients read off the limit word of
     m_0 = b, m_1 = b^{s1'-1} a, m_{k+1} = m_k^{s'_{k+1}} m_{k-1} (letters carry
     the numeric values a and b)."""
-    # generate enough letters: quotient n contributes ~log2(phi) bits; be generous
-    need = 4 * precision_bits + 64
-    m_prev = [b]
-    m_cur = [b] * (s1_prime - 1) + [a]
-    k = 1
-    while len(m_cur) < need:
-        m_prev, m_cur = m_cur, m_cur * prog.s(k + 1) + m_prev
-        k += 1
+    # q_n >= phi^(n-1), so the loop below stops long before this many quotients
+    quotients = characteristic_word(s1_prime, prog, [a], [b], 4 * precision_bits + 64)
     # stop once the error bound 1/(q_n q_{n-1}) is at most 2^-(bits+2); the
     # product can reach the bound only when its bit lengths sum past bits + 2
     bound = 2 ** (precision_bits + 2)
     p_prev, q_prev = 1, 0
     p_cur, q_cur = 0, 1   # value [0; ...]
-    for n, u in enumerate(m_cur):
+    for n, u in enumerate(quotients):
         p_prev, p_cur = p_cur, u * p_cur + p_prev
         q_prev, q_cur = q_cur, u * q_cur + q_prev
         if (n >= 2 and q_cur.bit_length() + q_prev.bit_length() > precision_bits + 2
@@ -132,25 +128,20 @@ class PropernessReport:
 
 def properness_check(bundle: Bundle, i_max: int = 20,
                      prec: int = DEFAULT_PRECISION) -> PropernessReport:
-    from .matseq import delta_estimate
-    from .sturm import quantities
-
-    seq, seed = bundle.seq, bundle.seed
+    seed = bundle.seed
     qs = quantities(bundle.prog, prec=prec)
     with mpmath.workprec(prec):
         threshold = qs.sigma / (1 + qs.sigma)
-    # log||w_k|| grows like a Fibonacci-type sequence, so keep k_max modest
-    k_max = bundle.prog.block_of(max(i_max, 5))[0] + 1
-    k_max = min(k_max, 24)
-    rep = delta_estimate(seq, k_max, prec)
-    if rep.exact_zero:
+    choice = resolve_delta(bundle.seq, prec)
+    rep = choice.report
+    if rep is None:
         delta_ok, evidence = True, "unimodular seed: delta = 0 exactly"
     elif rep.bracket is not None and rep.bracket[1] < threshold:
         delta_ok = True
         evidence = f"certified bracket {rep.bracket} below sigma/(1+sigma) = {threshold}"
     else:
-        delta_ok = bool(rep.delta_hat < threshold)
-        evidence = f"empirical delta_hat = {rep.delta_hat} vs threshold {threshold} (uncertified)"
+        delta_ok = bool(choice.value < threshold)
+        evidence = f"empirical delta_hat = {choice.value} vs threshold {threshold} (uncertified)"
     contents = [bundle.ys.content(i) for i in range(-2, i_max + 1)]
     dN = abs(seed.det_N)
     content_ok = all(dN % c == 0 for c in contents)
@@ -162,97 +153,3 @@ def properness_check(bundle: Bundle, i_max: int = 20,
         trace_ok=seed.tr_JN != 0,
         tr_JN=seed.tr_JN,
     )
-
-
-# ---------------------------------------------------------------------------
-# norm-comparison diagnostics (Euclidean norms)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DiagnosticsTable:
-    rows: list              # (i, dict family -> mpf ratio)
-    families: tuple
-    ratio_spread: dict      # family -> (min, max)
-    exact_ok: bool          # the inner-product/det identity held exactly
-    spread_bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.exact_ok and all(
-            mx / mn < self.spread_bound for mn, mx in self.ratio_spread.values())
-
-
-def norm_diagnostics(bundle: Bundle, i_lo: int, i_hi: int, u=None,
-                     prec: int = DEFAULT_PRECISION,
-                     spread_bound: float = 1e3) -> DiagnosticsTable:
-    """Ratios that the comparison estimates predict to be bounded above and
-    below, sampled for i in [i_lo, i_hi]; u = (1, xi, xi^2) as mpfs.
-
-    When u is omitted it is recomputed at a precision large enough for the
-    cancellations at i_hi (||y_i ^ u|| decays like 1/||y_i||), and `prec` is
-    raised accordingly.
-
-    Families:
-      wedge_u:   ||y_i ^ u|| ||y_i|| / |det y_i|
-      growth:    ||y_{i+1}|| ||y_{psi(i)}|| / ||y_i||^2
-      z_norm:    ||z_i|| / ||y_{psi(i)}||
-      z_dot_y:   |<z_i, y_{i+1}>| / |det y_i|
-      z_dot_u:   |<z_i, u>| ||y_{i+1}|| / |det y_i|
-      quotient:  ||y_i ^ y_{i+1}|| / (|det y_{i+1}| ||y_i y_{i+1}^{-1}||)
-    """
-    ys, zs, prog = bundle.ys, bundle.zs, bundle.prog
-    need = 3 * ys.at(i_hi + 2).sup_norm().bit_length() + 64
-    prec = max(prec, need)
-    if u is None:
-        u = xi_value(bundle, prec).u_vector(prec)
-    families = ("wedge_u", "growth", "z_norm", "z_dot_y", "z_dot_u", "quotient")
-    rows = []
-    exact_ok = True
-    with mpmath.workprec(prec):
-        u0, u1, u2 = (mpmath.mpf(x) if not isinstance(x, mpmath.mpf) else x for x in u)
-
-        def norm3(a, b, c):
-            return mpmath.sqrt(a * a + b * b + c * c)
-
-        def vec_mpf(v):
-            if isinstance(v, RatVec):
-                den = mpmath.mpf(v.den)
-                return (mpmath.mpf(v.num.x0) / den, mpmath.mpf(v.num.x1) / den,
-                        mpmath.mpf(v.num.x2) / den)
-            return (mpmath.mpf(v.x0), mpmath.mpf(v.x1), mpmath.mpf(v.x2))
-
-        def wedge_mpf(x, y):
-            return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
-                    x[0] * y[1] - x[1] * y[0])
-
-        for i in range(i_lo, i_hi + 1):
-            yi = ys.at(i)
-            yi1 = ys.at(i + 1)
-            yp = ys.at(prog.psi(i))
-            zi = zs.at(i)
-            dyi = abs(yi.det())
-            fi = vec_mpf(yi)
-            wu = wedge_mpf(fi, (u0, u1, u2))
-            r = {}
-            r["wedge_u"] = norm3(*wu) * norm3(*fi) / dyi
-            r["growth"] = (yi1.eucl_norm(prec) * yp.eucl_norm(prec)
-                           / yi.eucl_norm(prec) ** 2)
-            r["z_norm"] = zi.eucl_norm(prec) / yp.eucl_norm(prec)
-            r["z_dot_y"] = to_real(abs(rat_dot(zi, RatVec.from_sym(yi1))), prec) / dyi
-            zf = vec_mpf(zi)
-            r["z_dot_u"] = (abs(zf[0] * u0 + zf[1] * u1 + zf[2] * u2)
-                            * yi1.eucl_norm(prec) / dyi)
-            quot = yi.as_mat() @ yi1.as_mat().adj()   # y_i y_{i+1}^{-1} * det
-            r["quotient"] = (to_real(yi.wedge(yi1).norm_sq(), prec) ** mpmath.mpf("0.5")
-                             / (abs(yi1.det()) * mpmath.mpf(quot.sup_norm())
-                                / abs(yi1.det())))
-            rows.append((i, r))
-            lhs, rhs = z_dot_y_identity(bundle, i)
-            if lhs != rhs:
-                exact_ok = False
-        spread = {}
-        for fam in families:
-            vals = [r[fam] for _, r in rows]
-            spread[fam] = (min(vals), max(vals))
-    return DiagnosticsTable(rows=rows, families=families, ratio_spread=spread,
-                            exact_ok=exact_ok, spread_bound=spread_bound)

@@ -4,9 +4,9 @@ import pytest
 
 from sturmlab.approx import (
     BadIndex, FibonacciOnly, contents_report, gray_fan, make_bundle,
-    verify_identities, z_dot_y_identity,
+    verify_identities,
 )
-from sturmlab.exactlin import IntMat2, det3
+from sturmlab.exactlin import IntMat2, RatVec, det3
 from sturmlab.matseq import bl_family, roy_family
 from sturmlab.sturm import SturmianProgram
 
@@ -92,6 +92,16 @@ def test_contents_report(roy212, bl12):
         assert rep.z_integral
         assert rep.z_divides_bound
         assert rep.content_bound > 0
+
+
+def z_dot_y_identity(bundle, i: int) -> tuple:
+    """Exact check of |<z_i, y_{i+1}>| = |det w_k|^{-1} |det3(y_{t_k-1}, y_i, y_{i+1})|
+    for i = t_k + l; returns (lhs, rhs) as Fractions."""
+    prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
+    k, _ = prog.block_of(i)
+    lhs = abs(zs.at(i).dot(RatVec.from_sym(ys.at(i + 1))))
+    rhs = Fraction(abs(det3(ys.at(prog.t(k) - 1), ys.at(i), ys.at(i + 1))), abs(seq.det(k)))
+    return lhs, rhs
 
 
 def test_z_dot_y_identity(roy212, bl12):

@@ -1,13 +1,16 @@
 import json
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from sturmlab.approx import make_bundle
 from sturmlab.cli import main
 from sturmlab.matseq import roy_family
+from sturmlab.paramgeo import predicted_system
 from sturmlab.sturm import SturmianProgram
 from sturmlab.xi import xi_value
 
@@ -92,6 +95,26 @@ def test_exponents_table(capsys):
     code, out, _ = run(capsys, "--family", "bl", "--ab", "1,2", "exponents")
     assert code == 0
     assert "omega2_hat" in out and "2.618" in out
+
+
+@pytest.mark.parametrize("abc", [(2, 3, 4), (2, 2, 3)])
+def test_exponents_and_three_system_share_delta(capsys, abc):
+    code, out, _ = run(capsys, "--family", "roy", "--abc", ",".join(map(str, abc)),
+                       "exponents")
+    assert code == 0
+    printed = out.split("delta=")[1].split()[0]
+    P = predicted_system(make_bundle(roy_family(*abc), SturmianProgram.all_ones()), (3, 7))
+    assert printed == mpmath.nstr(P.delta, 10)
+
+
+def test_exponents_period_2_improper_within_budget(capsys):
+    # ||w_k|| grows like the Pell numbers here; the bit budget stops delta_hat at k = 10
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--family", "roy", "--abc", "2,1,2",
+                       "--program", "prefix=[-1,1];period=[2]", "exponents")
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    assert "improper seed" in out
 
 
 def test_xi_cross_check(capsys):

@@ -101,8 +101,9 @@ def test_jarnik_residual(golden):
         for delta in (mpmath.mpf(0), mpmath.mpf("0.15"), mpmath.mpf("0.3")):
             es = ex.closed_form(golden.sigma, delta, golden.tau,
                                 golden.sigma_prime, 256)
-            r = ex.jarnik_parametric_residual(es.psi3_low.lo, es.psi1_up.lo, 256)
-            assert abs(r) < mpmath.mpf("1e-60")
+            a, b = es.psi3_low.lo, es.psi1_up.lo
+            # 2 psi3_low + 2 psi1_up - 3 psi3_low psi1_up - 1 is 0 on the Jarnik locus
+            assert abs(2 * a + 2 * b - 3 * a * b - 1) < mpmath.mpf("1e-60")
 
 
 def test_psi2_low_crossover(golden):
@@ -140,16 +141,6 @@ def test_empirical_close_to_closed_form(bl12, golden):
         assert abs(float(e) - float(v)) < 0.02, name
     assert abs(float(emp.notes["psi3_low_jarnik"]) -
                float(es.psi3_low.value)) < 0.02
-
-
-def test_joint_curve(golden):
-    with mpmath.workprec(128):
-        pts = ex.joint_curve(golden.sigma, 0, 10)
-        assert len(pts) == 11
-        # endpoint x = 1 reproduces omega2_hat = 2 + sigma
-        x, l2h, o2, o2h = pts[-1]
-        assert x == 1
-        assert abs(o2h - (2 + golden.sigma)) < 1e-30
 
 
 def test_sweep_coverage(golden):

@@ -7,8 +7,8 @@ import pytest
 from sturmlab.exactlin import IntMat2
 from sturmlab.matseq import (
     BadRoyTriple, CapacityError, DegenerateSeed, HatW, MatrixSequence,
-    admissibility_checks, bl_family, check_mult_growth, delta_estimate,
-    is_admissible, lemma_shape_ok, roy_family, solve_admissibility,
+    DELTA_BITS, admissibility_checks, bl_family, check_mult_growth, delta_estimate,
+    is_admissible, lemma_shape_ok, resolve_delta, roy_family, solve_admissibility,
 )
 from sturmlab.sturm import SturmianProgram
 
@@ -175,6 +175,26 @@ def test_delta_settling():
     late = [rep.deltas[k] for k in sorted(rep.deltas)[-6:]]
     assert max(late) - min(late) < 1e-3
     assert abs(late[-1] - mpmath.mpf("0.394")) < 5e-4
+
+
+@pytest.mark.parametrize("abc, period, k_max", [
+    ((2, 1, 2), 1, 18), ((3, 1, 3), 1, 18), ((2, 2, 3), 1, 18), ((2, 3, 4), 1, 18),
+    ((2, 1, 2), 2, 10),
+])
+def test_resolve_delta_bit_budget(abc, period, k_max):
+    # delta_hat is delta_{k_max} for the deepest ||w_k|| within the bit budget
+    seq = _seq(roy_family(*abc), SturmianProgram([-1, 1], [period]))
+    choice = resolve_delta(seq)
+    assert choice.report.k_max == k_max
+    assert seq.norm(k_max).bit_length() <= DELTA_BITS < seq.norm(k_max + 1).bit_length()
+    assert choice.value == delta_estimate(seq, k_max).delta_hat
+    assert choice.source == f"empirical delta_hat at k = {k_max}"
+
+
+def test_resolve_delta_unimodular():
+    choice = resolve_delta(_seq(bl_family(1, 2), SturmianProgram([-1, 1], [2])))
+    assert choice.value == 0 and choice.report is None
+    assert choice.source == "exact (unimodular seed)"
 
 
 def test_hatw_recurrence_and_anchors():

@@ -52,8 +52,8 @@ def test_delta_resolution(P_bl, roy212):
     assert "unimodular" in P_bl.delta_source
     assert not P_bl.invalid_delta
     R = predicted_system(roy212, (3, 7))
-    assert "bracket midpoint" in R.delta_source
-    assert R.invalid_delta           # midpoint ~0.39 >= sigma/(1+sigma) ~0.382
+    assert R.delta_source == "empirical delta_hat at k = 18"
+    assert R.invalid_delta           # delta_hat ~0.394 >= sigma/(1+sigma) ~0.382
 
 
 def test_hat_rescaling_tracks_log_norms(P_bl, bl12):

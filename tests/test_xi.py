@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 from sturmlab.xi import (
-    NoConvergence, bl_xi_oracle, norm_diagnostics, properness_check, xi_value,
+    NoConvergence, bl_xi_oracle, properness_check, xi_value,
 )
 
 
@@ -74,17 +74,6 @@ def test_properness_roy212(roy212):
     assert rep.trace_ok and rep.content_ok
     assert not rep.delta_ok
     assert not rep.proper
-
-
-def test_norm_diagnostics(bl12):
-    tab = norm_diagnostics(bl12, 3, 9)
-    assert tab.exact_ok
-    assert set(tab.families) == {"wedge_u", "growth", "z_norm", "z_dot_y",
-                                 "z_dot_u", "quotient"}
-    assert len(tab.rows) == 7
-    for mn, mx in tab.ratio_spread.values():
-        assert 0 < mn <= mx
-    assert tab.ok
 
 
 def test_no_convergence_cap(bl12):
