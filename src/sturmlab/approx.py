@@ -115,8 +115,8 @@ class Bundle:
         return self.seq.prog
 
 
-def make_bundle(seed, prog, max_bits=None) -> Bundle:
-    return Bundle(MatrixSequence(seed, prog, max_bits=max_bits))
+def make_bundle(seed, prog) -> Bundle:
+    return Bundle(MatrixSequence(seed, prog))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,6 @@ class ContentsReport:
     y_contents: dict        # i -> content(y_i)
     y_divides_detN: bool
     z_integral: bool        # det(w_2) z_j integral for all tested j
-    z_contents: dict        # j -> content(det(w_2) z_j)
     z_divides_bound: bool   # contents divide det(w2)^2 det(N)^2 |Tr(JN)| (when nonzero)
     content_bound: int      # |det(w2)^2 det(N)^2 Tr(JN)|
     i_max: int
@@ -295,7 +294,6 @@ def contents_report(bundle: Bundle, i_max: int) -> ContentsReport:
     y_contents = {i: ys.content(i) for i in range(-2, i_max + 1)}
     y_div = all(dN % c == 0 for c in y_contents.values())
     bound = seq.det(2) ** 2 * seed.det_N ** 2 * abs(seed.tr_JN)
-    z_contents = {}
     z_integral = True
     z_div = True
     for j in range(0, i_max + 1):
@@ -305,14 +303,12 @@ def contents_report(bundle: Bundle, i_max: int) -> ContentsReport:
             z_integral = False
             continue
         c = v.content()
-        z_contents[j] = c
         if bound == 0 or bound % c != 0:
             z_div = False
     return ContentsReport(
         y_contents=y_contents,
         y_divides_detN=y_div,
         z_integral=z_integral,
-        z_contents=z_contents,
         z_divides_bound=z_div,
         content_bound=abs(bound),
         i_max=i_max,
@@ -327,10 +323,8 @@ def contents_report(bundle: Bundle, i_max: int) -> ContentsReport:
 class GrayFan:
     i: int
     quotients: list         # partial quotients of tr(w_{i+1}) / det(w_{i+1})
-    convergents: list       # (p_m, q_m) for m = -1 .. r
     points: list            # x_m as SymVec, m = -1 .. r
     contents: list          # content(x_m)
-    alpha_beta: list        # (alpha_m, beta_m) integer decomposition data
     endpoints_ok: bool      # x_{-1} = y_i and x_r = y_{i+1}
     recurrence_ok: bool
     wedge_ok: bool          # x_m wedge x_{m+1} = +- d_i z_{i+1}
@@ -341,7 +335,6 @@ class GrayFan:
     # which exceeds |d_i| when z_{i+1} is not primitive); implied by wedge_ok
     content_gcd_ok: bool    # gcd(c_m, c_{m+1}) | content(y_i)
     decomposition_ok: bool  # d_{i+2} x_m = alpha_m y_i + beta_m y_{i+1}
-    reduced_endpoint: bool  # gcd(tr, det) = 1 so the last convergent is (tr, det)
 
     @property
     def ok(self) -> bool:
@@ -407,21 +400,14 @@ def gray_fan(bundle: Bundle, i: int) -> GrayFan:
     # d_{i+2} x_m = alpha_m y_i + beta_m y_{i+1},
     # alpha_m = d_i (d_{i+1} p_m - t_{i+1} q_m), beta_m = d_i q_m
     d_i2 = d_next * d_i
-    alpha_beta = []
-    decomposition_ok = True
-    for (p, q), x in zip(conv, points):
-        alpha = d_i * (d_next * p - t_next * q)
-        beta = d_i * q
-        alpha_beta.append((alpha, beta))
-        if d_i2 * x != alpha * yi + beta * yi1:
-            decomposition_ok = False
+    decomposition_ok = all(
+        d_i2 * x == d_i * (d_next * p - t_next * q) * yi + d_i * q * yi1
+        for (p, q), x in zip(conv, points))
     return GrayFan(
         i=i,
         quotients=quotients,
-        convergents=conv,
         points=points,
         contents=contents,
-        alpha_beta=alpha_beta,
         endpoints_ok=endpoints_ok,
         recurrence_ok=recurrence_ok,
         wedge_ok=wedge_ok,
@@ -429,6 +415,5 @@ def gray_fan(bundle: Bundle, i: int) -> GrayFan:
         content_pairs_relaxed_ok=content_pairs_relaxed_ok,
         content_gcd_ok=content_gcd_ok,
         decomposition_ok=decomposition_ok,
-        reduced_endpoint=reduced,
     )
 

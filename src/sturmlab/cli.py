@@ -212,11 +212,7 @@ def cmd_exponents(args) -> int:
     if args.empirical:
         k_lo, k_hi = _parse_range(args.k, "--k")
         P = paramgeo.predicted_system(bundle, (k_lo, k_hi), prec=prec)
-        cb = paramgeo.CandidateBuilder(bundle, prec=prec)
-        samples = []
-        for kind, pts in P.breakpoints().items():
-            for k, q in pts:
-                samples.append(paramgeo.minima_candidates(cb, q, P=P, kind=kind, k=k))
+        samples = paramgeo.breakpoint_samples(paramgeo.CandidateBuilder(bundle, prec=prec), P)
         emp = exponents.empirical(samples, prec)
     rows = []
     for name, v in es.table():

@@ -1,7 +1,7 @@
 """Diophantine exponents: closed forms from (sigma, delta, tau, sigma'),
-the parametric/standard dictionary, empirical estimation from minima samples
-(with a Jarnik cross-check of the lower third exponent), and the omega_2 sweep
-over the power-of-two seed recipe.
+empirical estimation from minima samples (with a Jarnik cross-check of the
+lower third exponent), and the omega_2 sweep over the power-of-two seed
+recipe.
 
 Parametric exponents are denoted psi1_low, psi1_up, ..., psi3_up (lower/upper
 j-th parametric exponents); standard ones omega2, omega2_hat, lambda2,
@@ -19,10 +19,6 @@ from .sturm import h_of_sigma
 
 
 class ImproperDelta(ValueError):
-    pass
-
-
-class OutOfRange(ValueError):
     pass
 
 
@@ -106,7 +102,6 @@ class ExponentSet:
     omega2_hat: object = None
     lambda2: object = None
     lambda2_hat: object = None
-    inputs: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
     def table(self):
@@ -175,8 +170,7 @@ def closed_form(sigma, delta, tau=None, sigma_prime=None,
                 f"delta = {delta} >= sigma/(1+sigma) = {sigma / (1 + sigma)}")
         X = (1 - delta) * (1 + sigma)
         h = h_of_sigma(sigma, prec)
-        es = ExponentSet(inputs={"sigma": sigma, "delta": delta, "tau": tau,
-                                 "sigma_prime": sigma_prime})
+        es = ExponentSet()
         es.psi1_low = Exact(sigma / ((2 - delta) * (1 + sigma)))
         es.psi1_up = Exact(1 / (X + 2))
         es.psi2_up = Exact(1 / (2 + sigma))
@@ -204,64 +198,6 @@ def closed_form(sigma, delta, tau=None, sigma_prime=None,
         else:
             es.lambda2 = Interval(1 - delta, max(1 - delta, 1 / (1 - delta + sigma)))
         return es
-
-
-# ---------------------------------------------------------------------------
-# dictionary between standard and parametric exponents
-# ---------------------------------------------------------------------------
-
-def _map_tagged(v, f, decreasing=False):
-    if isinstance(v, Exact):
-        return Exact(f(v.value))
-    if isinstance(v, Empirical):
-        return Empirical(f(v.est), v.window)
-    if isinstance(v, Interval):
-        a, b = f(v.lo), f(v.hi)
-        return Interval(min(a, b), max(a, b)) if decreasing else Interval(a, b)
-    return Exact(f(mpmath.mpf(v)))
-
-
-def dictionary(values: dict, direction: str = "to_parametric",
-               prec: int = DEFAULT_PRECISION) -> dict:
-    """(omega2, omega2_hat, lambda2_hat, lambda2) <->
-    (psi1_low, psi1_up, psi3_low, psi3_up) via
-    psi = 1/(omega+1) and psi = lambda/(lambda+1)."""
-    with mpmath.workprec(prec):
-        out = {}
-        if direction == "to_parametric":
-            pairs = (("omega2", "psi1_low", True), ("omega2_hat", "psi1_up", True),
-                     ("lambda2_hat", "psi3_low", False), ("lambda2", "psi3_up", False))
-            for src, dst, is_omega in pairs:
-                if src not in values:
-                    raise OutOfRange(f"missing entry {src}")
-                v = values[src]
-                lo = mpmath.mpf(v.lo if hasattr(v, "lo") else v)
-                if is_omega and lo < 2:
-                    raise OutOfRange(f"{src} = {lo} < 2")
-                if not is_omega and lo < 0:
-                    raise OutOfRange(f"{src} = {lo} < 0")
-                if is_omega:
-                    out[dst] = _map_tagged(v, lambda x: 1 / (x + 1), decreasing=True)
-                else:
-                    out[dst] = _map_tagged(v, lambda x: x / (x + 1))
-            return out
-        elif direction == "to_standard":
-            pairs = (("psi1_low", "omega2", True), ("psi1_up", "omega2_hat", True),
-                     ("psi3_low", "lambda2_hat", False), ("psi3_up", "lambda2", False))
-            for src, dst, is_omega in pairs:
-                if src not in values:
-                    raise OutOfRange(f"missing entry {src}")
-                v = values[src]
-                lo = mpmath.mpf(v.lo if hasattr(v, "lo") else v)
-                hi = mpmath.mpf(v.hi if hasattr(v, "hi") else v)
-                if lo <= 0 or hi >= 1:
-                    raise OutOfRange(f"{src} outside (0, 1)")
-                if is_omega:
-                    out[dst] = _map_tagged(v, lambda x: 1 / x - 1, decreasing=True)
-                else:
-                    out[dst] = _map_tagged(v, lambda x: x / (1 - x))
-            return out
-        raise ValueError(f"unknown direction {direction!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +233,7 @@ def empirical(samples, prec: int = DEFAULT_PRECISION) -> ExponentSet:
         return fn(vals)
 
     with mpmath.workprec(prec):
-        es = ExponentSet(inputs={"window": window, "n_samples": len(tagged)})
+        es = ExponentSet()
         es.psi1_low = Empirical(agg(min, {"q_t"}, 0), window)
         es.psi1_up = Empirical(agg(max, {"d"}, 0), window)
         es.psi2_up = Empirical(agg(max, {"a_t"}, 1), window)

@@ -6,7 +6,7 @@ Norms here are sup norms (max absolute coefficient) unless stated otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -40,10 +40,6 @@ class DegenerateGrowth(ValueError):
     pass
 
 
-class CapacityError(OverflowError):
-    pass
-
-
 def admissibility_checks(w0: IntMat2, w1: IntMat2, N: IntMat2) -> dict:
     """The three symmetry conditions defining admissibility of N for (w0, w1)."""
     return {
@@ -64,7 +60,6 @@ class MatrixSeed:
     N: IntMat2
     family: str
     params: tuple
-    extras: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.w0.det() == 0 or self.w1.det() == 0:
@@ -168,8 +163,7 @@ def roy_family(a: int, b: int, c: int) -> MatrixSeed:
     w1 = IntMat2(1, c, a, a * (c + 1))
     Nt = IntMat2(-1 + a * (b + 1) * (c + 1), -a * (b + 1), -a * (c + 1), a)
     N = Nt.transpose()
-    seed = MatrixSeed(w0, w1, N, family="roy", params=(a, b, c),
-                      extras={"proper_capable": b != c})
+    seed = MatrixSeed(w0, w1, N, family="roy", params=(a, b, c))
     assert seed.tr_JN == a * (b - c)
     return seed
 
@@ -185,17 +179,8 @@ def bl_family(a: int, b: int, s1_prime: int = 1) -> MatrixSeed:
     B = IntMat2(b, 1, 1, 0)
     w0 = B
     w1 = (B ** (s1_prime - 1)) @ A
-    N = solve_admissibility(w0, w1)
-    # the closed-form candidate (A B)^{-1}; det(AB) = 1 so the adjugate is the
-    # inverse — record whether it actually passes the symmetry checks
-    cand = (A @ B).adj()
-    extras = {
-        "proper_capable": True,
-        "s1_prime": s1_prime,
-        "closed_form_N": cand,
-        "closed_form_N_admissible": is_admissible(w0, w1, cand),
-    }
-    return MatrixSeed(w0, w1, N, family="bl", params=(a, b, s1_prime), extras=extras)
+    return MatrixSeed(w0, w1, solve_admissibility(w0, w1), family="bl",
+                      params=(a, b, s1_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +191,9 @@ class MatrixSequence:
     """w_{k+1} = w_k^{s_{k+1}} w_{k-1}, with a memoized power ladder
     w_k^l w_{k-1} for 0 <= l <= s_{k+1} + 1 (k >= 1)."""
 
-    def __init__(self, seed: MatrixSeed, prog: SturmianProgram, max_bits: Optional[int] = None):
+    def __init__(self, seed: MatrixSeed, prog: SturmianProgram):
         self.seed = seed
         self.prog = prog
-        self.max_bits = max_bits
         self._w = [seed.w0, seed.w1]
         self._ladder = {}
 
@@ -233,8 +217,6 @@ class MatrixSequence:
                 val = self.w(k - 1)
             else:
                 val = self.w(k) @ self.ladder(k, l - 1)
-            if self.max_bits is not None and val.sup_norm().bit_length() > self.max_bits:
-                raise CapacityError(f"w_{k}^{l} w_{k-1} exceeds {self.max_bits} bits")
             self._ladder[key] = val
         return self._ladder[key]
 
@@ -265,7 +247,6 @@ def lemma_shape_ok(m: IntMat2) -> bool:
 
 @dataclass
 class GrowthReport:
-    ratios: list            # (k, l, Fraction ||w_k^l w_{k-1}|| / (||w_k|| ||w_k^{l-1} w_{k-1}||))
     ratio_min: Fraction
     ratio_max: Fraction
     shape_ok: bool          # both w0, w1 pass the entrywise shape test
@@ -276,20 +257,25 @@ class GrowthReport:
 
 def check_mult_growth(seq: MatrixSequence, k_max: int) -> GrowthReport:
     """Ratios ||w_k^l w_{k-1}|| / (||w_k|| ||w_k^{l-1} w_{k-1}||) for
-    k = 1..k_max, 1 <= l <= s_{k+1} + 1 (sup norms, exact rationals)."""
-    ratios = []
+    k = 1..k_max, 1 <= l <= s_{k+1} + 1 (sup norms): the smallest and the
+    largest, exact.  Ratios stay (num, den) pairs compared by
+    cross-multiplication; only the two extremes are reduced to Fractions."""
+    lo = hi = None
     for k in range(1, k_max + 1):
         nk = seq.norm(k)
         for l in range(1, seq.prog.s(k + 1) + 2):
             num = seq.ladder(k, l).sup_norm()
             den = nk * seq.ladder(k, l - 1).sup_norm()
-            ratios.append((k, l, Fraction(num, den)))
+            if lo is None or num * lo[1] < lo[0] * den:
+                lo = (num, den)
+            if hi is None or num * hi[1] > hi[0] * den:
+                hi = (num, den)
+    if lo is None:
+        raise DegenerateGrowth(f"no growth ratio for k_max = {k_max} < 1")
     shape_ok = lemma_shape_ok(seq.w(0)) and lemma_shape_ok(seq.w(1))
-    vals = [r for _, _, r in ratios]
     return GrowthReport(
-        ratios=ratios,
-        ratio_min=min(vals),
-        ratio_max=max(vals),
+        ratio_min=Fraction(*lo),
+        ratio_max=Fraction(*hi),
         shape_ok=shape_ok,
         c1=1 if shape_ok else None,
         c2=2 if shape_ok else None,

@@ -15,6 +15,7 @@ with the quadratic forms |x|^2 + e^{2q}(x.u)^2 and |x^u|^2 + e^{-2q}|x|^2.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -115,7 +116,6 @@ class PLFunc:
     kink_q: Optional[object] = None
     right_a: Optional[object] = None
     right_b: Optional[int] = None
-    label: str = ""
 
     def value(self, q):
         if self.kink_q is not None and q > self.kink_q:
@@ -132,18 +132,6 @@ class PLFunc:
         if self.kink_q is not None and q_lo < self.kink_q < q_hi:
             return [self.kink_q]
         return []
-
-    def pieces(self, q_lo, q_hi):
-        """[(a, b)] linear pieces over [q_lo, q_hi]."""
-        out = []
-        if self.kink_q is None or self.kink_q >= q_hi:
-            out.append((self.left_a, self.left_b))
-        elif self.kink_q <= q_lo:
-            out.append((self.right_a, self.right_b))
-        else:
-            out.append((self.left_a, self.left_b))
-            out.append((self.right_a, self.right_b))
-        return out
 
 
 @dataclass
@@ -162,7 +150,6 @@ class Window:
 class HatData:
     i: int
     k: int
-    l: int
     logY: LinExpr
     logZ: LinExpr
     logE: LinExpr
@@ -177,16 +164,14 @@ class SystemBreakpoints:
     """Breakpoint data and the map P = Phi_3(hatL_{t_{k+1}}, -hatL*_{i+1},
     hatL_{i+1}) on [c_i, c_{i+1}), for windows i in [t_{k_lo}-1, t_{k_hi}-2]."""
 
-    def __init__(self, bundle: Bundle, k_range, delta=None, k0: Optional[int] = None,
-                 prec: int = DEFAULT_PRECISION):
+    def __init__(self, bundle: Bundle, k_range, delta=None, prec: int = DEFAULT_PRECISION):
         self.bundle = bundle
         self.prog = bundle.prog
         self.prec = prec
         self.k_lo, self.k_hi = k_range
         if self.k_hi < self.k_lo + 2:
             raise ValueError("k_range must span at least two indices")
-        self.k0 = k0 if k0 is not None else max(2, self.k_lo)
-        self.hatw = HatW(bundle.seq, k0=self.k0, prec=prec)
+        self.hatw = HatW(bundle.seq, k0=max(2, self.k_lo), prec=prec)
         # Rescale the anchor pair by the limit of log W-hat_k / log |w_k| so
         # that the exact-recurrence values track the true log norms up to O(1)
         # (the raw recurrence drifts linearly because the per-step
@@ -244,7 +229,7 @@ class SystemBreakpoints:
         c_i = q_i + wk
         a_i = logY + self._wk(k)          # log Y_i + log Z-hat_{t_{k+1}}
         b_i = logEstar.scale(-1) - logE
-        return HatData(i=i, k=k, l=l, logY=logY, logZ=logZ, logE=logE,
+        return HatData(i=i, k=k, logY=logY, logZ=logZ, logE=logE,
                        logEstar=logEstar, q=q_i, c=c_i, a=a_i, b=b_i)
 
     def data(self, i: int) -> HatData:
@@ -258,13 +243,12 @@ class SystemBreakpoints:
     def hatL(self, i: int) -> PLFunc:
         d = self._idx[i]
         return PLFunc(left_a=self.num(d.logZ), left_b=0, kink_q=self.num(d.q),
-                      right_a=self.num(d.logE), right_b=1, label=f"hatL[{i}]")
+                      right_a=self.num(d.logE), right_b=1)
 
     def neg_hatLstar(self, i: int) -> PLFunc:
         d = self._idx[i]
         return PLFunc(left_a=-self.num(d.logY), left_b=1, kink_q=self.num(d.q),
-                      right_a=-self.num(d.logEstar), right_b=0,
-                      label=f"-hatL*[{i}]")
+                      right_a=-self.num(d.logEstar), right_b=0)
 
     # -- windows ------------------------------------------------------------
     def window_index_range(self):
@@ -380,9 +364,9 @@ class SystemBreakpoints:
         return ok
 
 
-def predicted_system(bundle: Bundle, k_range, delta=None, k0=None,
+def predicted_system(bundle: Bundle, k_range, delta=None,
                      prec: int = DEFAULT_PRECISION) -> SystemBreakpoints:
-    return SystemBreakpoints(bundle, k_range, delta=delta, k0=k0, prec=prec)
+    return SystemBreakpoints(bundle, k_range, delta=delta, prec=prec)
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +503,6 @@ def _shape_checks(P: SystemBreakpoints, tol):
         top, mid_f, low = w.funcs  # hatL_{t_{k+1}}, -hatL*_{i+1}, hatL_{i+1}
         d1 = P.data(i + 1)
         q_next = P.num(d1.q)
-        # at its own kink, -hatL*_{i+1} must dominate hatL_{i+1}
-        if mid_f.value(q_next) < low.value(q_next) - tol:
-            fails.append(("mid_below_low_at_q", i + 1,
-                          float(mid_f.value(q_next) - low.value(q_next))))
         # boundary window (i+1 = t_k): at the window's left end the rising
         # branch of -hatL*_{t_k} must already clear the flat level of hatL_{t_k}
         if i + 1 == P.prog.t(k):
@@ -541,6 +521,7 @@ def _shape_checks(P: SystemBreakpoints, tol):
             fails.append(("I_empty", i + 1, float(b_v - a_v)))
         if a_v < w.q_lo - tol or b_v > w.q_hi + tol:
             fails.append(("I_outside_window", i + 1))
+        # g >= 0 also makes -hatL*_{i+1} dominate hatL_{i+1} at its own kink
         g = mid_f.value(q_next) - max(top.value(q_next), low.value(q_next))
         gaps.append(g)
         if g < -tol:
@@ -664,10 +645,6 @@ class CandidateBuilder:
             self._u_cache[key] = xi_value(self.bundle, prec).u_vector(prec)
         return self._u_cache[key]
 
-    def u_float(self):
-        u = self.u(self.prec_for(64))
-        return float(u[1]), float(u[2])
-
     def _zhat_at(self, j):
         if j not in self._zhat:
             self._zhat[j] = self.bundle.zs.integerized(j).primitive()
@@ -682,59 +659,33 @@ class CandidateBuilder:
         return i + 2
 
     def base_points(self, q):
-        pts = [(SymVec(1, 0, 0), "e1"), (SymVec(0, 1, 0), "e2"), (SymVec(0, 0, 1), "e3")]
-        for i in range(-2, self.i_max_for(q) + 1):
-            pts.append((self.bundle.ys.at(i).primitive(), f"y[{i}]"))
-        for j in range(0, self.i_max_for(q) + 1):
-            pts.append((self._zhat_at(j), f"z[{j}]"))
-        return pts
+        """The unit vectors, the primitive y_i and the z-hat_j for indices up
+        to i_max_for(q), each once up to sign (first nonzero coordinate
+        positive), in that order."""
+        i_max = self.i_max_for(q)
+        pts = [SymVec(1, 0, 0), SymVec(0, 1, 0), SymVec(0, 0, 1)]
+        pts += [self.bundle.ys.at(i).primitive() for i in range(-2, i_max + 1)]
+        pts += [self._zhat_at(j) for j in range(0, i_max + 1)]
+        keys = {}
+        for p in pts:
+            positive = p.x0 > 0 or (p.x0 == 0 and (p.x1, p.x2) > (0, 0))
+            keys.setdefault(p.as_tuple() if positive else (-p).as_tuple())
+        return [SymVec(*key) for key in keys]
 
-    def score(self, q, side):
-        """MinimaSample upper bounds for one side's minima (L if side is
-        PRIMAL, L* if DUAL) from the candidate set at q; points are taken up
-        to sign."""
-        prec = self.prec_for(q)
-        with mpmath.workprec(prec):
-            qm = mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q
-            u = self.u(prec)
-            seen = {}
-            for p, lbl in self.base_points(q):
-                key = p.as_tuple() if p.x0 > 0 or (p.x0 == 0 and (p.x1, p.x2) > (0, 0)) \
-                    else (-p).as_tuple()
-                if key not in seen:
-                    seen[key] = (SymVec(*key), lbl)
-            pts = [p for p, _ in seen.values()]
-            labels = [l for _, l in seen.values()]
-
-            def lam_of(p):
-                return _traj(p, u, qm)[side]
-
-            lams = [lam_of(p) for p in pts]
-            triple = _greedy_triple(pts, lams)
-            if triple is None:
-                raise NoCandidates("candidate set spans less than 3 dimensions")
-            triple, pts, labels, lams = self._complete(
-                triple, pts, labels, lams, _quad_form(side, u, qm), lam_of)
-            L = tuple(lams[i] for i in triple)
-            return MinimaSample(q=qm, L=L, Lstar=None, method="candidate",
-                                points=[pts[i] for i in triple],
-                                notes={"labels": [labels[i] for i in triple]})
-
-    def _complete(self, triple, pts, labels, lams, B, lam_of):
-        """Augment the candidate list with plane completions around the current
-        best pairs, then redo the greedy selection."""
+    def _complete(self, triple, pts, lams, B, lam_of):
+        """Augment the candidate list (in place) with plane completions around
+        the current best pairs, then redo the greedy selection."""
         for _ in range(2):
             best = list(triple)
             for pair in [(best[0], best[1]), (best[0], best[2]), (best[1], best[2])]:
                 for comp in self._completions(pts[pair[0]], pts[pair[1]], B):
                     pts.append(comp)
-                    labels.append("comp")
                     lams.append(lam_of(comp))
             new = _greedy_triple(pts, lams)
             if new == triple:
                 break
             triple = new
-        return triple, pts, labels, lams
+        return triple
 
     def _completions(self, v1: SymVec, v2: SymVec, B, window: int = 4):
         """Integer points x with x . n = 1 (n the primitive normal of the
@@ -791,15 +742,43 @@ def _ext_gcd(a, b):
 
 def minima_candidates(builder: CandidateBuilder, q, P: Optional[SystemBreakpoints] = None,
                       kind=None, k=None) -> MinimaSample:
-    sample = builder.score(q, PRIMAL)
-    dual = builder.score(q, DUAL)
-    sample.Lstar = dual.L
-    sample.dual_points = dual.points
-    sample.kind = kind
-    sample.k = k
-    if P is not None:
-        sample.gray = P.in_gray(float(q))
-    return sample
+    """Upper bounds for the primal minima L_j and the dual minima L*_j at q
+    from the candidate set: each base point's trajectory is computed once for
+    both sides, then each side adds the plane completions of its own body."""
+    prec = builder.prec_for(q)
+    with mpmath.workprec(prec):
+        qm = mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q
+        u = builder.u(prec)
+        base = builder.base_points(q)
+        trajs = [_traj(p, u, qm) for p in base]
+        minima, chosen = [], []
+        for side in (PRIMAL, DUAL):
+            def lam_of(p):
+                return _traj(p, u, qm)[side]
+
+            pts, lams = list(base), [t[side] for t in trajs]
+            triple = _greedy_triple(pts, lams)
+            if triple is None:
+                raise NoCandidates("candidate set spans less than 3 dimensions")
+            triple = builder._complete(triple, pts, lams, _quad_form(side, u, qm), lam_of)
+            minima.append(tuple(lams[i] for i in triple))
+            chosen.append([pts[i] for i in triple])
+    return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="candidate",
+                        points=chosen[PRIMAL], dual_points=chosen[DUAL],
+                        gray=None if P is None else P.in_gray(float(q)), kind=kind, k=k)
+
+
+def breakpoint_samples(builder: CandidateBuilder, P: SystemBreakpoints) -> list:
+    """One candidate sample per breakpoint (kind, k) of P, in P.breakpoints()
+    order, tagged with its kind and k.  Kinds that fall on the same abscissa
+    share one minima_candidates call."""
+    at_q, out = {}, []
+    for kind, pts in P.breakpoints().items():
+        for k, q in pts:
+            if q not in at_q:
+                at_q[q] = minima_candidates(builder, q, P=P)
+            out.append(dataclasses.replace(at_q[q], kind=kind, k=k))
+    return out
 
 
 # brute-force search limits: the primal radius is SAFETY times the cutoff and
@@ -817,7 +796,7 @@ def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
     with mpmath.workprec(prec):
         qm = mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q
         u = builder.u(prec)
-        xi_f, xi2_f = builder.u_float()
+        xi_f, xi2_f = float(u[1]), float(u[2])
         # side -> (name, candidate bound on the third minimum, search radius
         # for a cutoff c, radius limit, kernel); a dual point of size c has
         # |x| <= e^q c
@@ -854,7 +833,6 @@ def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
 class DualityReport:
     per_j: dict            # j -> max |L_j + L*_{4-j}| over the grid
     per_j_windows: dict    # j -> (early max, late max)
-    grid: list
 
     @property
     def non_growing(self) -> bool:
@@ -872,7 +850,7 @@ def duality_check(builder: CandidateBuilder, q_grid) -> DualityReport:
         early = max((d for qv, d in devs if qv <= half), default=0.0)
         late = max((d for qv, d in devs if qv > half), default=0.0)
         per_j_windows[j] = (early, late)
-    return DualityReport(per_j=per_j, per_j_windows=per_j_windows, grid=list(q_grid))
+    return DualityReport(per_j=per_j, per_j_windows=per_j_windows)
 
 
 @dataclass

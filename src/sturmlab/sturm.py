@@ -26,7 +26,7 @@ class BadSequence(ValueError):
 
 
 class Unbounded(ValueError):
-    """Raised when a limit quantity cannot be certified on the given window."""
+    """Raised when a numeric separation or a word recurrence does not terminate."""
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ class SturmianProgram:
 
     prefix: list
     period: list
-    _t_cache: list = field(default_factory=list, repr=False)
+    _t_cache: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         self.prefix = [int(v) for v in self.prefix]
@@ -339,23 +339,11 @@ class SturmianProgram:
 # continued-fraction quantities
 # ---------------------------------------------------------------------------
 
-def cf_backward(prog: SturmianProgram, k: int) -> Fraction:
-    """Exact value of the backward continued fraction [s_{k+1}; s_k, ..., s_1]."""
-    if k < 0:
-        raise BadSequence("cf_backward needs k >= 0")
-    acc = Fraction(prog.s(1))
-    for j in range(2, k + 2):
-        acc = Fraction(prog.s(j)) + 1 / acc
-    return acc
-
-
 @dataclass
 class CFQuantities:
     sigma: object          # mpf
     tau: object            # mpf
     sigma_prime: object    # mpf or math.inf
-    exact: bool
-    window: tuple
     sigma_surd: Optional[QuadSurd] = None
     tau_surd: Optional[QuadSurd] = None
     sigma_prime_surd: Optional[QuadSurd] = None
@@ -381,12 +369,12 @@ def _phase_surds(prog: SturmianProgram):
     return out
 
 
-def quantities(prog: SturmianProgram, K: int = 64, prec: int = DEFAULT_PRECISION) -> CFQuantities:
+def quantities(prog: SturmianProgram, prec: int = DEFAULT_PRECISION) -> CFQuantities:
     """sigma = 1/limsup [s_{k+1}; s_k, ..., s_1], tau = limsup 1/[s_k; ...; s_1],
     sigma' = liminf over k with s_{k+1} > 1 of 1/[s_k; ...; s_1].
 
-    Exact surd values via the periodic tail, with numeric cross-check values
-    computed over the window [K/2, K] (Unbounded if the window is inconsistent).
+    Exact surd values via the periodic tail: the limits do not depend on the
+    prefix, whatever its length.
     """
     phases = _phase_surds(prog)
     sup = max(v for v, _ in phases)
@@ -395,27 +383,11 @@ def quantities(prog: SturmianProgram, K: int = 64, prec: int = DEFAULT_PRECISION
     tau_surd = 1 / inf
     restricted = [v for v, s_next in phases if s_next > 1]
     sigma_prime_surd = (1 / max(restricted)) if restricted else None
-
-    # windowed numeric cross-check
-    lo, hi = max(1, K // 2), K
-    vals = {k: cf_backward(prog, k) for k in range(lo - 1, hi + 1)}
-    win_sup = max(vals[k] for k in range(lo, hi + 1))       # ~ limsup [s_{k+1}; ...]
-    win_inf = min(vals[k - 1] for k in range(lo, hi + 1))   # ~ liminf [s_k; ...]
-    with mpmath.workprec(prec):
-        sigma = sigma_surd.to_real(prec)
-        tau = tau_surd.to_real(prec)
-        tol = mpmath.mpf("1e-6")
-        if abs(1 / to_real(win_sup, prec) - sigma) > tol or abs(to_real(win_inf, prec) - 1 / tau) > tol:
-            raise Unbounded(
-                f"window [{lo},{hi}] does not certify the periodic-tail limits; enlarge K"
-            )
     sigma_prime = math.inf if sigma_prime_surd is None else sigma_prime_surd.to_real(prec)
     return CFQuantities(
-        sigma=sigma,
-        tau=tau,
+        sigma=sigma_surd.to_real(prec),
+        tau=tau_surd.to_real(prec),
         sigma_prime=sigma_prime,
-        exact=True,
-        window=(lo, hi),
         sigma_surd=sigma_surd,
         tau_surd=tau_surd,
         sigma_prime_surd=sigma_prime_surd,

@@ -117,7 +117,6 @@ class PropernessReport:
     delta_ok: bool           # determinant exponent certified < sigma/(1+sigma)
     delta_evidence: str
     content_ok: bool         # content(y_i) stays bounded (divides det N)
-    content_max: int
     trace_ok: bool           # Tr(JN) != 0
     tr_JN: int
 
@@ -149,7 +148,6 @@ def properness_check(bundle: Bundle, i_max: int = 20,
         delta_ok=delta_ok,
         delta_evidence=evidence,
         content_ok=content_ok,
-        content_max=max(contents),
         trace_ok=seed.tr_JN != 0,
         tr_JN=seed.tr_JN,
     )

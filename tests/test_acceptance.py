@@ -142,14 +142,7 @@ def test_criterion_6_three_system_validity(bl12, P14):
 @pytest.fixture(scope="module")
 def bl_breakpoint_samples(bl12, P14):
     cb = paramgeo.CandidateBuilder(bl12, prec=256)
-    samples = []
-    for kind, pts in P14.breakpoints().items():
-        for k, q in pts:
-            if k < 4:
-                continue
-            samples.append(paramgeo.minima_candidates(cb, q, P=P14,
-                                                      kind=kind, k=k))
-    return samples
+    return [s for s in paramgeo.breakpoint_samples(cb, P14) if s.k >= 4]
 
 
 def test_criterion_7_prediction_vs_reality(P14, bl_breakpoint_samples):

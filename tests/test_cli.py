@@ -117,6 +117,14 @@ def test_exponents_period_2_improper_within_budget(capsys):
     assert "improper seed" in out
 
 
+def test_exponents_long_prefix(capsys):
+    # sigma depends only on the periodic tail, however long the prefix
+    code, out, _ = run(capsys, "--family", "bl", "--ab", "1,2",
+                       "--program", "prefix=[-1,1" + ",2" * 18 + "];period=[1]", "exponents")
+    assert code == 0
+    assert "sigma=0.6180339887 " in out
+
+
 def test_xi_cross_check(capsys):
     code, out, _ = run(capsys, "--family", "bl", "--ab", "1,2",
                        "xi", "--digits", "30")

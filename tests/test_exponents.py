@@ -37,8 +37,10 @@ def test_closed_form_extremal_point(golden):
 
 
 def test_symbolic_identities_on_grid(golden):
-    # lambda2_hat = 1 - 1/omega2_hat and 1/psi1_low - 1 = omega2
-    # (equivalently psi1_low = 1/(omega2 + 1))
+    # lambda2_hat = 1 - 1/omega2_hat, and the parametric/standard relations
+    # psi1_low = 1/(omega2 + 1), psi1_up = 1/(omega2_hat + 1),
+    # psi3_low = lambda2_hat/(lambda2_hat + 1), psi3_up = lambda2/(lambda2 + 1)
+    # on both ends (psi3_up and lambda2 are intervals above h(sigma))
     with mpmath.workprec(256):
         tol = mpmath.mpf("1e-30")
         for t in range(0, 1000, 7):
@@ -46,7 +48,12 @@ def test_symbolic_identities_on_grid(golden):
             es = ex.closed_form(golden.sigma, delta, golden.tau,
                                 golden.sigma_prime, 256)
             assert abs(es.lambda2_hat.value - (1 - 1 / es.omega2_hat.value)) < tol
-            assert abs(1 / es.psi1_low.value - 1 - es.omega2.value) < tol
+            for end in ("lo", "hi"):
+                v = {name: getattr(value, end) for name, value in es.table()}
+                assert abs(v["psi1_low"] - 1 / (v["omega2"] + 1)) < tol
+                assert abs(v["psi1_up"] - 1 / (v["omega2_hat"] + 1)) < tol
+                assert abs(v["psi3_low"] - v["lambda2_hat"] / (v["lambda2_hat"] + 1)) < tol
+                assert abs(v["psi3_up"] - v["lambda2"] / (v["lambda2"] + 1)) < tol
 
 
 def test_improper_delta_rejected(golden):
@@ -69,31 +76,6 @@ def test_lambda2_interval_above_h(golden):
         assert abs(above.lambda2.lo - mpmath.mpf(2) / 3) < 1e-10
         assert abs(above.lambda2.hi - mpmath.mpf("0.778391")) < 1e-5
         assert isinstance(above.psi3_up, ex.Interval)
-
-
-def test_dictionary_round_trip(golden):
-    with mpmath.workprec(256):
-        es = ex.closed_form(golden.sigma, mpmath.mpf("0.1"), golden.tau,
-                            golden.sigma_prime, 256)
-        std = ex.dictionary({"psi1_low": es.psi1_low, "psi1_up": es.psi1_up,
-                             "psi3_low": es.psi3_low, "psi3_up": es.psi3_up},
-                            direction="to_standard")
-        back = ex.dictionary(std, direction="to_parametric")
-        for name in ("psi1_low", "psi1_up", "psi3_low", "psi3_up"):
-            orig = getattr(es, name)
-            assert abs(back[name].lo - orig.lo) < mpmath.mpf("1e-60")
-        # standard-side values agree with the direct closed forms
-        assert abs(std["omega2"].lo - es.omega2.value) < mpmath.mpf("1e-60")
-        assert abs(std["lambda2_hat"].lo - es.lambda2_hat.value) < mpmath.mpf("1e-60")
-
-
-def test_dictionary_out_of_range():
-    with pytest.raises(ex.OutOfRange):
-        ex.dictionary({"psi1_low": ex.Exact(mpmath.mpf("1.5"))},
-                      direction="to_standard")
-    with pytest.raises(ex.OutOfRange):
-        ex.dictionary({"omega2": ex.Exact(mpmath.mpf("1.0"))},
-                      direction="to_parametric")
 
 
 def test_jarnik_residual(golden):
@@ -128,11 +110,7 @@ def test_empirical_requires_kinds():
 def test_empirical_close_to_closed_form(bl12, golden):
     from sturmlab import paramgeo
     P = paramgeo.predicted_system(bl12, (6, 11))
-    cb = paramgeo.CandidateBuilder(bl12, prec=256)
-    samples = []
-    for kind, pts in P.breakpoints().items():
-        for k, q in pts:
-            samples.append(paramgeo.minima_candidates(cb, q, P=P, kind=kind, k=k))
+    samples = paramgeo.breakpoint_samples(paramgeo.CandidateBuilder(bl12, prec=256), P)
     emp = ex.empirical(samples)
     es = ex.closed_form(golden.sigma, 0, golden.tau, golden.sigma_prime)
     for name in ("psi1_low", "psi1_up", "psi2_up", "psi3_low", "psi3_up"):

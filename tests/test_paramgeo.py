@@ -3,10 +3,11 @@ import math
 import mpmath
 import pytest
 
+from sturmlab import paramgeo
 from sturmlab.paramgeo import (
-    CandidateBuilder, LinExpr, TooLarge, compare, csv_rows, duality_check,
-    minima_bruteforce, minima_candidates, predicted_system, svg_plot,
-    traj_eval, validate_3system,
+    CandidateBuilder, LinExpr, TooLarge, breakpoint_samples, compare, csv_rows,
+    duality_check, minima_bruteforce, minima_candidates, predicted_system,
+    svg_plot, traj_eval, validate_3system,
 )
 
 
@@ -230,6 +231,71 @@ def test_candidate_minima_are_own_trajectories(request, builder, qs):
         for j in range(3):
             assert s.L[j] == traj_eval(s.points[j], u, s.q, prec)[0], (q, j)
             assert s.Lstar[j] == traj_eval(s.dual_points[j], u, s.q, prec)[1], (q, j)
+
+
+# (seed, q, method, points, dual points, L and L* to 50 digits): the selection
+# of the candidate and brute-force minima, pinned so that a change to the
+# scoring cannot move it unnoticed
+PINNED_MINIMA = [
+    ('bl', 2, 'candidate',
+     [(0, 1, -1), (1, -1, -1), (-1, 1, 0)],
+     [(-2, -1, -1), (1, 1, 1), (2, 2, 1)],
+     ('0.39747072457655444859679368379415397082099307833165', '0.57114389823345447415894570278062502965945375726201', '0.72530186852301137443780971564957485500220758349805'),
+     ('-0.72096814881620849762496343247781112000828050399684', '-0.5249797365954615945408333955241315251698395421787', '-0.43984088175003293773625099760625321033682474755284')),
+    ('bl', 8, 'candidate',
+     [(3, -2, -3), (-7, 9, 1), (0, 18, -25)],
+     [(25, 18, 13), (129, 93, 67), (-293, -211, -152)],
+     ('1.6439411516189088557271728363397101637625066940937', '2.4375986616005757720747120055847629465539550023203', '3.4277043993049639325727981495019305878550103948159'),
+     ('-3.3784124872153722106483988955650414122623741966163', '-2.6867888954079801275099704641530299649538010627015', '-1.9602085302561838427802671523971276528886485792331')),
+    ('bl', 25, 'candidate',
+     [(67, -44, -68), (-1374, 1536, 515), (-14230, -59087, 109423)],
+     [(81788, 58927, 42456), (9323256, 6717263, 4839685), (-196949561, -141899139, -102236154)],
+     ('5.5949573962903779216622215588278699553321372608879', '7.6611695279390017637185805594159077217858243487707', '11.73741630021497997056739371803612813114360501095'),
+     ('-11.471569260203531842236021806713738457290796256893', '-7.6427266151531296178141555306576410628463225528767', '-5.6108360740589973495139974247667031176837171758836')),
+    ('roy', 3, 'candidate',
+     [(-3, 1, 0), (-3, 4, -1), (2, 5, -2)],
+     [(2, 6, 17), (-1, -3, -9), (-4, -11, -32)],
+     ('1.1512925464970228420089957273421821038005507443144', '1.6290482690107410227353597815117475864403840395602', '1.7482537807332401177285944074438275022345987058801'),
+     ('-0.10197112461731405403684829339232328073343238419896', '0.27501787844428639364639392414991636726420197844345', '0.5285184908489457488292891120567120747508039291749')),
+    ('roy', 9, 'candidate',
+     [(14, 21, -9), (-9, 29, -9), (-37, 10, 1)],
+     [(72, 207, 595), (183, 526, 1512), (191, 549, 1578)],
+     ('3.2882347845241120912326625035314282728952230005309', '3.4553753939809677654327924957964120798257749009581', '3.9026622700151597261877736465514423062821656845287'),
+     ('-2.0222283262792468026482057706827110410792267178888', '-1.6151993105007477816211579349498175657037665693679', '-1.5724658583522532452531670001969569527586040248573')),
+    ('bl', 14.5, 'bruteforce',
+     [(13, -13, -7), (41, -18, -54), (141, -579, 532)],
+     [(-576, -415, -299), (-14425, -10393, -7488), (45450, 32746, 23593)],
+     ('3.1881140940130155951947140339451112446354980897319', '4.2506335204329891047412379231812402153872707890243', '6.6844456749865053146268084692306241278292176055257'),
+     ('-6.6567852236598016297603452877787902086710134828966', '-4.3636468611487395481437356085458953791563561251053', '-3.4741140024134871651555034856470038108894205556572')),
+]
+
+
+@pytest.mark.parametrize("seed, q, method, points, dual_points, L, Lstar", PINNED_MINIMA)
+def test_pinned_minima(request, seed, q, method, points, dual_points, L, Lstar):
+    cb = request.getfixturevalue("cb_" + seed)
+    find = minima_candidates if method == "candidate" else minima_bruteforce
+    s = find(cb, mpmath.mpf(q))
+    assert [p.as_tuple() for p in s.points] == points
+    assert [p.as_tuple() for p in s.dual_points] == dual_points
+    assert tuple(mpmath.nstr(x, 50) for x in s.L) == L
+    assert tuple(mpmath.nstr(x, 50) for x in s.Lstar) == Lstar
+
+
+def test_breakpoint_samples_share_abscissas(bl12, monkeypatch):
+    P = predicted_system(bl12, (3, 7))
+    loop = [minima_candidates(CandidateBuilder(bl12, prec=256), q, P=P, kind=kind, k=k)
+            for kind, pts in P.breakpoints().items() for k, q in pts]
+    calls = []
+    inner = paramgeo.minima_candidates
+
+    def counted(builder, q, **kwargs):
+        calls.append(q)
+        return inner(builder, q, **kwargs)
+
+    monkeypatch.setattr(paramgeo, "minima_candidates", counted)
+    shared = breakpoint_samples(CandidateBuilder(bl12, prec=256), P)
+    assert shared == loop
+    assert sorted(calls) == sorted(set(s.q for s in loop)) and len(calls) < len(loop)
 
 
 def test_duality(cb_bl):

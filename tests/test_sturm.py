@@ -6,12 +6,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sturmlab.exactlin import to_real
 from sturmlab.sturm import (
     BadSequence, QuadSurd, SturmianProgram,
-    cf_backward, cf_eventually_periodic, cf_purely_periodic,
+    cf_eventually_periodic, cf_purely_periodic,
     characteristic_word, delta_an, h_of_sigma, quantities,
     spectrum_endpoints, u_value,
 )
+
+
+def cf_backward(prog: SturmianProgram, k: int) -> Fraction:
+    """Exact value of the backward continued fraction [s_{k+1}; s_k, ..., s_1]:
+    the reference the limit quantities are checked against."""
+    acc = Fraction(prog.s(1))
+    for j in range(2, k + 2):
+        acc = Fraction(prog.s(j)) + 1 / acc
+    return acc
 
 
 # --- QuadSurd exact arithmetic ---------------------------------------------
@@ -124,6 +134,13 @@ def test_all_ones_t_values():
     assert p.s(0) == -1 and p.s(1) == 1 and p.s(17) == 1
 
 
+def test_program_equality_ignores_t_cache():
+    p1, p2 = SturmianProgram.all_ones(), SturmianProgram.all_ones()
+    p1.t(5)
+    assert p1 == p2
+    assert SturmianProgram([-1, 1], [2]) != p2
+
+
 def test_t_partial_sums():
     p = SturmianProgram([-1, 1, 2, 3], [1, 4])
     for k in range(1, 40):
@@ -174,6 +191,28 @@ def test_quantities_period_two():
     q = quantities(SturmianProgram([-1, 1], [2]))
     r = QuadSurd.make(-1, 1, 2, 1)             # sqrt 2 - 1
     assert q.sigma_surd == r and q.tau_surd == r and q.sigma_prime_surd == r
+
+
+LONG_PREFIX = "prefix=[-1,1" + ",2" * 18 + "];period=[1]"
+
+
+@pytest.mark.parametrize("text", [
+    "prefix=[-1,1];period=[1]",
+    "prefix=[-1,1];period=[2]",
+    "prefix=[-1,1];period=[1,2]",
+    LONG_PREFIX,
+])
+def test_quantities_match_backward_cf(text):
+    # sigma = 1/limsup [s_{k+1}; s_k, ..., s_1] and tau = 1/liminf [s_k; ..., s_1],
+    # read off one k per phase of the periodic tail at k = 64
+    prog = SturmianProgram.parse(text)
+    q = quantities(prog)
+    ks = range(65 - len(prog.period), 65)
+    with mpmath.workprec(256):
+        sup = max(cf_backward(prog, k) for k in ks)
+        inf = min(cf_backward(prog, k - 1) for k in ks)
+        assert abs(1 / to_real(sup) - q.sigma) < 1e-15
+        assert abs(to_real(inf) - 1 / q.tau) < 1e-15
 
 
 def test_h_of_sigma():
