@@ -4,7 +4,7 @@ exponents."""
 
 __version__ = "0.1.0"
 
-from .exactlin import IntMat2, SymVec, RatVec, J, det3  # noqa: F401
+from .exactlin import IntMat2, SymVec, J, det3  # noqa: F401
 from .sturm import SturmianProgram, QuadSurd, quantities  # noqa: F401
 from .matseq import roy_family, bl_family, MatrixSequence  # noqa: F401
 from .approx import make_bundle, verify_identities  # noqa: F401

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .exactlin import IntMat2, RatVec, SymVec, det3, rat_wedge
+from .exactlin import IntMat2, SymVec, det3
 from .matseq import MatrixSequence
 
 
@@ -57,8 +57,9 @@ class YSeq:
 
 
 class ZSeq:
-    """z_{t_k + l} = (1 / det w_k) * (y_{psi(t_{k+1})} wedge y_{t_k + l}),
-    exposed for j >= 0; rational vectors in lowest terms."""
+    """z_{t_k + l} = (y_{psi(t_{k+1})} wedge y_{t_k + l}) / det w_k for j >= -1
+    (k = 0 gives only j = t_0 = -1), held as the integer numerator `num(j)`
+    over the denominator `den(j)` = det w_k, never reduced."""
 
     def __init__(self, ys: YSeq):
         self.ys = ys
@@ -66,32 +67,28 @@ class ZSeq:
         self.prog = ys.prog
         self._memo = {}
 
-    def _raw(self, j: int) -> RatVec:
-        # includes the k = 0 instance, which only yields j = t_0 = -1
-        if j in self._memo:
-            return self._memo[j]
+    def _block(self, j: int) -> int:
         if j == -1:
-            k, l = 0, 0
-        elif j >= 0:
-            k, l = self.prog.block_of(j)
-        else:
+            return 0
+        if j < -1:
             raise BadIndex(f"z_j defined for j >= -1, got {j}")
-        lead = self.ys.at(self.prog.psi(self.prog.t(k + 1)))
-        v = RatVec.make(lead.wedge(self.ys.at(j)), self.seq.det(k))
-        self._memo[j] = v
-        return v
+        return self.prog.block_of(j)[0]
 
-    def at(self, j: int) -> RatVec:
-        if j < 0:
-            raise BadIndex(f"z_j exposed for j >= 0, got {j}")
-        return self._raw(j)
+    def num(self, j: int) -> SymVec:
+        if j not in self._memo:
+            lead = self.ys.at(self.prog.psi(self.prog.t(self._block(j) + 1)))
+            self._memo[j] = lead.wedge(self.ys.at(j))
+        return self._memo[j]
+
+    def den(self, j: int) -> int:
+        return self.seq.det(self._block(j))
 
     def integerized(self, j: int) -> SymVec:
         """det(w_2) * z_j, which is an integer vector for admissible seeds."""
-        v = self._raw(j).scale(self.seq.det(2))
-        if not v.is_integral():
-            raise BadIndex(f"det(w_2) z_{j} is not integral: {v}")
-        return v.to_sym()
+        v, d = self.num(j) * self.seq.det(2), self.den(j)
+        if v.x0 % d or v.x1 % d or v.x2 % d:
+            raise BadIndex(f"det(w_2) z_{j} is not integral")
+        return SymVec(v.x0 // d, v.x1 // d, v.x2 // d)
 
 
 @dataclass
@@ -163,31 +160,18 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
                seq.w(k - 1) @ seq.w(k) @ seed.N_parity(k + 1),
                seq.w(k) @ seq.w(k - 1) @ seed.N_parity(k))
 
-    # one-step / psi-step matrix factorizations; psi_step is recorded only at
-    # block starts, since elsewhere psi(j) = j - 1 and it is step at j - 1.
-    # Together they give the block power form y_{t_k + l} = w_k^{l+1} y_{psi(t_k)}.
-    for j in range(-1, i_max):
-        k = prog.block_of(j)[0] if j >= 0 else 0
-        record("step", (j,), ys.mat(j + 1), seq.w(k) @ ys.mat(j))
-    for k in range(1, k_hi + 1):
-        j = prog.t(k)
-        record("psi_step", (j,), ys.mat(j), seq.w(k) @ ys.mat(prog.psi(j)))
-
     # palindromic square step: det(y_psi(j)) y_{j+1} = y_j adj(y_psi(j)) y_j
     for j in range(0, i_max):
         yp = ys.mat(prog.psi(j))
         record("square_step", (j,), yp.det() * ys.mat(j + 1), ys.mat(j) @ yp.adj() @ ys.mat(j))
 
-    # trace recurrence + congruence on the power ladder
+    # trace recurrence on the power ladder
     for k in range(1, k_hi + 1):
         tk, dk = seq.tr(k), seq.det(k)
         for l in range(2, prog.s(k + 1) + 2):
             record("trace_recurrence", (k, l),
                    seq.ladder(k, l).trace(),
                    tk * seq.ladder(k, l - 1).trace() - dk * seq.ladder(k, l - 2).trace())
-            record("trace_congruence", (k, l),
-                   (seq.ladder(k, l).trace() - tk ** (l - 1) * seq.ladder(k, 1).trace()) % abs(dk),
-                   0)
 
     # (a) three-term recurrence inside a block: k >= 1, 0 <= l < s_{k+1}
     for k in range(1, k_hi + 1):
@@ -209,24 +193,27 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
                ys.at(i),
                seq.tr(k - 1) * ys.at(i - 1) - seq.det(k - 1) * ys.at(prog.psi(i - 1)))
 
-    # (b) z recurrences
+    # (b) z recurrences, multiplied through by the denominators:
+    # z_{i+1} = t_k z_i - y_{psi(t_{k+1})} ^ y_{psi(i)} inside block k (all z
+    # over det w_k), z_{t_{k+1}} = t_{k-1} z_{t_k - 1} - y_{psi(t_k)} ^ y_{psi(t_k - 1)}
     for k in range(1, k_hi + 1):
         lead = ys.at(prog.psi(prog.t(k + 1)))
+        tk, dk = seq.tr(k), seq.det(k)
         for l in range(prog.s(k + 1) - 1):
             i = prog.t(k) + l
             if i + 1 > i_max:
                 break
             record("z_recurrence_block", (k, l),
-                   zs.at(i + 1),
-                   zs.at(i).scale(seq.tr(k)) - RatVec.from_sym(
-                       lead.wedge(ys.at(prog.psi(i)))))
+                   zs.num(i + 1),
+                   tk * zs.num(i) - dk * lead.wedge(ys.at(prog.psi(i))))
     for k in range(2, k_hi + 1):
-        i = prog.t(k + 1)
+        i, j = prog.t(k + 1), prog.t(k) - 1
         if i <= i_max:
+            di, dj = zs.den(i), zs.den(j)
             record("z_recurrence_boundary", (k,),
-                   zs.at(i),
-                   zs.at(prog.t(k) - 1).scale(seq.tr(k - 1)) - RatVec.from_sym(
-                       ys.at(prog.psi(prog.t(k))).wedge(ys.at(prog.psi(prog.t(k) - 1)))))
+                   dj * zs.num(i),
+                   di * (seq.tr(k - 1) * zs.num(j)
+                         - dj * ys.at(prog.psi(prog.t(k))).wedge(ys.at(prog.psi(j)))))
 
     # (c) determinant of consecutive triples at block starts: k >= 0
     for k in range(0, k_hi + 1):
@@ -237,17 +224,16 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
                det3(ys.at(i - 1), ys.at(i), ys.at(i + 1)),
                -seq.det(k) * ys.det(i) * seed.N_parity(k + 1).tr_J())
 
-    # (d) dual wedge identity: k >= 0, 0 <= l < s_{k+1}
+    # (d) dual wedge identity z_{t_{k+1}} ^ z_i = det N Tr(J N_{k+1}) y_i,
+    # multiplied through by det w_{k+1} det w_k: k >= 0, 0 <= l < s_{k+1}
     for k in range(0, k_hi + 1):
-        zlead = zs._raw(prog.t(k + 1))
+        j = prog.t(k + 1)
+        c = seed.det_N * seed.N_parity(k + 1).tr_J() * seq.det(k + 1) * seq.det(k)
         for l in range(prog.s(k + 1)):
             i = prog.t(k) + l
-            if i > i_max or prog.t(k + 1) > i_max + 1:
+            if i > i_max or j > i_max + 1:
                 break
-            record("z_wedge", (k, l),
-                   rat_wedge(zlead, zs._raw(i)),
-                   RatVec.from_sym(ys.at(i)).scale(
-                       seed.det_N * seed.N_parity(k + 1).tr_J()))
+            record("z_wedge", (k, l), zs.num(j).wedge(zs.num(i)), c * ys.at(i))
 
     # (e) consecutive y wedge powers: k >= 1, 0 <= l < s_{k+1}
     for k in range(1, k_hi + 1):
@@ -379,11 +365,11 @@ def gray_fan(bundle: Bundle, i: int) -> GrayFan:
     recurrence_ok = points[1] == quotients[0] * points[0] - yim2 and all(
         points[m] == quotients[m - 1] * points[m - 1] + points[m - 2]
         for m in range(2, len(points)))
-    # wedge invariant: x_m wedge x_{m+1} = +- d_i z_{i+1}
-    z_next = zs.at(i + 1).scale(d_i)
+    # wedge invariant: x_m wedge x_{m+1} = +- d_i z_{i+1}, times den(i + 1)
+    z_next, z_den = d_i * zs.num(i + 1), zs.den(i + 1)
     wedge_ok = True
     for m in range(len(points) - 1):
-        w = rat_wedge(points[m], points[m + 1])
+        w = z_den * points[m].wedge(points[m + 1])
         if not (w == z_next or w == -z_next):
             wedge_ok = False
     contents = [v.content() for v in points]

@@ -142,10 +142,12 @@ def cmd_verify(args) -> int:
     print(f"contents: max content(y)={max(crep.y_contents.values())} divides "
           f"|det N|={abs(bundle.seed.det_N)}: {crep.y_divides_detN}; "
           f"z integral: {crep.z_integral}, bounded: {crep.z_divides_bound}")
-    print(f"multiplicative growth ratios in [{float(grep.ratio_min)}, {float(grep.ratio_max)}]"
+    (lo_n, lo_d), (hi_n, hi_d) = grep.ratio_min, grep.ratio_max
+    # int true division is correctly rounded, so it needs no reduction first
+    print(f"multiplicative growth ratios in [{lo_n / lo_d}, {hi_n / hi_d}]"
           f" shape_ok={grep.shape_ok}")
     # the entrywise shape certificate only applies to the roy seeds
-    growth_ok = grep.shape_ok if bundle.seed.family == "roy" else grep.ratio_min >= 1
+    growth_ok = grep.shape_ok if bundle.seed.family == "roy" else lo_n >= lo_d
     ok = rep.ok and c_ok and growth_ok
     if not ok:
         for f in rep.failures[:5]:

@@ -1,4 +1,4 @@
-"""Exact 2x2 integer matrices, symmetric-matrix 3-vectors and rational vectors.
+"""Exact 2x2 integer matrices and symmetric-matrix 3-vectors.
 
 Conventions used throughout the package:
 
@@ -41,10 +41,6 @@ def log_real(x, prec: int = DEFAULT_PRECISION):
         return mpmath.log(mpmath.mpf(x))
 
 
-def _gcd3(a, b, c):
-    return gcd(gcd(abs(a), abs(b)), abs(c))
-
-
 @dataclass(frozen=True)
 class IntMat2:
     """2x2 matrix with (arbitrary precision) integer entries."""
@@ -57,9 +53,6 @@ class IntMat2:
     @staticmethod
     def identity() -> "IntMat2":
         return IntMat2(1, 0, 0, 1)
-
-    def rows(self):
-        return [[self.a, self.b], [self.c, self.d]]
 
     def __matmul__(self, other: "IntMat2") -> "IntMat2":
         return IntMat2(
@@ -109,7 +102,7 @@ class IntMat2:
         return IntMat2(self.d, -self.b, -self.c, self.a)
 
     def content(self) -> int:
-        g = gcd(gcd(abs(self.a), abs(self.b)), gcd(abs(self.c), abs(self.d)))
+        g = gcd(self.a, self.b, self.c, self.d)
         if g == 0:
             raise ZeroObject("content of the zero matrix")
         return g
@@ -177,7 +170,7 @@ class SymVec:
         )
 
     def content(self) -> int:
-        g = _gcd3(self.x0, self.x1, self.x2)
+        g = gcd(self.x0, self.x1, self.x2)
         if g == 0:
             raise ZeroObject("content of the zero vector")
         return g
@@ -196,81 +189,3 @@ class SymVec:
 def det3(x: SymVec, y: SymVec, z: SymVec) -> int:
     """Determinant of the 3x3 matrix with rows x, y, z."""
     return x.dot(y.wedge(z))
-
-
-@dataclass(frozen=True)
-class RatVec:
-    """Rational vector stored as an integer SymVec over a positive denominator.
-
-    Always kept reduced (gcd of numerators and denominator is 1).
-    """
-
-    num: SymVec
-    den: int
-
-    @staticmethod
-    def make(num: SymVec, den: int) -> "RatVec":
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(_gcd3(num.x0, num.x1, num.x2), den)
-        if g > 1:
-            num = SymVec(num.x0 // g, num.x1 // g, num.x2 // g)
-            den //= g
-        return RatVec(num, den)
-
-    @staticmethod
-    def from_sym(v: SymVec) -> "RatVec":
-        return RatVec.make(v, 1)
-
-    def components(self):
-        return (
-            Fraction(self.num.x0, self.den),
-            Fraction(self.num.x1, self.den),
-            Fraction(self.num.x2, self.den),
-        )
-
-    def __add__(self, other: "RatVec") -> "RatVec":
-        return RatVec.make(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatVec") -> "RatVec":
-        return RatVec.make(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatVec":
-        return RatVec(-self.num, self.den)
-
-    def scale(self, f) -> "RatVec":
-        f = Fraction(f)
-        return RatVec.make(self.num * f.numerator, self.den * f.denominator)
-
-    def wedge(self, other: "RatVec") -> "RatVec":
-        return RatVec.make(self.num.wedge(other.num), self.den * other.den)
-
-    def dot(self, other: "RatVec") -> Fraction:
-        return Fraction(self.num.dot(other.num), self.den * other.den)
-
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def to_sym(self) -> SymVec:
-        if self.den != 1:
-            raise ValueError(f"vector {self} is not integral")
-        return self.num
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def content(self) -> Fraction:
-        return Fraction(self.num.content(), self.den)
-
-    def sup_norm(self) -> Fraction:
-        return Fraction(self.num.sup_norm(), self.den)
-
-
-def rat_wedge(a, b) -> RatVec:
-    """Wedge of SymVec/RatVec operands, promoted to RatVec."""
-    ra = a if isinstance(a, RatVec) else RatVec.from_sym(a)
-    rb = b if isinstance(b, RatVec) else RatVec.from_sym(b)
-    return ra.wedge(rb)
-

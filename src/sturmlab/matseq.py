@@ -49,10 +49,6 @@ def admissibility_checks(w0: IntMat2, w1: IntMat2, N: IntMat2) -> dict:
     }
 
 
-def is_admissible(w0: IntMat2, w1: IntMat2, N: IntMat2) -> bool:
-    return N.det() != 0 and all(admissibility_checks(w0, w1, N).values())
-
-
 @dataclass(frozen=True)
 class MatrixSeed:
     w0: IntMat2
@@ -247,19 +243,16 @@ def lemma_shape_ok(m: IntMat2) -> bool:
 
 @dataclass
 class GrowthReport:
-    ratio_min: Fraction
-    ratio_max: Fraction
+    ratio_min: tuple        # (num, den), unreduced
+    ratio_max: tuple
     shape_ok: bool          # both w0, w1 pass the entrywise shape test
-    c1: Optional[int]       # certified constants when shape_ok, else None
-    c2: Optional[int]
     k_max: int
 
 
 def check_mult_growth(seq: MatrixSequence, k_max: int) -> GrowthReport:
     """Ratios ||w_k^l w_{k-1}|| / (||w_k|| ||w_k^{l-1} w_{k-1}||) for
     k = 1..k_max, 1 <= l <= s_{k+1} + 1 (sup norms): the smallest and the
-    largest, exact.  Ratios stay (num, den) pairs compared by
-    cross-multiplication; only the two extremes are reduced to Fractions."""
+    largest, exact, as (num, den) pairs compared by cross-multiplication."""
     lo = hi = None
     for k in range(1, k_max + 1):
         nk = seq.norm(k)
@@ -272,15 +265,9 @@ def check_mult_growth(seq: MatrixSequence, k_max: int) -> GrowthReport:
                 hi = (num, den)
     if lo is None:
         raise DegenerateGrowth(f"no growth ratio for k_max = {k_max} < 1")
-    shape_ok = lemma_shape_ok(seq.w(0)) and lemma_shape_ok(seq.w(1))
-    return GrowthReport(
-        ratio_min=Fraction(*lo),
-        ratio_max=Fraction(*hi),
-        shape_ok=shape_ok,
-        c1=1 if shape_ok else None,
-        c2=2 if shape_ok else None,
-        k_max=k_max,
-    )
+    return GrowthReport(ratio_min=lo, ratio_max=hi,
+                        shape_ok=lemma_shape_ok(seq.w(0)) and lemma_shape_ok(seq.w(1)),
+                        k_max=k_max)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from typing import Optional
 
 import mpmath
 
-from .exactlin import DEFAULT_PRECISION, SymVec, ZeroObject, det3
+from .exactlin import DEFAULT_PRECISION, SymVec, det3
 from .approx import Bundle
 from .matseq import HatW, resolve_delta
 from .sturm import quantities
@@ -203,6 +203,7 @@ class SystemBreakpoints:
             self._d_k[k] = (self._wk(k).scale(Fraction(3)) + self._wk(k - 1)
                             ).mul_delta_poly({0: 1}) - (
                 self._wk(k) + self._wk(k - 1)).mul_delta_poly({1: 1})
+        self._windows = [self._window(i) for i in self.window_index_range()]
 
     # -- symbolic builders --------------------------------------------------
     def _wk(self, k: int) -> LinExpr:
@@ -254,7 +255,7 @@ class SystemBreakpoints:
     def window_index_range(self):
         return range(self.prog.t(self.k_lo) - 1, self.prog.t(self.k_hi) - 1)
 
-    def window(self, i: int) -> Window:
+    def _window(self, i: int) -> Window:
         k = self.prog.block_of(i + 1)[0]
         return Window(
             q_lo=self.num(self._idx[i].c),
@@ -264,14 +265,12 @@ class SystemBreakpoints:
             meta={"i": i, "k": k},
         )
 
+    def window(self, i: int) -> Window:
+        return self._windows[i - self.window_index_range().start]
+
     def pieces(self, q_span=None):
-        out = []
-        for i in self.window_index_range():
-            w = self.window(i)
-            if q_span is not None and (w.q_hi <= q_span[0] or w.q_lo >= q_span[1]):
-                continue
-            out.append(w)
-        return out
+        return [w for w in self._windows if q_span is None
+                or not (w.q_hi <= q_span[0] or w.q_lo >= q_span[1])]
 
     @property
     def span(self):
@@ -281,8 +280,7 @@ class SystemBreakpoints:
 
     def P(self, q):
         """Sorted triple (P1 <= P2 <= P3) at q; q must lie in the span."""
-        for i in self.window_index_range():
-            w = self.window(i)
+        for w in self._windows:
             if w.q_lo <= q <= w.q_hi:
                 return tuple(sorted(f.value(q) for f in w.funcs))
         raise ValueError(f"q = {q} outside the covered span {self.span}")
@@ -339,29 +337,6 @@ class SystemBreakpoints:
             if b >= a:
                 out.append((i, a, b))
         return out
-
-    # -- exact checks -------------------------------------------------------
-    def sum_rule_exact(self, k: int) -> bool:
-        """P1+P2+P3 = q at q = q_{t_k}, symbolically in the anchor basis with
-        delta kept as a symbol."""
-        tk = self.prog.t(k)
-        d = self._idx[tk]
-        # P components at q_{t_k}: hatL_{t_{k+1}} = logZ_{t_{k+1}};
-        # -hatL*_{t_k} = -logEstar; hatL_{t_k} = logZ_{t_k} (kink point)
-        total = self._idx[self.prog.t(k + 1)].logZ + d.logEstar.scale(-1) + d.logZ
-        return total == d.q
-
-    def key_values_exact(self, i: int) -> bool:
-        """hatL_i(c_i) = log Z-hat_{psi_inv(i)} and -hatL*_i(q_i) = (1-delta) log Y-hat_i,
-        symbolically."""
-        d = self._idx[i]
-        j = self.prog.psi_inv(i)
-        ok = True
-        if j in self._idx:
-            # c_i > q_i so hatL_i(c_i) = logE_i + c_i; compare with logZ_j
-            ok &= (d.logE + d.c) == self._idx[j].logZ
-        ok &= d.logEstar.scale(-1) == d.logY.mul_delta_poly({0: 1, 1: -1})
-        return ok
 
 
 def predicted_system(bundle: Bundle, k_range, delta=None,
@@ -578,14 +553,6 @@ def _quad_form(side, u, q):
             pr = mpmath.mpf(p.dot(r))
             return pr * usq - _dot_u_mpf(p, u) * _dot_u_mpf(r, u) + e2q * pr
     return B
-
-
-def traj_eval(x: SymVec, u, q, prec: int = DEFAULT_PRECISION):
-    """(L_x(q), L*_x(q)) for a nonzero integer point."""
-    if x.is_zero():
-        raise ZeroObject("trajectory of the zero point")
-    with mpmath.workprec(prec):
-        return _traj(x, u, mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q)
 
 
 @dataclass

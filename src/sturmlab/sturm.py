@@ -5,8 +5,7 @@ A program is the data s_0 = -1, s_1 = 1, s_k >= 1 for k >= 2, described by an
 explicit finite prefix plus a (non-empty) periodic tail.  The derived objects:
 
 * t_k = s_0 + ... + s_k (so t_0 = -1, t_1 = 0, strictly increasing from k=1);
-* psi(t_k) = t_{k-1} - 1 for k >= 1, psi(i) = i - 1 otherwise;
-* psi_inv(i) = i + 1 except psi_inv(t_{k+1} - 1) = t_{k+2}.
+* psi(t_k) = t_{k-1} - 1 for k >= 1, psi(i) = i - 1 otherwise.
 """
 from __future__ import annotations
 
@@ -326,13 +325,6 @@ class SturmianProgram:
         if k is not None and k >= 1:
             return self.t(k - 1) - 1
         return i - 1
-
-    def psi_inv(self, i: int) -> int:
-        """Inverse map: i + 1, except psi_inv(t_{k+1} - 1) = t_{k+2}."""
-        m = self.t_index_of(i + 1)
-        if m is not None and m >= 1:
-            return self.t(m + 1)
-        return i + 1
 
 
 # ---------------------------------------------------------------------------

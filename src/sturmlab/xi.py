@@ -27,10 +27,6 @@ class XiValue:
     index: int              # last y index used
     precision_bits: int
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def mpf(self, prec: Optional[int] = None):
         prec = prec or self.precision_bits + 16
         with mpmath.workprec(prec):

@@ -6,13 +6,12 @@ from sturmlab.approx import (
     BadIndex, FibonacciOnly, contents_report, gray_fan, make_bundle,
     verify_identities,
 )
-from sturmlab.exactlin import IntMat2, RatVec, det3
+from sturmlab.exactlin import IntMat2, SymVec, det3
 from sturmlab.matseq import bl_family, roy_family
 from sturmlab.sturm import SturmianProgram
 
 EXPECTED_CHECKS = {
-    "step", "square_step", "psi_step", "commutation",
-    "trace_recurrence", "trace_congruence", "y_recurrence_boundary",
+    "square_step", "commutation", "trace_recurrence", "y_recurrence_boundary",
     "y_recurrence_block", "y_wedge_power", "z_recurrence_boundary",
     "z_wedge", "det3_triple", "ladder_coprime", "coprimality_hypothesis",
 }
@@ -21,7 +20,7 @@ EXPECTED_CHECKS = {
 def test_identity_suite_roy(roy212):
     rep = verify_identities(roy212, roy212.prog.t(10))
     assert rep.ok, rep.failures[:3]
-    assert EXPECTED_CHECKS <= set(rep.checks)
+    assert set(rep.checks) == EXPECTED_CHECKS
     assert all(n > 0 for n in rep.checks.values())
     assert "ok" in rep.summary()
 
@@ -40,7 +39,24 @@ def test_corrupted_y_fails(prog_twos, bump):
         assert bundle.ys.mat(i).is_symmetric()
         rep = verify_identities(bundle, prog.t(k + 2))
         assert not rep.ok, i
-        assert any(f[0] == "step" for f in rep.failures), i
+        assert any(f[0] == "square_step" for f in rep.failures), i
+
+
+@pytest.mark.parametrize("bundle_name, failing", [
+    ("roy212", {"z_recurrence_boundary", "z_wedge"}),
+    ("roy212_p2", {"z_recurrence_block", "z_recurrence_boundary", "z_wedge"}),
+])
+def test_corrupted_z_fails(request, bundle_name, failing):
+    """Adding (1, 0, 0) to one z numerator, at a block start, is caught by the
+    z identities (and on Fibonacci by the gray fan's wedge check)."""
+    prog = request.getfixturevalue(bundle_name).prog
+    bundle = make_bundle(roy_family(2, 1, 2), prog)
+    j = prog.t(6 if prog.is_fibonacci else 4)
+    bundle.zs._memo[j] = bundle.zs.num(j) + SymVec(1, 0, 0)
+    rep = verify_identities(bundle, prog.t(8 if prog.is_fibonacci else 6))
+    assert {f[0] for f in rep.failures} == failing
+    if prog.is_fibonacci:
+        assert not gray_fan(bundle, j - 1).wedge_ok
 
 
 def test_identity_suite_all_seeds(roy313, bl12, roy212_p2):
@@ -70,8 +86,9 @@ def test_z_integerized(roy212):
     for j in range(0, 15):
         v = roy212.zs.integerized(j)
         assert not v.is_zero()
+    assert roy212.zs.den(-1) == roy212.seq.det(0)
     with pytest.raises(BadIndex):
-        roy212.zs.at(-1)
+        roy212.zs.num(-2)
 
 
 def test_z_orthogonal_to_leading_y(bl12):
@@ -80,9 +97,10 @@ def test_z_orthogonal_to_leading_y(bl12):
     for j in range(0, 12):
         k, _ = prog.block_of(j)
         lead = bl12.ys.at(prog.psi(prog.t(k + 1)))
-        z = bl12.zs.at(j)
-        assert z.dot(type(z).from_sym(lead)) == 0
-        assert z.dot(type(z).from_sym(bl12.ys.at(j))) == 0
+        z = bl12.zs.num(j)
+        assert bl12.zs.den(j) == bl12.seq.det(k)
+        assert z.dot(lead) == 0
+        assert z.dot(bl12.ys.at(j)) == 0
 
 
 def test_contents_report(roy212, bl12):
@@ -99,7 +117,7 @@ def z_dot_y_identity(bundle, i: int) -> tuple:
     for i = t_k + l; returns (lhs, rhs) as Fractions."""
     prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
     k, _ = prog.block_of(i)
-    lhs = abs(zs.at(i).dot(RatVec.from_sym(ys.at(i + 1))))
+    lhs = Fraction(abs(zs.num(i).dot(ys.at(i + 1))), abs(zs.den(i)))
     rhs = Fraction(abs(det3(ys.at(prog.t(k) - 1), ys.at(i), ys.at(i + 1))), abs(seq.det(k)))
     return lhs, rhs
 

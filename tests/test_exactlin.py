@@ -5,9 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sturmlab.exactlin import (
-    IntMat2, J, RatVec, SymVec, ZeroObject, det3, rat_wedge,
-)
+from sturmlab.exactlin import IntMat2, J, SymVec, ZeroObject, det3
 
 ints = st.integers(min_value=-10 ** 9, max_value=10 ** 9)
 mats = st.builds(IntMat2, ints, ints, ints, ints)
@@ -113,25 +111,6 @@ def test_content_primitive():
 def test_norms():
     v = SymVec(-3, 4, 0)
     assert v.sup_norm() == 4
-
-
-def test_ratvec_consistency():
-    a = RatVec.make(SymVec(2, 0, -3), 4)     # (1/2, 0, -3/4)
-    b = RatVec.make(SymVec(6, 1, 15), 3)     # (2, 1/3, 5)
-    w = rat_wedge(a, b)
-    assert a.dot(w) == 0
-    assert b.dot(w) == 0
-    # scales like the integer wedge: (4a) ^ (3b) = 12 (a ^ b)
-    wi = SymVec(2, 0, -3).wedge(SymVec(6, 1, 15))
-    scaled = w.scale(12)
-    assert scaled.is_integral() and scaled.to_sym() == wi
-
-
-def test_ratvec_reduction():
-    v = RatVec.make(SymVec(2, 4, 6), -4)
-    assert v.den == 2 and v.num == SymVec(-1, -2, -3)
-    assert v.components() == (Fraction(-1, 2), Fraction(-1), Fraction(-3, 2))
-    assert RatVec.make(SymVec(3, 0, 0), 1).is_integral()
 
 
 @given(mats)

@@ -1,6 +1,7 @@
 """Every module-level import in the package source is used by its module
-(`__init__.py` is left out: its imports are the package's re-exports), and
-every dataclass field in the package source is read somewhere."""
+(`__init__.py` is left out: its imports are the package's re-exports), every
+dataclass field in the package source is read somewhere, and every public
+function and method is reached from the package or the benchmark."""
 import ast
 import pathlib
 
@@ -11,6 +12,14 @@ SRC = ROOT / "src" / "sturmlab"
 UNREAD_FIELDS = {
     ("MinimaSample", "gray"): "set from the P argument of minima_candidates, which "
                               "the benchmark under sturmbench/ passes",
+}
+
+
+# (class or None, function) -> why it stays although only tests/ reads its name
+TEST_ONLY_FUNCTIONS = {
+    ("DualityReport", "non_growing"): "acceptance criterion 8 reads it",
+    ("ComparisonReport", "non_growing"): "acceptance criterion 7 reads it",
+    ("SturmianProgram", "all_ones"): "the test fixtures build the Fibonacci program with it",
 }
 
 
@@ -50,14 +59,16 @@ def _dataclass_fields() -> list:
     return out
 
 
-def _names_read() -> set:
-    """Attribute names loaded anywhere in src/ or tests/, and the constant
-    names passed to getattr."""
+def _names_read(dirs=("src/sturmlab", "tests"), plain_names=False) -> set:
+    """Attribute names loaded anywhere in `dirs`, the constant names passed to
+    getattr and, with `plain_names`, the bare names loaded."""
     names = set()
-    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+    for path in sorted(p for d in dirs for p in (ROOT / d).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
+            elif plain_names and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
             elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
                   and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
                 names.add(node.args[1].value)
@@ -70,3 +81,30 @@ def test_every_dataclass_field_is_read():
     assert unread - set(UNREAD_FIELDS) == set()
     # an exception whose field has gained a reader is stale
     assert set(UNREAD_FIELDS) - unread == set()
+
+
+def _public_functions() -> list:
+    """(class or None, name) of every public top-level function and public
+    method in the package source."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(None, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            out += [d for d in defs if not d[1].startswith("_")]
+    return out
+
+
+def test_every_public_function_is_reached():
+    # a method is reached through an attribute, a function also by its bare name
+    attrs = _names_read(("src/sturmlab", "sturmbench"))
+    names = _names_read(("src/sturmlab", "sturmbench"), plain_names=True)
+    test_only = {(cls, name) for cls, name in _public_functions()
+                 if name not in (attrs if cls else names)}
+    assert test_only - set(TEST_ONLY_FUNCTIONS) == set()
+    # an exception whose function has gained a reader is stale
+    assert set(TEST_ONLY_FUNCTIONS) - test_only == set()

@@ -8,7 +8,7 @@ from sturmlab.exactlin import IntMat2
 from sturmlab.matseq import (
     BadRoyTriple, DegenerateSeed, HatW, MatrixSequence,
     DELTA_BITS, admissibility_checks, bl_family, check_mult_growth, delta_estimate,
-    is_admissible, lemma_shape_ok, resolve_delta, roy_family, solve_admissibility,
+    lemma_shape_ok, resolve_delta, roy_family, solve_admissibility,
 )
 from sturmlab.sturm import SturmianProgram
 
@@ -20,7 +20,8 @@ def _seq(seed, prog=None):
 def test_roy_seed_shape():
     seed = roy_family(2, 1, 2)
     assert seed.family == "roy" and seed.params == (2, 1, 2)
-    assert is_admissible(seed.w0, seed.w1, seed.N)
+    assert all(admissibility_checks(seed.w0, seed.w1, seed.N).values())
+    assert seed.N.det() != 0
     assert abs(seed.w0.det()) == 2 and abs(seed.w1.det()) == 2
     assert seed.tr_JN == 2 * (1 - 2)
     assert seed.tr_JN != 0
@@ -46,7 +47,8 @@ def test_bl_seed_shape():
     seed = bl_family(1, 2)
     assert seed.family == "bl" and seed.params[:2] == (1, 2)
     assert abs(seed.w0.det()) == 1 and abs(seed.w1.det()) == 1
-    assert is_admissible(seed.w0, seed.w1, seed.N)
+    assert all(admissibility_checks(seed.w0, seed.w1, seed.N).values())
+    assert seed.N.det() != 0
     assert seed.tr_JN != 0
     assert _seq(seed).is_unimodular()
 
@@ -99,12 +101,11 @@ def test_log_norm():
 def test_mult_growth():
     for seed in (roy_family(2, 1, 2), roy_family(3, 1, 3), bl_family(1, 2)):
         rep = check_mult_growth(_seq(seed), 10)
-        assert rep.ratio_min >= 1            # ||w_k^l w_{k-1}|| >= ||w_k|| ||w_k^{l-1} w_{k-1}||
-    # the entrywise shape lemma (and its certified constants) is a roy feature
+        num, den = rep.ratio_min             # ||w_k^l w_{k-1}|| >= ||w_k|| ||w_k^{l-1} w_{k-1}||
+        assert num >= den
+    # the entrywise shape lemma is a roy feature
     for seed in (roy_family(2, 1, 2), roy_family(3, 1, 3)):
-        rep = check_mult_growth(_seq(seed), 8)
-        assert rep.shape_ok
-        assert rep.c1 is not None and rep.c2 is not None
+        assert check_mult_growth(_seq(seed), 8).shape_ok
         assert lemma_shape_ok(seed.w0) and lemma_shape_ok(seed.w1)
     assert not check_mult_growth(_seq(bl_family(1, 2)), 8).shape_ok
 

@@ -13,8 +13,8 @@ def test_enclosure_is_tight_and_nested(bl12):
     a = xi_value(bl12, lo_bits)
     b = xi_value(bl12, hi_bits)
     assert a.lo < a.hi and b.lo < b.hi
-    assert a.width <= Fraction(1, 2 ** lo_bits)
-    assert b.width <= Fraction(1, 2 ** hi_bits)
+    assert a.hi - a.lo <= Fraction(1, 2 ** lo_bits)
+    assert b.hi - b.lo <= Fraction(1, 2 ** hi_bits)
     # higher precision stays inside the coarse interval
     assert a.lo <= b.lo and b.hi <= a.hi
 
