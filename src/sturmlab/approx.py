@@ -247,16 +247,18 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
                    seq.det(k) ** (l + 1) * base)
 
     # coprimality package (only when its hypotheses hold)
+    def ladder_gcd(k, l):
+        # det(w_k^l w_{k-1}) = det(w_k)^l det(w_{k-1})
+        return gcd(seq.ladder(k, l).trace(), abs(seq.det(k) ** l * seq.det(k - 1)))
+
     hyp = gcd(seq.tr(1), abs(seq.det(1))) == 1 and all(
-        gcd(seq.ladder(1, l).trace(), abs(seq.ladder(1, l).det())) == 1
-        for l in range(prog.s(2) + 2))
+        ladder_gcd(1, l) == 1 for l in range(prog.s(2) + 2))
     checks["coprimality_hypothesis"] = 1
     if hyp:
         for k in range(1, k_hi + 1):
             for l in range(prog.s(k + 1) + 2):
                 # the content divides gcd(tr, det), so coprime ladders are primitive
-                m = seq.ladder(k, l)
-                record("ladder_coprime", (k, l), gcd(m.trace(), abs(m.det())), 1)
+                record("ladder_coprime", (k, l), ladder_gcd(k, l), 1)
     return IdentityReport(checks=checks, failures=failures, i_max=i_max)
 
 

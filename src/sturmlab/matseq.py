@@ -185,13 +185,15 @@ def bl_family(a: int, b: int, s1_prime: int = 1) -> MatrixSeed:
 
 class MatrixSequence:
     """w_{k+1} = w_k^{s_{k+1}} w_{k-1}, with a memoized power ladder
-    w_k^l w_{k-1} for 0 <= l <= s_{k+1} + 1 (k >= 1)."""
+    w_k^l w_{k-1} for 0 <= l <= s_{k+1} + 1 (k >= 1) and memoized
+    determinants."""
 
     def __init__(self, seed: MatrixSeed, prog: SturmianProgram):
         self.seed = seed
         self.prog = prog
         self._w = [seed.w0, seed.w1]
         self._ladder = {}
+        self._det = {}
 
     def w(self, k: int) -> IntMat2:
         if k < 0:
@@ -220,7 +222,9 @@ class MatrixSequence:
         return self.w(k).trace()
 
     def det(self, k: int) -> int:
-        return self.w(k).det()
+        if k not in self._det:
+            self._det[k] = self.w(k).det()
+        return self._det[k]
 
     def norm(self, k: int) -> int:
         return self.w(k).sup_norm()

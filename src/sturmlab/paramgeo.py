@@ -537,6 +537,47 @@ def _traj(x, u, q):
     return max(ln, ldot + q), max(lw, ln - q)
 
 
+def _size_keys(u, q, p):
+    """Exact integer ranking keys (primal, dual) for points x at q, from the
+    working precision p.  With U = round(2^p u) and E = round(2^p e^{2q}):
+
+        primal  max(|x|^2 2^{3p}, E (x.U)^2)   ~ 2^{3p} e^{2 L_x(q)}
+        dual    max(E |x^U|^2, |x|^2 2^{3p})   ~ 2^{3p} e^{2q} e^{2 L*_x(q)}
+
+    so at a fixed q each key orders points like the trajectory of its side,
+    with no logarithm and no square root.
+
+    Rounding, on top of u's own p-bit rounding (which the trajectories share):
+    each coordinate of U is within 1/2 of 2^p u_i, so |x.U - 2^p x.u| <=
+    ||x||_1 / 2, and each coordinate of x^U is within ||x||_1 / 2 of that of
+    2^p x^u; E is within a relative 3/2 * 2^{-p} of 2^p e^{2q}.  A rounded
+    term moves a key only where it is the larger term, that is where
+    e^q |x.u| >= |x| (e^q |x^u| >= |x| on the dual side) up to the same
+    rounding, and there its relative error is at most
+    sqrt(3) ||x||_1 e^q / 2^{p+1} |x| <= (3/2) e^q 2^{-p}.  So half the log
+    of a key is within eta = 3 e^q 2^{-p} of the trajectory plus a constant
+    ((3p/2) log 2, plus q on the dual side), and the keys can order two
+    points against their trajectories only if those agree to within 2 eta.
+    At prec_for(q) > 3.3 q + 191 bits, eta < 2^{-189}: a near-tie can swap
+    only points whose trajectories are equal to the p-bit rounding that the
+    trajectories themselves carry."""
+    U0, U1, U2 = (int(mpmath.nint(mpmath.ldexp(c, p))) for c in u)
+    E = int(mpmath.nint(mpmath.ldexp(mpmath.exp(2 * q), p)))
+    s = 3 * p
+
+    def primal(x):
+        d = x.x0 * U0 + x.x1 * U1 + x.x2 * U2
+        return max(x.dot(x) << s, E * d * d)
+
+    def dual(x):
+        w0 = x.x1 * U2 - x.x2 * U1
+        w1 = x.x2 * U0 - x.x0 * U2
+        w2 = x.x0 * U1 - x.x1 * U0
+        return max(E * (w0 * w0 + w1 * w1 + w2 * w2), x.dot(x) << s)
+
+    return primal, dual
+
+
 def _quad_form(side, u, q):
     """The quadratic form B of a side's body at q, at current mpmath
     precision: B(x, x) is within a factor 2 of the squared size of x."""
@@ -569,9 +610,9 @@ class MinimaSample:
     notes: dict = field(default_factory=dict)
 
 
-def _greedy_triple(pts, lams):
-    """Indices of the three smallest-lam linearly independent points."""
-    order = sorted(range(len(lams)), key=lambda i: lams[i])
+def _greedy_triple(pts, keys):
+    """Indices of the three linearly independent points of smallest key."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     chosen = []
     for idx in order:
         p = pts[idx]
@@ -639,16 +680,17 @@ class CandidateBuilder:
             keys.setdefault(p.as_tuple() if positive else (-p).as_tuple())
         return [SymVec(*key) for key in keys]
 
-    def _complete(self, triple, pts, lams, B, lam_of):
-        """Augment the candidate list (in place) with plane completions around
-        the current best pairs, then redo the greedy selection."""
+    def _complete(self, triple, pts, keys, B, key):
+        """Augment the candidate list and its keys (in place) with plane
+        completions around the current best pairs, then redo the greedy
+        selection."""
         for _ in range(2):
             best = list(triple)
             for pair in [(best[0], best[1]), (best[0], best[2]), (best[1], best[2])]:
                 for comp in self._completions(pts[pair[0]], pts[pair[1]], B):
                     pts.append(comp)
-                    lams.append(lam_of(comp))
-            new = _greedy_triple(pts, lams)
+                    keys.append(key(comp))
+            new = _greedy_triple(pts, keys)
             if new == triple:
                 break
             triple = new
@@ -710,26 +752,24 @@ def _ext_gcd(a, b):
 def minima_candidates(builder: CandidateBuilder, q, P: Optional[SystemBreakpoints] = None,
                       kind=None, k=None) -> MinimaSample:
     """Upper bounds for the primal minima L_j and the dual minima L*_j at q
-    from the candidate set: each base point's trajectory is computed once for
-    both sides, then each side adds the plane completions of its own body."""
+    from the candidate set.  Each side ranks the base points and the plane
+    completions of its own body by the exact integer keys of `_size_keys`;
+    logarithms are taken only for the three points it reports, so each L_j
+    and L*_j is the trajectory of its own point."""
     prec = builder.prec_for(q)
     with mpmath.workprec(prec):
         qm = mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q
         u = builder.u(prec)
         base = builder.base_points(q)
-        trajs = [_traj(p, u, qm) for p in base]
         minima, chosen = [], []
-        for side in (PRIMAL, DUAL):
-            def lam_of(p):
-                return _traj(p, u, qm)[side]
-
-            pts, lams = list(base), [t[side] for t in trajs]
-            triple = _greedy_triple(pts, lams)
+        for side, key in zip((PRIMAL, DUAL), _size_keys(u, qm, prec)):
+            pts, keys = list(base), [key(p) for p in base]
+            triple = _greedy_triple(pts, keys)
             if triple is None:
                 raise NoCandidates("candidate set spans less than 3 dimensions")
-            triple = builder._complete(triple, pts, lams, _quad_form(side, u, qm), lam_of)
-            minima.append(tuple(lams[i] for i in triple))
+            triple = builder._complete(triple, pts, keys, _quad_form(side, u, qm), key)
             chosen.append([pts[i] for i in triple])
+            minima.append(tuple(_traj(p, u, qm)[side] for p in chosen[-1]))
     return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="candidate",
                         points=chosen[PRIMAL], dual_points=chosen[DUAL],
                         gray=None if P is None else P.in_gray(float(q)), kind=kind, k=k)

@@ -121,6 +121,26 @@ def test_empirical_close_to_closed_form(bl12, golden):
                float(es.psi3_low.value)) < 0.02
 
 
+def test_empirical_close_to_closed_form_period_2(prog_twos):
+    """The paper's Sturmian generalisation, in the style of criterion 9: on
+    period-2 bl(1,2) every empirical psi from the breakpoint samples over
+    k 4:8 lies within 0.02 of its closed form."""
+    from sturmlab import paramgeo
+    from sturmlab.approx import make_bundle
+    from sturmlab.matseq import bl_family, resolve_delta
+    bundle = make_bundle(bl_family(1, 2), prog_twos)
+    P = paramgeo.predicted_system(bundle, (4, 8))
+    emp = ex.empirical(paramgeo.breakpoint_samples(
+        paramgeo.CandidateBuilder(bundle, prec=256), P))
+    with mpmath.workprec(256):
+        qs = quantities(prog_twos, prec=256)
+        es = ex.closed_form(qs.sigma, resolve_delta(bundle.seq, 256).value,
+                            qs.tau, qs.sigma_prime, 256)
+    for name in ("psi1_low", "psi1_up", "psi2_low", "psi2_up", "psi3_low", "psi3_up"):
+        dev = abs(float(getattr(emp, name).est) - float(getattr(es, name).value))
+        assert dev < 0.02, (name, dev)
+
+
 def test_sweep_coverage(golden):
     rep = ex.omega2_sweep(golden.sigma)
     assert len(rep.rows) == 45                     # 0 < l < k <= 10

@@ -2,8 +2,13 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sturmlab import paramgeo
+from sturmlab.approx import make_bundle
+from sturmlab.exactlin import SymVec
+from sturmlab.matseq import bl_family
 from sturmlab.paramgeo import (
     CandidateBuilder, LinExpr, TooLarge, breakpoint_samples, compare, csv_rows,
     duality_check, minima_bruteforce, minima_candidates, predicted_system,
@@ -54,6 +59,11 @@ def cb_bl(bl12):
 @pytest.fixture(scope="module")
 def cb_roy(roy212):
     return CandidateBuilder(roy212, prec=256)
+
+
+@pytest.fixture(scope="module")
+def cb_bl_p2(prog_twos):
+    return CandidateBuilder(make_bundle(bl_family(1, 2), prog_twos), prec=256)
 
 
 # --- symbolic layer ----------------------------------------------------------
@@ -197,13 +207,58 @@ def test_fake_system_rejected(P_bl):
 
 def test_traj_eval_monotone(cb_bl):
     u = cb_bl.u(256)
-    from sturmlab.exactlin import SymVec
     x = SymVec(1, 0, 0)
     with mpmath.workprec(256):
         L0, Ls0 = traj_eval(x, u, mpmath.mpf(1))
         L1, Ls1 = traj_eval(x, u, mpmath.mpf(5))
         assert L1 >= L0            # L is non-decreasing in q
         assert Ls1 <= Ls0 + 1e-30  # L* non-increasing for this point
+
+
+_coord = st.integers(-2 ** 64, 2 ** 64)
+# a random integer point, or a small combination of three consecutive y_i
+# (those have small x.u and x^u, so both terms of a key take part)
+_point = st.one_of(
+    st.tuples(st.just("random"), st.tuples(_coord, _coord, _coord)),
+    st.tuples(st.integers(-2, 16), st.tuples(*[st.integers(-3, 3)] * 3)))
+
+
+def _make_point(bundle, recipe):
+    if recipe[0] == "random":
+        return SymVec(*recipe[1])
+    i, (a, b, c) = recipe
+    ys = bundle.ys
+    return a * ys.at(i) + b * ys.at(i + 1) + c * ys.at(i + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.sampled_from(["bl", "roy"]), q=st.floats(0, 700), ra=_point, rb=_point)
+def test_size_keys_order_like_trajectories(cb_bl, cb_roy, seed, q, ra, rb):
+    """Where two trajectories differ by more than the rounding bound of
+    `_size_keys` (2 eta, eta = 3 e^q 2^-p) plus the p-bit rounding of the
+    trajectories themselves, the integer keys order the points the same way,
+    on both sides."""
+    cb = cb_bl if seed == "bl" else cb_roy
+    a, b = _make_point(cb.bundle, ra), _make_point(cb.bundle, rb)
+    assume(not a.is_zero() and not b.is_zero())
+    p = cb.prec_for(q)
+    u = cb.u(p)
+    with mpmath.workprec(p):
+        qm = mpmath.mpf(q)
+        keys = paramgeo._size_keys(u, qm, p)
+        ta, tb = traj_eval(a, u, qm, p), traj_eval(b, u, qm, p)
+        eq = mpmath.exp(qm)
+        u1 = sum(abs(c) for c in u)
+        for side in (paramgeo.PRIMAL, paramgeo.DUAL):
+            la, lb = ta[side], tb[side]
+            # 2 eta, plus the p-bit rounding of the mpf dot products (relative
+            # to |x.u| >= |x| e^-q), logs and square roots inside the trajectories
+            tol = mpmath.ldexp(2 * 3 * eq + 4 * u1 * eq + abs(la) + abs(lb) + 8, -p)
+            ka, kb = keys[side](a), keys[side](b)
+            if la < lb - tol:
+                assert ka < kb, (side, la, lb)
+            elif lb < la - tol:
+                assert kb < ka, (side, la, lb)
 
 
 def test_candidates_match_bruteforce_bl(cb_bl):
@@ -265,7 +320,8 @@ def test_candidate_minima_are_own_trajectories(request, builder, qs):
 
 # (seed, q, method, points, dual points, L and L* to 50 digits): the selection
 # of the candidate and brute-force minima, pinned so that a change to the
-# scoring cannot move it unnoticed
+# scoring cannot move it unnoticed.  A q given as (kind, k) is that breakpoint
+# of the seed's predicted system on k 3:8.
 PINNED_MINIMA = [
     ('bl', 2, 'candidate',
      [(0, 1, -1), (1, -1, -1), (-1, 1, 0)],
@@ -297,14 +353,38 @@ PINNED_MINIMA = [
      [(-576, -415, -299), (-14425, -10393, -7488), (45450, 32746, 23593)],
      ('3.1881140940130155951947140339451112446354980897319', '4.2506335204329891047412379231812402153872707890243', '6.6844456749865053146268084692306241278292176055257'),
      ('-6.6567852236598016297603452877787902086710134828966', '-4.3636468611487395481437356085458953791563561251053', '-3.4741140024134871651555034856470038108894205556572')),
+    # period-2 bl(1,2) at q ~ 282, scored at 1122 bits
+    ('bl_p2', ('q_t1', 6), 'candidate',
+     [(11264716891871862407000153, -15103507986919000840794730, -7363011698691531810777305),
+      (-7109840720309914361039548076275002, -96569896128978592647026151135858598,
+       187213318326305046270166470503724583),
+      (-167728831519446678833287546537636222532262796405180430149814,
+       -2278188269246966593428514821121688461598191900997379513663915,
+       4416564613687172156321112991653999556862736831851882028709051)],
+     [(3538623123538053066751683731354653179557757270596735705365980,
+       2056555188934237232023172440853835818332032893761195790431589,
+       1195216076275339062797948240755267375958741317216708884704954),
+      (-81835507580929663714380600525990948273150682408305854452338170539621917327160815063745,
+       -47560656187188389358265291980453934330971572712727884419658269528898732139545701104325,
+       -27641009188083346872955313517394527530126280936562091666410178277641899233363733349727),
+      (-333905558806287152882108802543101726460955865241893411945699908492316922761577875157553,
+       -194057175800759293724034478325020351140687772630128353583334409746552247159900910892185,
+       -112780954035011792475645250154904574878869596219337774095647513707706911489212409919792)],
+     ('58.269173257633998205568474010333802254719571989413', '84.240426607447701680339795800220086961482662963645', '139.75899922119829658271841288598251592266458169675'),
+     ('-139.5755778907725043759153646213727889729215239793', '-84.076900482493168808407599094364908460514939053394', '-58.082755023203373492110266705235966282264355106043')),
 ]
 
 
 @pytest.mark.parametrize("seed, q, method, points, dual_points, L, Lstar", PINNED_MINIMA)
 def test_pinned_minima(request, seed, q, method, points, dual_points, L, Lstar):
     cb = request.getfixturevalue("cb_" + seed)
+    if isinstance(q, tuple):
+        kind, k = q
+        q = dict(predicted_system(cb.bundle, (3, 8)).breakpoints()[kind])[k]
+    else:
+        q = mpmath.mpf(q)
     find = minima_candidates if method == "candidate" else minima_bruteforce
-    s = find(cb, mpmath.mpf(q))
+    s = find(cb, q)
     assert [p.as_tuple() for p in s.points] == points
     assert [p.as_tuple() for p in s.dual_points] == dual_points
     assert tuple(mpmath.nstr(x, 50) for x in s.L) == L
