@@ -1,13 +1,30 @@
 """Hot enumeration kernels for brute-force successive minima.
 
-Both kernels enumerate integer points x = (x0, x1, x2) in numpy chunks and
-return those whose parametric size is below a cutoff:
+Both kernels evaluate integer points x = (x0, x1, x2) in numpy passes and
+return those whose parametric size is at most a cutoff c:
 
 * primal: lam(x) = max(|x|_2, e^q |x . u|)           (u = (1, xi, xi^2))
 * dual:   lam*(x) = max(|x ^ u|_2, e^{-q} |x|_2)
 
-float64 is adequate for the brute-force window q <= ~14 (absolute error of the
-inner products ~1e-11); callers re-evaluate the shortlisted points exactly.
+Each kernel evaluates only the window that its own mask proves is enough:
+
+* primal: the caller's radius R = floor(c) over |x1|, |x2| loses no point,
+  since the float |x|_2 of an integer point is sqrt of an exact integer,
+  correctly rounded, so it is >= each |x_i|; x0 runs over [ceil(max(-s - w, -c)), floor(min(-s + w, c))] with
+  s = x1 xi + x2 xi^2 and w = c e^{-q}, the window of e^q |x0 + s| <= c.
+* dual: for each x0, |x1 - fl(x0 xi)| <= c' and |x2 - fl(x0 xi^2)| <= c' with
+  c' = c (1 + 1e-9) + 1e-9.  A kept point has fl(|w|) <= c for w = x ^ u, and
+  the float norm is at least (1 - 2^-52) |w_i| for w_1 = fl(x2 - fl(x0 xi^2))
+  and w_2 = fl(fl(x0 xi) - x1), each rounded once more: the relative slack
+  covers these roundings, the absolute one a w_i^2 that underflows.  The
+  ranges are taken around the exact fractional parts of fl(x0 xi) and
+  fl(x0 xi^2), so adding c' to them rounds by at most (1 + c') 2^-53.
+
+Points come back sorted by the key in which a full scan of the window meets
+them: (x1, x0 - window start, x2) for the primal kernel and
+(x1 - floor(x0 xi), x2 - floor(x0 xi^2), x0) for the dual one, so that points
+of equal lam always come in the same order.  lam is float64; callers
+re-evaluate the points they keep exactly.
 """
 from __future__ import annotations
 
@@ -19,79 +36,90 @@ class KernelOverflow(RuntimeError):
 
 
 _CAP = 4_000_000
+_CHUNK = 1 << 18          # window cells (primal) or x0 values (dual) per pass
 
 
-def _overflow():
-    return KernelOverflow(f"more than {_CAP} candidate points; tighten the cutoff")
+def _ranges(lo, hi):
+    """Expand the integer ranges lo[i] .. hi[i] (empty where hi < lo): the
+    index i and the offset k - lo[i] of each member k, in (i, k) order."""
+    n = np.maximum(hi - lo + 1, 0)
+    i = np.repeat(np.arange(n.size), n)
+    return i, np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
+
+
+class _Gather:
+    """The kept points of all passes, sorted at the end by their visiting key."""
+
+    def __init__(self):
+        none = np.empty(0, dtype=np.int64)
+        self.pts, self.lams = [np.empty((0, 3), dtype=np.int64)], [np.empty(0)]
+        self.keys, self.n = [(none, none, none)], 0
+
+    def add(self, x0, x1, x2, lam, key, cutoff):
+        keep = np.nonzero((lam <= cutoff) & ((x0 != 0) | (x1 != 0) | (x2 != 0)))[0]
+        self.n += keep.size
+        if self.n > _CAP:
+            raise KernelOverflow(f"more than {_CAP} candidate points; tighten the cutoff")
+        self.pts.append(np.stack((x0[keep], x1[keep], x2[keep]), axis=1))
+        self.lams.append(lam[keep])
+        self.keys.append([k[keep] for k in key])
+
+    def result(self):
+        order = np.lexsort([np.concatenate(k) for k in zip(*self.keys)][::-1])
+        return np.concatenate(self.pts)[order], np.concatenate(self.lams)[order]
 
 
 def collect_primal(xi: float, xi2: float, q: float, R: int, cutoff: float):
-    """All nonzero integer points with lam(x) <= cutoff and |x|_2 <= cutoff,
-    enumerated over |x1|, |x2| <= R.  Returns (points int64 (n,3), lam (n,))."""
+    """All nonzero integer points with lam(x) <= cutoff, searched over
+    |x1|, |x2| <= R.  Returns (points int64 (n,3), lam (n,))."""
     xi, xi2, q, R, cutoff = float(xi), float(xi2), float(q), int(R), float(cutoff)
-    pts, lams, n = [np.empty((0, 3), dtype=np.int64)], [np.empty(0)], 0
+    out = _Gather()
     eq = float(np.exp(q))
     w = cutoff * float(np.exp(-q))
     x2v = np.arange(-R, R + 1, dtype=np.float64)
     x2i = np.arange(-R, R + 1, dtype=np.int64)
-    span = int(2 * min(w, cutoff) + 3)
-    for x1 in range(-R, R + 1):
-        c = -(x1 * xi + x2v * xi2)
-        base = np.ceil(np.maximum(c - w, -cutoff)).astype(np.int64)
-        top = np.floor(np.minimum(c + w, cutoff)).astype(np.int64)
-        for dx in range(span):
-            x0 = base + dx
-            mask = x0 <= top
-            if not mask.any():
-                continue
-            x0f = x0.astype(np.float64)
-            nrm = np.sqrt(x0f * x0f + float(x1 * x1) + x2v * x2v)
-            dot = np.abs(x0f + x1 * xi + x2v * xi2) * eq
-            lam = np.maximum(nrm, dot)
-            mask &= (lam <= cutoff) & ~((x0 == 0) & (x1 == 0) & (x2i == 0))
-            idx = np.nonzero(mask)[0]
-            m = idx.size
-            if m == 0:
-                continue
-            n += m
-            if n > _CAP:
-                raise _overflow()
-            pts.append(np.stack((x0[idx], np.full(m, x1, dtype=np.int64), x2i[idx]), axis=1))
-            lams.append(lam[idx])
-    return np.concatenate(pts), np.concatenate(lams)
+    rows = max(1, _CHUNK // max(1, x2v.size * (int(2 * min(w, cutoff)) + 2)))
+    for first in range(-R, R + 1, rows):
+        x1i = np.arange(first, min(first + rows, R + 1), dtype=np.int64)
+        c = -(x1i.astype(np.float64)[:, None] * xi + x2v * xi2)
+        base = np.ceil(np.maximum(c - w, -cutoff)).astype(np.int64).ravel()
+        top = np.floor(np.minimum(c + w, cutoff)).astype(np.int64).ravel()
+        cell, dx = _ranges(base, top)
+        x0, x1, x2 = base[cell] + dx, x1i[cell // x2v.size], x2i[cell % x2v.size]
+        x0f, x1f, x2f = x0.astype(np.float64), x1.astype(np.float64), x2.astype(np.float64)
+        nrm = np.sqrt(x0f * x0f + x1f * x1f + x2f * x2f)
+        dot = np.abs(x0f + x1f * xi + x2f * xi2) * eq
+        out.add(x0, x1, x2, np.maximum(nrm, dot), (x1, dx, x2), cutoff)
+    return out.result()
 
 
 def collect_dual(xi: float, xi2: float, q: float, R0: int, cutoff: float):
-    """All nonzero integer points with lam*(x) <= cutoff, enumerated over
-    |x0| <= R0 with x1, x2 in windows around x0*xi, x0*xi^2."""
+    """All nonzero integer points with lam*(x) <= cutoff and |x0| <= R0."""
     xi, xi2, q, R0, cutoff = float(xi), float(xi2), float(q), int(R0), float(cutoff)
-    pts, lams, n = [np.empty((0, 3), dtype=np.int64)], [np.empty(0)], 0
+    out = _Gather()
     emq = float(np.exp(-q))
-    span = int(cutoff * float(np.sqrt(1.0 + xi * xi))) + 2
-    x0i = np.arange(-R0, R0 + 1, dtype=np.int64)
-    x0f = x0i.astype(np.float64)
-    b1 = np.floor(x0f * xi).astype(np.int64)
-    b2 = np.floor(x0f * xi2).astype(np.int64)
-    for d1 in range(-span, span + 1):
-        x1 = b1 + d1
-        x1f = x1.astype(np.float64)
-        for d2 in range(-span, span + 1):
-            x2 = b2 + d2
-            x2f = x2.astype(np.float64)
-            w0 = x1f * xi2 - x2f * xi
-            w1 = x2f - x0f * xi2
-            w2 = x0f * xi - x1f
-            wn = np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-            nrm = np.sqrt(x0f * x0f + x1f * x1f + x2f * x2f) * emq
-            lam = np.maximum(wn, nrm)
-            mask = (lam <= cutoff) & ~((x0i == 0) & (x1 == 0) & (x2 == 0))
-            idx = np.nonzero(mask)[0]
-            m = idx.size
-            if m == 0:
-                continue
-            n += m
-            if n > _CAP:
-                raise _overflow()
-            pts.append(np.stack((x0i[idx], x1[idx], x2[idx]), axis=1))
-            lams.append(lam[idx])
-    return np.concatenate(pts), np.concatenate(lams)
+    slack = cutoff * (1 + 1e-9) + 1e-9
+    for first in range(-R0, R0 + 1, _CHUNK):
+        x0i = np.arange(first, min(first + _CHUNK, R0 + 1), dtype=np.int64)
+        x0f = x0i.astype(np.float64)
+        p1, p2 = x0f * xi, x0f * xi2
+        b1, b2 = np.floor(p1), np.floor(p2)
+        # offsets d from b: |d - (p - b)| <= slack, where p - b is exact
+        lo1, hi1 = np.ceil(p1 - b1 - slack), np.floor(p1 - b1 + slack)
+        lo2, hi2 = np.ceil(p2 - b2 - slack), np.floor(p2 - b2 + slack)
+        live = np.nonzero((lo1 <= hi1) & (lo2 <= hi2))[0]
+        lo1, hi1 = lo1[live].astype(np.int64), hi1[live].astype(np.int64)
+        lo2, hi2 = lo2[live].astype(np.int64), hi2[live].astype(np.int64)
+        i, e1 = _ranges(lo1, hi1)              # (x0, d1) pairs
+        j, e2 = _ranges(lo2[i], hi2[i])        # each pair times its d2 range
+        i = i[j]
+        at, d1, d2 = live[i], lo1[i] + e1[j], lo2[i] + e2
+        x0, x1, x2 = x0i[at], b1[at].astype(np.int64) + d1, b2[at].astype(np.int64) + d2
+        x0f, x1f, x2f = x0f[at], x1.astype(np.float64), x2.astype(np.float64)
+        w0 = x1f * xi2 - x2f * xi
+        w1 = x2f - x0f * xi2
+        w2 = x0f * xi - x1f
+        wn = np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+        nrm = np.sqrt(x0f * x0f + x1f * x1f + x2f * x2f) * emq
+        out.add(x0, x1, x2, np.maximum(wn, nrm), (d1, d2, x0), cutoff)
+    return out.result()

@@ -788,10 +788,10 @@ def breakpoint_samples(builder: CandidateBuilder, P: SystemBreakpoints) -> list:
     return out
 
 
-# brute-force search limits: the primal radius is SAFETY times the cutoff and
-# at most R_MAX; the dual radius over x0 is at most DUAL_R_MAX
+# brute-force search limits: the primal radius over x1, x2 is floor(cutoff) (a
+# point of size c has |x| <= c) and at most R_MAX; the dual radius over x0 is
+# at most DUAL_R_MAX
 R_MAX = 10 ** 4
-SAFETY = 2.0
 DUAL_R_MAX = 5 * 10 ** 6
 
 
@@ -808,8 +808,7 @@ def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
         # for a cutoff c, radius limit, kernel); a dual point of size c has
         # |x| <= e^q c
         sides = (
-            ("primal", cand.L[2], lambda c: math.ceil(SAFETY * c),
-             R_MAX, kernels.collect_primal),
+            ("primal", cand.L[2], math.floor, R_MAX, kernels.collect_primal),
             ("dual", cand.Lstar[2], lambda c: math.ceil(c * float(mpmath.exp(qm)) * 1.01) + 1,
              DUAL_R_MAX, kernels.collect_dual),
         )

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmlab import kernels
 
 
 XI = 0.7204846676321325
 XI2 = XI * XI
+XI_ROY = 2.874396040292625          # roy(2,1,2)
 
 
 def _sorted(pts, lam):
@@ -112,3 +117,56 @@ def test_overflow_past_cap(monkeypatch, collect, args):
     monkeypatch.setattr(kernels, "_CAP", n - 1)
     with pytest.raises(kernels.KernelOverflow):
         collect(XI, XI2, *args)
+
+
+# --- order contract ------------------------------------------------------------
+# Each kernel returns the points of its scalar reference, with the same lam to
+# the bit, sorted by the key in which a full scan of its window meets them:
+# (x1, x0 - window start, x2) for the primal kernel and
+# (x1 - floor(x0 xi), x2 - floor(x0 xi^2), x0) for the dual kernel.
+
+def _primal_key(xi, xi2, q, cutoff):
+    w = cutoff * float(np.exp(-q))
+
+    def key(x):
+        x0, x1, x2 = x
+        return x1, x0 - math.ceil(max(-(x1 * xi + x2 * xi2) - w, -cutoff)), x2
+    return key
+
+
+def _dual_key(xi, xi2, q, cutoff):
+    return lambda x: (x[1] - math.floor(x[0] * xi), x[2] - math.floor(x[0] * xi2), x[0])
+
+
+KERNELS = {"primal": (kernels.collect_primal, _primal_reference, _primal_key),
+           "dual": (kernels.collect_dual, _dual_reference, _dual_key)}
+
+
+def _check_contract(side, xi, q, R, cutoff):
+    collect, reference, key = KERNELS[side]
+    pts, lam = collect(xi, xi * xi, q, R, cutoff)
+    assert pts.dtype == np.int64 and pts.shape == (len(lam), 3) and lam.dtype == np.float64
+    got = [tuple(int(v) for v in p) for p in pts]
+    ref_pts, ref_lam = reference(xi, xi * xi, q, R, cutoff)
+    assert dict(zip(got, lam.tolist())) == dict(zip(map(tuple, ref_pts.tolist()), ref_lam.tolist()))
+    assert len(got) == len(ref_pts)
+    keys = list(map(key(xi, xi * xi, q, cutoff), got))
+    assert keys == sorted(keys)
+    return len(got)
+
+
+@pytest.mark.parametrize("side, xi, q, R, cutoff", [
+    ("primal", XI, 9.0, 38, 37.8),        # narrow x0 windows
+    ("primal", XI_ROY, 0.5, 4, 3.9),      # wide x0 windows
+    ("dual", XI, 9.0, 900, 0.07),         # cutoff < 1/2: most x0 have no point
+    ("dual", XI_ROY, 0.5, 8, 3.9),        # several x1, x2 per x0
+])
+def test_kernel_order_contract(side, xi, q, R, cutoff):
+    assert _check_contract(side, xi, q, R, cutoff) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(KERNELS)), st.sampled_from([XI, XI_ROY]),
+       st.floats(0.0, 10.0), st.integers(0, 10), st.floats(0.03, 3.5))
+def test_kernel_order_contract_random_windows(side, xi, q, R, cutoff):
+    _check_contract(side, xi, q, R, cutoff)

@@ -372,6 +372,12 @@ PINNED_MINIMA = [
        -112780954035011792475645250154904574878869596219337774095647513707706911489212409919792)],
      ('58.269173257633998205568474010333802254719571989413', '84.240426607447701680339795800220086961482662963645', '139.75899922119829658271841288598251592266458169675'),
      ('-139.5755778907725043759153646213727889729215239793', '-84.076900482493168808407599094364908460514939053394', '-58.082755023203373492110266705235966282264355106043')),
+    # the dual enumeration does most of this sample's work
+    ('roy', 14.75, 'bruteforce',
+     [(-66, -161, 64), (198, -112, 15), (-265, -178, 94)],
+     [(4753, 13662, 39270), (-3742, -10756, -30917), (-3105, -8925, -25654)],
+     ('5.222513325729031480829446209091673794626634213034', '5.4292398159736789800890188722037212172851243224852', '5.9524696598441450250891591462392931385147936836659'),
+     ('-4.1081667264822300836501373079586491826261866236607', '-3.5384155094276479834898762351244965592746547211327', '-3.0581849957508893288444322627765830958690564857418')),
 ]
 
 
