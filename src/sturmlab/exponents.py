@@ -121,7 +121,7 @@ class ExponentSet:
 def _theta(sigma, delta, tau, sigma_prime):
     """theta(delta): upper value of the lower second parametric exponent."""
     second = 1 / (2 + (1 - delta) * (1 + tau))
-    if sigma_prime is None or mpmath.isinf(sigma_prime):
+    if mpmath.isinf(sigma_prime):
         # (1+s')/((2-delta)(2+s')) -> 1/(2-delta) as s' -> infinity
         first = 1 / (2 - delta)
     else:
@@ -129,42 +129,13 @@ def _theta(sigma, delta, tau, sigma_prime):
     return min(first, second)
 
 
-def psi2_low_crossover(sigma, tau, sigma_prime, prec: int = DEFAULT_PRECISION):
-    """Largest delta in [0, sigma/(1+sigma)) below which the lower bound
-    (1-delta)(1+sigma)/((2-delta)(1+sigma)+1) dominates theta(delta) (so the
-    lower second exponent collapses to Exact(theta)).  Found by bisection."""
-    with mpmath.workprec(prec):
-        sigma = mpmath.mpf(sigma)
-        top = sigma / (1 + sigma)
-
-        def gap(d):
-            first = (1 - d) * (1 + sigma) / ((2 - d) * (1 + sigma) + 1)
-            return first - _theta(sigma, d, tau, sigma_prime)
-
-        if gap(mpmath.mpf(0)) < 0:
-            return mpmath.mpf(0)
-        if gap(top * (1 - mpmath.mpf("1e-12"))) >= 0:
-            return top
-        lo, hi = mpmath.mpf(0), top
-        for _ in range(120):
-            mid = (lo + hi) / 2
-            if gap(mid) >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
-def closed_form(sigma, delta, tau=None, sigma_prime=None,
+def closed_form(sigma, delta, tau, sigma_prime,
                 prec: int = DEFAULT_PRECISION) -> ExponentSet:
     with mpmath.workprec(prec):
         sigma = mpmath.mpf(sigma)
         delta = mpmath.mpf(delta)
-        if tau is None:
-            tau = sigma
         tau = mpmath.mpf(tau)
-        if sigma_prime is not None and not mpmath.isinf(mpmath.mpf(sigma_prime)):
-            sigma_prime = mpmath.mpf(sigma_prime)
+        sigma_prime = mpmath.mpf(sigma_prime)
         if delta >= sigma / (1 + sigma):
             raise ImproperDelta(
                 f"delta = {delta} >= sigma/(1+sigma) = {sigma / (1 + sigma)}")
@@ -182,12 +153,9 @@ def closed_form(sigma, delta, tau=None, sigma_prime=None,
             es.psi3_up = Interval(b1, max(b1, 1 / (2 - delta + sigma)))
         theta = _theta(sigma, delta, tau, sigma_prime)
         first = (1 - delta) * (1 + sigma) / ((2 - delta) * (1 + sigma) + 1)
-        crossover = psi2_low_crossover(sigma, tau, sigma_prime, prec)
-        if delta <= crossover:
-            es.psi2_low = Exact(theta)
-        else:
-            es.psi2_low = Interval(min(first, theta), theta)
-        es.notes["psi2_low_crossover"] = crossover
+        # the lower bound `first` decides: where it reaches theta the exponent
+        # is theta itself
+        es.psi2_low = Exact(theta) if first >= theta else Interval(first, theta)
         es.notes["h_sigma"] = h
         # standard exponents
         es.omega2 = Exact((2 - delta) / sigma + 1 - delta)
@@ -269,10 +237,13 @@ class SweepReport:
     omega2_cover_gap: object
 
 
-def recipe_triples(k_max: int = 10):
-    """(a, b, c) = (2^l, 2^(k-l)-1, 2^(k-l)) for 0 < l < k <= k_max."""
+RECIPE_K_MAX = 10
+
+
+def recipe_triples():
+    """(a, b, c) = (2^l, 2^(k-l)-1, 2^(k-l)) for 0 < l < k <= RECIPE_K_MAX."""
     out = []
-    for k in range(2, k_max + 1):
+    for k in range(2, RECIPE_K_MAX + 1):
         for l in range(1, k):
             out.append((2 ** l, 2 ** (k - l) - 1, 2 ** (k - l)))
     return out
@@ -294,11 +265,9 @@ def _cover_gap(intervals, lo, hi):
     return gap
 
 
-def omega2_sweep(sigma, triples=None, prec: int = DEFAULT_PRECISION) -> SweepReport:
+def omega2_sweep(sigma, prec: int = DEFAULT_PRECISION) -> SweepReport:
     with mpmath.workprec(prec):
         sigma = mpmath.mpf(sigma)
-        if triples is None:
-            triples = recipe_triples()
         threshold = sigma / (1 + sigma)
         rows = []
         d_ivs = [(mpmath.mpf(0), mpmath.mpf(0))]   # unimodular seeds reach delta = 0
@@ -307,7 +276,7 @@ def omega2_sweep(sigma, triples=None, prec: int = DEFAULT_PRECISION) -> SweepRep
         def omega2_of(d):
             return (2 - d) / sigma + 1 - d
 
-        for (a, b, c) in triples:
+        for (a, b, c) in recipe_triples():
             alpha, beta = roy_bracket(a, b, c, prec)
             proper = bool(beta < threshold)
             o = (omega2_of(beta), omega2_of(alpha))   # omega2 decreasing in delta

@@ -6,13 +6,13 @@ Norms here are sup norms (max absolute coefficient) unless stated otherwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import mpmath
 
-from .exactlin import DEFAULT_PRECISION, IntMat2, J, log_real
+from .exactlin import DEFAULT_PRECISION, IntMat2, J, SymVec, det3, log_real
 from .sturm import SturmianProgram
 
 
@@ -21,10 +21,6 @@ class BadRoyTriple(ValueError):
 
 
 class EqualLetters(ValueError):
-    pass
-
-
-class NoAdmissibleN(ValueError):
     pass
 
 
@@ -82,8 +78,10 @@ class MatrixSeed:
 def solve_admissibility(w0: IntMat2, w1: IntMat2) -> IntMat2:
     """Solve the three linear symmetry conditions for N.
 
-    Expects a 1-dimensional solution space; returns the primitive integer
-    generator whose first nonzero entry (row-major) is positive.
+    The conditions are a 3x4 integer system in (n11, n12, n21, n22).  When it
+    has rank 3 its null space is spanned by the vector of signed 3x3 minors
+    (the j-th minor leaves out column j); returns that vector made primitive,
+    with its first nonzero entry (row-major) positive.
     """
     if w0.det() == 0 or w1.det() == 0:
         raise DegenerateSeed("w0 and w1 must be invertible")
@@ -96,52 +94,20 @@ def solve_admissibility(w0: IntMat2, w1: IntMat2) -> IntMat2:
         # (M N^T)_{12} - (M N^T)_{21} = 0
         return [-m.c, -m.d, m.a, m.b]
 
-    rows = [
-        [Fraction(v) for v in sym_row_MN(w1)],
-        [Fraction(v) for v in sym_row_MNt(w0)],
-        [Fraction(v) for v in sym_row_MNt(w1 @ w0)],
-    ]
-    # Gaussian elimination to row echelon form
-    pivots = []
-    r = 0
-    for col in range(4):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(4) if c not in pivots]
-    if len(free) == 0:
-        raise NoAdmissibleN("symmetry conditions force N = 0")
-    if len(free) > 1:
-        raise DegenerateSeed(f"solution space has dimension {len(free)} > 1")
-    fc = free[0]
-    sol = [Fraction(0)] * 4
-    sol[fc] = Fraction(1)
-    for ridx, col in enumerate(pivots):
-        sol[col] = -rows[ridx][fc]
-    # clear denominators, make primitive, normalize sign
-    from math import gcd, lcm
+    rows = [sym_row_MN(w1), sym_row_MNt(w0), sym_row_MNt(w1 @ w0)]
 
-    den = lcm(*(f.denominator for f in sol))
-    ints = [int(f * den) for f in sol]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    N = IntMat2(*ints)
+    def minor(j):
+        # determinant of the three rows with column j left out
+        return det3(*(SymVec(*(row[:j] + row[j + 1:])) for row in rows))
+
+    minors = [(-1) ** j * minor(j) for j in range(4)]
+    g = math.gcd(*minors)
+    if g == 0:
+        raise DegenerateSeed("the symmetry conditions have rank < 3: "
+                             "the solution space has dimension > 1")
+    if next(v for v in minors if v != 0) < 0:
+        g = -g
+    N = IntMat2(*(v // g for v in minors))
     if N.det() == 0:
         raise SingularN(f"solved N = {N} is singular")
     return N

@@ -105,31 +105,28 @@ class LinExpr:
 
 @dataclass
 class PLFunc:
-    """Continuous piecewise-linear function with at most one kink.
-
-    value = left_a + left_b * q  for q <= kink_q, right_a + right_b * q after;
-    kink_q None means a single piece (the left one).
-    """
+    """Continuous piecewise-linear function with one kink:
+    value = left_a + left_b * q  for q <= kink_q, right_a + right_b * q after."""
 
     left_a: object
     left_b: int
-    kink_q: Optional[object] = None
-    right_a: Optional[object] = None
-    right_b: Optional[int] = None
+    kink_q: object
+    right_a: object
+    right_b: int
 
     def value(self, q):
-        if self.kink_q is not None and q > self.kink_q:
+        if q > self.kink_q:
             return self.right_a + self.right_b * q
         return self.left_a + self.left_b * q
 
     def slope(self, q):
         """Slope on the smooth piece containing q (right-continuous choice)."""
-        if self.kink_q is not None and q >= self.kink_q:
+        if q >= self.kink_q:
             return self.right_b
         return self.left_b
 
     def kinks_in(self, q_lo, q_hi):
-        if self.kink_q is not None and q_lo < self.kink_q < q_hi:
+        if q_lo < self.kink_q < q_hi:
             return [self.kink_q]
         return []
 
@@ -268,9 +265,8 @@ class SystemBreakpoints:
     def window(self, i: int) -> Window:
         return self._windows[i - self.window_index_range().start]
 
-    def pieces(self, q_span=None):
-        return [w for w in self._windows if q_span is None
-                or not (w.q_hi <= q_span[0] or w.q_lo >= q_span[1])]
+    def pieces(self):
+        return list(self._windows)
 
     @property
     def span(self):
@@ -350,20 +346,16 @@ def predicted_system(bundle: Bundle, k_range, delta=None,
 
 @dataclass
 class ValidityReport:
-    ordering_ok: bool        # 0 <= P1 <= P2 <= P3 (condition 1, with sum rule)
-    sum_ok: bool             # P1+P2+P3 = q within tol
-    slope_ok: bool           # slopes in {0,1}, exactly one slope-1 per piece
-    kink_ok: bool            # condition 3 at non-smooth points (r < s case)
-    continuity_ok: bool
-    shape_ok: bool           # expected combinatorial shape of the hat-functions
-    shape_failures: list
-    failures: list
-    tol: float
+    failures: list           # defining conditions 1-3 and continuity
+    shape_failures: list     # expected combinatorial shape of the hat-functions
 
     @property
     def def_conditions_ok(self) -> bool:
-        return (self.ordering_ok and self.sum_ok and self.slope_ok
-                and self.kink_ok and self.continuity_ok)
+        return not self.failures
+
+    @property
+    def shape_ok(self) -> bool:
+        return not self.shape_failures
 
     @property
     def valid(self) -> bool:
@@ -390,80 +382,48 @@ def _crossings(funcs, q_lo, q_hi):
     return sorted(pts)
 
 
-def validate_3system(P, q_span=None, tol: float = 1e-9) -> ValidityReport:
+def validate_3system(P, tol: float = 1e-9) -> ValidityReport:
     """Check the defining conditions of a 3-system on the covered span, plus
     (for predicted systems) the expected combinatorial shape of the three
-    hat-functions; P must provide .pieces(q_span) -> [Window]."""
-    windows = P.pieces(q_span)
-    tol_m = mpmath.mpf(tol)
-    failures = []
-    ordering_ok = sum_ok = slope_ok = kink_ok = continuity_ok = True
-    prev_vals = None
-    prev_slope_rank = None
+    hat-functions; P must provide .pieces() -> [Window].
 
-    for w in windows:
-        funcs = w.funcs
-        nodes = [w.q_lo] + _crossings(funcs, w.q_lo, w.q_hi) + [w.q_hi]
+    One walk over the pieces of the windows, in order.  A piece runs between
+    two consecutive kinks or crossings; the sorted (value, slope) list at its
+    midpoint gives conditions 1-2 and the rank of its slope-1 component.  At
+    each node, condition 3 is checked from the ranks of the two pieces that
+    meet there, and continuity where they lie in different windows."""
+    tol = mpmath.mpf(tol)
+    failures = []
+    prev_w = prev_rank = None      # window and slope-1 rank of the previous piece
+    for w in P.pieces():
+        nodes = [w.q_lo] + _crossings(w.funcs, w.q_lo, w.q_hi) + [w.q_hi]
         for a, b in zip(nodes, nodes[1:]):
             mid = (a + b) / 2
-            vals = sorted((f.value(mid), f.slope(mid)) for f in funcs)
-            if vals[0][0] < -tol_m:
-                ordering_ok = False
+            vals = sorted((f.value(mid), f.slope(mid)) for f in w.funcs)
+            if vals[0][0] < -tol:
                 failures.append(("nonneg", float(mid), float(vals[0][0])))
-            s = sum(v for v, _ in vals)
-            if abs(s - mid) > tol_m * max(1, abs(mid)):
-                sum_ok = False
-                failures.append(("sum", float(mid), float(s - mid)))
+            total = sum(v for v, _ in vals)
+            if abs(total - mid) > tol * max(1, abs(mid)):
+                failures.append(("sum", float(mid), float(total - mid)))
             slopes = [sl for _, sl in vals]
             if sorted(slopes) != [0, 0, 1]:
-                slope_ok = False
                 failures.append(("slopes", float(mid), slopes))
-        # condition 3 + continuity at interior nodes
-        for qx in nodes[1:-1]:
-            eps = max(mpmath.mpf(1e-12), (w.q_hi - w.q_lo) * mpmath.mpf(1e-9))
-            lv = sorted((f.value(qx - eps), f.slope(qx - eps)) for f in funcs)
-            rv = sorted((f.value(qx + eps), f.slope(qx + eps)) for f in funcs)
-            lvals = sorted(f.value(qx) for f in funcs)
-            r = next(j for j, (_, sl) in enumerate(lv) if sl == 1) if any(
-                sl == 1 for _, sl in lv) else None
-            s = next(j for j, (_, sl) in enumerate(rv) if sl == 1) if any(
-                sl == 1 for _, sl in rv) else None
-            if r is not None and s is not None and r < s:
-                band = lvals[r:s + 1]
-                if max(band) - min(band) > tol_m * max(1, abs(qx)):
-                    kink_ok = False
-                    failures.append(("kink", float(qx), r, s,
-                                     float(max(band) - min(band))))
-        # continuity / condition 3 across window boundary
-        vals_lo = sorted(f.value(w.q_lo) for f in funcs)
-        slope_lo = sorted((f.value(w.q_lo), f.slope(w.q_lo)) for f in funcs)
-        s_rank = next((j for j, (_, sl) in enumerate(slope_lo) if sl == 1), None)
-        if prev_vals is not None:
-            if any(abs(x - y) > tol_m * max(1, abs(w.q_lo))
-                   for x, y in zip(prev_vals, vals_lo)):
-                continuity_ok = False
-                failures.append(("continuity", float(w.q_lo)))
-            r, s = prev_slope_rank, s_rank
-            if r is not None and s is not None and r < s:
-                band = vals_lo[r:s + 1]
-                if max(band) - min(band) > tol_m * max(1, abs(w.q_lo)):
-                    kink_ok = False
-                    failures.append(("kink-boundary", float(w.q_lo), r, s))
-        prev_vals = sorted(f.value(w.q_hi) for f in funcs)
-        prev_slope_rank = next(
-            (j for j, (_, sl) in enumerate(
-                sorted((f.value(w.q_hi - mpmath.mpf(1e-9)), f.slope(w.q_hi - mpmath.mpf(1e-9)))
-                       for f in funcs)) if sl == 1), None)
-
-    shape_ok, shape_failures = True, []
-    if isinstance(P, SystemBreakpoints):
-        shape_ok, shape_failures = _shape_checks(P, tol_m)
-
-    return ValidityReport(
-        ordering_ok=ordering_ok, sum_ok=sum_ok, slope_ok=slope_ok,
-        kink_ok=kink_ok, continuity_ok=continuity_ok, shape_ok=shape_ok,
-        shape_failures=shape_failures, failures=failures, tol=tol,
-    )
+            rank = next((j for j, sl in enumerate(slopes) if sl == 1), None)
+            if prev_w is not None:
+                here = sorted(f.value(a) for f in w.funcs)
+                bound = tol * max(1, abs(a))
+                if prev_w is not w:
+                    there = sorted(f.value(prev_w.q_hi) for f in prev_w.funcs)
+                    if max(abs(x - y) for x, y in zip(there, here)) > bound:
+                        failures.append(("continuity", float(a)))
+                r, s = prev_rank, rank
+                if r is not None and s is not None and r < s:
+                    width = max(here[r:s + 1]) - min(here[r:s + 1])
+                    if width > bound:
+                        failures.append(("kink", float(a), r, s, float(width)))
+            prev_w, prev_rank = w, rank
+    shape_failures = _shape_checks(P, tol) if isinstance(P, SystemBreakpoints) else []
+    return ValidityReport(failures=failures, shape_failures=shape_failures)
 
 
 def _shape_checks(P: SystemBreakpoints, tol):
@@ -503,7 +463,7 @@ def _shape_checks(P: SystemBreakpoints, tol):
             fails.append(("gap_negative", i + 1, float(g)))
     if len(gaps) >= 2 and gaps[-1] < gaps[0] - tol:
         fails.append(("gap_shrinking", float(gaps[0]), float(gaps[-1])))
-    return (not fails), fails
+    return fails
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +591,11 @@ def _greedy_triple(pts, keys):
     return None
 
 
+# plane completions: the (2 COMPLETION_WINDOW + 1)^2 grid points of a layer
+# nearest to its least-squares center
+COMPLETION_WINDOW = 4
+
+
 class CandidateBuilder:
     """Candidate lattice points for the minima at a given q: the y_i, the
     primitive integer points in the z_j directions, the unit vectors, wedges
@@ -696,7 +661,7 @@ class CandidateBuilder:
             triple = new
         return triple
 
-    def _completions(self, v1: SymVec, v2: SymVec, B, window: int = 4):
+    def _completions(self, v1: SymVec, v2: SymVec, B):
         """Integer points x with x . n = 1 (n the primitive normal of the
         v1-v2 plane, so x sits one layer off it), locally minimized around the
         least-squares center of the quadratic form B."""
@@ -719,8 +684,8 @@ class CandidateBuilder:
         except (OverflowError, ValueError):
             return []
         out = []
-        for da in range(-window, window + 1):
-            for db in range(-window, window + 1):
+        for da in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1):
+            for db in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1):
                 p = x0 + (ai + da) * v1 + (bi + db) * v2
                 if not p.is_zero():
                     out.append(p)
@@ -812,23 +777,26 @@ def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
             ("dual", cand.Lstar[2], lambda c: math.ceil(c * float(mpmath.exp(qm)) * 1.01) + 1,
              DUAL_R_MAX, kernels.collect_dual),
         )
-        radii, minima, chosen = [], [], []
-        for side, (name, bound, radius, limit, collect) in enumerate(sides):
+        # (cutoff, radius) of both sides, checked before either side enumerates
+        bounds = []
+        for name, bound, radius, limit, _ in sides:
             cutoff = float(mpmath.exp(bound)) * (1 + 1e-9)
             R = radius(cutoff)
             if R > limit:
                 raise TooLarge(f"{name} search radius {R} exceeds {limit}")
+            bounds.append((cutoff, R))
+        minima, chosen = [], []
+        for side, ((name, *_, collect), (cutoff, R)) in enumerate(zip(sides, bounds)):
             pts, lams = collect(xi_f, xi2_f, float(qm), R, cutoff)
             spts = [SymVec(int(a), int(b), int(c)) for a, b, c in pts]
             triple = _greedy_triple(spts, list(lams))
             if triple is None:
                 raise TooLarge(f"{name} enumeration returned fewer than 3 independent points")
-            radii.append(R)
             chosen.append([spts[i] for i in triple])
             minima.append(tuple(_traj(p, u, qm)[side] for p in chosen[-1]))
         return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="bruteforce",
                             points=chosen[PRIMAL], dual_points=chosen[DUAL],
-                            notes={"R": radii[PRIMAL], "R0": radii[DUAL]})
+                            notes={"R": bounds[PRIMAL][1], "R0": bounds[DUAL][1]})
 
 
 # ---------------------------------------------------------------------------
@@ -866,11 +834,11 @@ class ComparisonReport:
     item3_C: float         # smallest C with P2 - C <= L2 <= L3 <= P3 + C on I'
     rows: list             # (q, L1..3, P1..3, gray)
 
-    def non_growing(self, early: str, late: str, factor: float = 2.0) -> dict:
+    def non_growing(self, early: str, late: str) -> dict:
         out = {}
-        out["item1"] = self.item1[late] <= factor * self.item1[early] + 1e-9
+        out["item1"] = self.item1[late] <= 2 * self.item1[early] + 1e-9
         out["item2"] = all(
-            l <= factor * e + 1e-9
+            l <= 2 * e + 1e-9
             for e, l in zip(self.item2[early], self.item2[late]))
         return out
 
@@ -930,10 +898,10 @@ def csv_rows(P: SystemBreakpoints, samples):
     return rows
 
 
-def svg_plot(P: SystemBreakpoints, samples=(), width=900, height=540, n_grid=400,
-             config_note=""):
+def svg_plot(P: SystemBreakpoints, samples=(), config_note=""):
     """Self-contained SVG of the combined graph: P1..P3 solid polylines,
     samples as dots, gray intervals shaded."""
+    width, height, n_grid = 900, 540, 400
     lo, hi = (float(x) for x in P.span)
     # keep the grid strictly inside the span: the float endpoints can round
     # just past the exact mpf boundaries

@@ -121,8 +121,11 @@ class PropernessReport:
         return self.delta_ok and self.content_ok and self.trace_ok
 
 
-def properness_check(bundle: Bundle, i_max: int = 20,
-                     prec: int = DEFAULT_PRECISION) -> PropernessReport:
+# the contents of y_{-2}, ..., y_{CONTENT_I_MAX} are checked to divide det N
+CONTENT_I_MAX = 20
+
+
+def properness_check(bundle: Bundle, prec: int = DEFAULT_PRECISION) -> PropernessReport:
     seed = bundle.seed
     qs = quantities(bundle.prog, prec=prec)
     with mpmath.workprec(prec):
@@ -137,7 +140,7 @@ def properness_check(bundle: Bundle, i_max: int = 20,
     else:
         delta_ok = bool(choice.value < threshold)
         evidence = f"empirical delta_hat = {choice.value} vs threshold {threshold} (uncertified)"
-    contents = [bundle.ys.content(i) for i in range(-2, i_max + 1)]
+    contents = [bundle.ys.content(i) for i in range(-2, CONTENT_I_MAX + 1)]
     dN = abs(seed.det_N)
     content_ok = all(dN % c == 0 for c in contents)
     return PropernessReport(

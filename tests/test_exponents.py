@@ -88,10 +88,16 @@ def test_jarnik_residual(golden):
             assert abs(2 * a + 2 * b - 3 * a * b - 1) < mpmath.mpf("1e-60")
 
 
-def test_psi2_low_crossover(golden):
-    with mpmath.workprec(128):
-        c = ex.psi2_low_crossover(golden.sigma, golden.tau, golden.sigma_prime)
-        assert 0 <= c <= golden.sigma / (1 + golden.sigma)
+def test_psi2_low_switches_at_crossover(golden):
+    # on the Fibonacci program the lower bound of psi2_low falls below theta
+    # at delta ~ 0.26236: below it the exponent is theta, above it an interval
+    with mpmath.workprec(256):
+        below = ex.closed_form(golden.sigma, mpmath.mpf("0.25"), golden.tau,
+                               golden.sigma_prime, 256).psi2_low
+        above = ex.closed_form(golden.sigma, mpmath.mpf("0.27"), golden.tau,
+                               golden.sigma_prime, 256).psi2_low
+        assert isinstance(below, ex.Exact)
+        assert isinstance(above, ex.Interval) and above.lo < above.hi
 
 
 def test_empirical_requires_kinds():

@@ -1,7 +1,8 @@
 """Every module-level import in the package source is used by its module
 (`__init__.py` is left out: its imports are the package's re-exports), every
 dataclass field in the package source is read somewhere, and every public
-function and method is reached from the package or the benchmark."""
+function and method is reached from the package or the benchmark, and every
+keyword default is overridden by some caller there."""
 import ast
 import pathlib
 
@@ -20,6 +21,17 @@ TEST_ONLY_FUNCTIONS = {
     ("DualityReport", "non_growing"): "acceptance criterion 8 reads it",
     ("ComparisonReport", "non_growing"): "acceptance criterion 7 reads it",
     ("SturmianProgram", "all_ones"): "the test fixtures build the Fibonacci program with it",
+}
+
+
+# (class or None, function, parameter) -> why the default stays although no
+# caller in the package or the benchmark sets the parameter
+TEST_ONLY_DEFAULTS = {
+    (None, "compare", "window_of"): "acceptance criterion 7 splits the samples at k = 8 with it",
+    ("SystemBreakpoints", "in_gray", "margin"): "acceptance criterion 12 widens the gray "
+                                                "intervals with it",
+    (None, "xi_value", "max_index"): "test_no_convergence_cap caps the y index with it to reach "
+                                      "NoConvergence",
 }
 
 
@@ -108,3 +120,57 @@ def test_every_public_function_is_reached():
     assert test_only - set(TEST_ONLY_FUNCTIONS) == set()
     # an exception whose function has gained a reader is stale
     assert set(TEST_ONLY_FUNCTIONS) - test_only == set()
+
+
+def _keyword_defaults() -> list:
+    """(class or None, function, parameter, position or None) of every
+    parameter with a default in the package source; the position counts the
+    arguments a caller passes, so it leaves out a method's self."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(None, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(node.name, f, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                                for d in f.decorator_list) else 1)
+                        for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            for cls, f, skip in defs:
+                params = f.args.posonlyargs + f.args.args
+                for pos in range(len(params) - len(f.args.defaults), len(params)):
+                    out.append((cls, f.name, params[pos].arg, pos - skip))
+                out += [(cls, f.name, a.arg, None)
+                        for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+    return out
+
+
+def _arguments_set(dirs=("src/sturmlab", "sturmbench")) -> dict:
+    """Called name -> the positions and keywords its calls in `dirs` pass
+    ("*" for a call that unpacks *args or **kwargs)."""
+    out = {}
+    for path in sorted(p for d in dirs for p in (ROOT / d).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            got = out.setdefault(name, set())
+            got.update(range(len(node.args)))
+            got.update(k.arg if k.arg is not None else "*" for k in node.keywords)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                got.add("*")
+    return out
+
+
+def test_every_keyword_default_is_set_by_a_caller():
+    # functions are matched by name; a call to a class is a call to its __init__
+    passed = _arguments_set()
+    never_set = set()
+    for cls, fn, param, pos in _keyword_defaults():
+        got = passed.get(cls if fn == "__init__" else fn, set())
+        if not ({"*", param, pos} & got):
+            never_set.add((cls, fn, param))
+    assert never_set - set(TEST_ONLY_DEFAULTS) == set()
+    # an exception whose default has gained a caller is stale
+    assert set(TEST_ONLY_DEFAULTS) - never_set == set()

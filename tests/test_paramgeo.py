@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sturmlab import paramgeo
 from sturmlab.approx import make_bundle
 from sturmlab.exactlin import SymVec
-from sturmlab.matseq import bl_family
+from sturmlab.matseq import bl_family, roy_family
+from sturmlab.sturm import SturmianProgram
 from sturmlab.paramgeo import (
     CandidateBuilder, LinExpr, TooLarge, breakpoint_samples, compare, csv_rows,
     duality_check, minima_bruteforce, minima_candidates, predicted_system,
@@ -176,31 +177,70 @@ def test_forced_half_delta_is_invalid(bl12):
     assert kinds & {"boundary_mid_below", "gap_negative", "I_empty"}
 
 
+class Line:
+    """a + b q on the whole line, with no kink."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def value(self, q):
+        return self.a + self.b * q
+
+    def slope(self, q):
+        return self.b
+
+    def kinks_in(self, q_lo, q_hi):
+        return []
+
+
+class Windows:
+    """A system given by its windows (q_lo, q_hi, [(a, b), ...])."""
+
+    def __init__(self, *windows):
+        self.windows = [paramgeo.Window(q_lo=lo, q_hi=hi, funcs=[Line(a, b) for a, b in fs])
+                        for lo, hi, fs in windows]
+
+    def pieces(self):
+        return self.windows
+
+
 def test_fake_system_rejected(P_bl):
-    class Fake:
-        def pieces(self, q_span=None):
-            ws = P_bl.pieces(q_span)
-            out = []
-            for w in ws:
-                class F:
-                    def __init__(self, q):  # constant third of q: slope 1/3
-                        self.q = q
-
-                    def value(self, q):
-                        return q / 3
-
-                    def slope(self, q):
-                        return 0.3333333333333333
-
-                    def kinks_in(self, a, b):
-                        return []
-                out.append(type(w)(q_lo=w.q_lo, q_hi=w.q_hi,
-                                   funcs=[F(0), F(1), F(2)], meta=w.meta))
-            return out
-    rep = validate_3system(Fake(), q_span=tuple(float(x) for x in P_bl.span),
-                           tol=1e-9)
+    # every component a third of q on P's windows: slope 1/3, no slope-1 component
+    rep = validate_3system(Windows(*[(w.q_lo, w.q_hi, [(0, 1 / 3)] * 3)
+                                     for w in P_bl.pieces()]), tol=1e-9)
     assert not rep.valid
-    assert not rep.slope_ok
+    assert "slopes" in {f[0] for f in rep.failures}
+
+
+def test_node_failures_roy_period_12():
+    # on the period-(1,2) program the roy(2,1,2) prediction breaks condition 3
+    # at two interior crossings: the slope-1 component moves up from P2 to P3
+    # where P2 < P3
+    b = make_bundle(roy_family(2, 1, 2), SturmianProgram([-1, 1], [1, 2]))
+    rep = validate_3system(predicted_system(b, (3, 8)), tol=1e-9)
+    assert rep.failures == [
+        ("kink", pytest.approx(53.14609990985334, rel=1e-12), 1, 2,
+         pytest.approx(1.016911878887754, rel=1e-9)),
+        ("kink", pytest.approx(198.42637159611593, rel=1e-12), 1, 2,
+         pytest.approx(3.8858719772006936, rel=1e-9)),
+    ]
+    assert not rep.def_conditions_ok
+
+
+def test_window_jump_is_a_continuity_failure():
+    # sorted values (0, 0, 2) on the left of q = 2 and (0, 1, 1) on the right
+    rep = validate_3system(Windows((1.0, 2.0, [(0, 0), (0, 0), (0, 1)]),
+                                   (2.0, 3.0, [(1, 0), (1, 0), (-2, 1)])), tol=1e-9)
+    assert rep.failures == [("continuity", 2.0)]
+
+
+def test_rank_rise_across_windows_is_a_kink_failure():
+    # continuous at q = 6 with values (1, 2, 3), but the rising component jumps
+    # from P1 on the left to P3 on the right, and P1(6) < P3(6)
+    rep = validate_3system(Windows((5.0, 6.0, [(-5, 1), (2, 0), (3, 0)]),
+                                   (6.0, 7.0, [(1, 0), (2, 0), (-3, 1)])), tol=1e-9)
+    assert rep.failures == [("kink", 6.0, 0, 2, 2.0)]
+    assert not rep.valid
 
 
 # --- minima ------------------------------------------------------------------
@@ -301,6 +341,19 @@ def test_bruteforce_dual_guard(cb_bl, monkeypatch):
     monkeypatch.setattr(kernels, "collect_dual", two_points)
     with pytest.raises(TooLarge, match="fewer than 3 independent points"):
         minima_bruteforce(cb_bl, mpmath.mpf(2))
+
+
+def test_bruteforce_checks_both_radii_first(cb_bl, monkeypatch):
+    # at q = 20 the primal radius is within R_MAX but the dual one is not:
+    # the dual TooLarge comes before any enumeration
+    from sturmlab import kernels
+
+    def no_enumeration(*args):
+        raise AssertionError("collect_primal ran before the dual radius was checked")
+
+    monkeypatch.setattr(kernels, "collect_primal", no_enumeration)
+    with pytest.raises(TooLarge, match="dual search radius .* exceeds 5000000"):
+        minima_bruteforce(cb_bl, 20.0)
 
 
 @pytest.mark.parametrize("builder, qs", [("cb_bl", (1.5, 6.0, 11.0, 25.0)),
