@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .exactlin import IntMat2, SymVec, det3
+from .exactlin import IntMat2, SymVec
 from .matseq import MatrixSequence
 
 
@@ -28,6 +28,8 @@ class YSeq:
         self.prog = seq.prog
         self.seed = seq.seed
         self._memo = {}
+        self._det, self._wedge = {}, {}
+        self._det_primes = abs(self.seed.w0.det() * self.seed.w1.det() * self.seed.det_N)
 
     def mat(self, i: int) -> IntMat2:
         if i in self._memo:
@@ -50,10 +52,22 @@ class YSeq:
         return self.mat(i).sym_vec()
 
     def det(self, i: int) -> int:
-        return self.mat(i).det()
+        if i not in self._det:
+            self._det[i] = self.mat(i).det()
+        return self._det[i]
+
+    def wedge(self, i: int, j: int) -> SymVec:
+        """y_i ^ y_j, formed once per unordered pair."""
+        if (j, i) in self._wedge:
+            return -self._wedge[j, i]
+        if (i, j) not in self._wedge:
+            self._wedge[i, j] = self.at(i).wedge(self.at(j))
+        return self._wedge[i, j]
 
     def content(self, i: int) -> int:
-        return self.at(i).content()
+        # a content c > 1 has c^2 | det y_i = det(w_k)^{l+1} det(w_{k-1}) det N, so it
+        # shares a prime with det w0 det w1 det N
+        return 1 if gcd(self._det_primes, *self.at(i).as_tuple()) == 1 else self.at(i).content()
 
 
 class ZSeq:
@@ -76,8 +90,7 @@ class ZSeq:
 
     def num(self, j: int) -> SymVec:
         if j not in self._memo:
-            lead = self.ys.at(self.prog.psi(self.prog.t(self._block(j) + 1)))
-            self._memo[j] = lead.wedge(self.ys.at(j))
+            self._memo[j] = self.ys.wedge(self.prog.psi(self.prog.t(self._block(j) + 1)), j)
         return self._memo[j]
 
     def den(self, j: int) -> int:
@@ -86,9 +99,10 @@ class ZSeq:
     def integerized(self, j: int) -> SymVec:
         """det(w_2) * z_j, which is an integer vector for admissible seeds."""
         v, d = self.num(j) * self.seq.det(2), self.den(j)
-        if v.x0 % d or v.x1 % d or v.x2 % d:
+        (q0, r0), (q1, r1), (q2, r2) = (divmod(x, d) for x in v.as_tuple())
+        if r0 or r1 or r2:
             raise BadIndex(f"det(w_2) z_{j} is not integral")
-        return SymVec(v.x0 // d, v.x1 // d, v.x2 // d)
+        return SymVec(q0, q1, q2)
 
 
 @dataclass
@@ -141,7 +155,12 @@ class IdentityReport:
 
 def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
     """Exact verification of the commutation, recurrence, wedge, determinant
-    and coprimality identities for all indices up to i_max."""
+    and coprimality identities for all indices up to i_max.
+
+    Each big object is formed once: the w products come from the power ladder
+    of `MatrixSequence`, det y_i from `YSeq.det`, and the y wedges of the z
+    numerators, z recurrences, det3 triples and y wedge powers from
+    `YSeq.wedge`.  Each coprimality gcd is first taken against det w0 det w1."""
     prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
     seed = bundle.seed
     checks = {}
@@ -154,16 +173,20 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
 
     k_hi = prog.block_of(i_max)[0] if i_max >= 0 else 0
 
-    # commutation: w_{k-1} w_k N_{k+1} = w_k w_{k-1} N_k for k >= 1
+    # commutation: w_{k-1} w_k N_{k+1} = w_k w_{k-1} N_k for k >= 1, where
+    # w_k w_{k-1} is ladder(k, 1) and, for k >= 2, w_{k-1} w_k is ladder(k-1, s_k+1)
     for k in range(1, k_hi + 2):
-        record("commutation", (k,),
-               seq.w(k - 1) @ seq.w(k) @ seed.N_parity(k + 1),
-               seq.w(k) @ seq.w(k - 1) @ seed.N_parity(k))
+        left = seq.w(0) @ seq.w(1) if k == 1 else seq.ladder(k - 1, prog.s(k) + 1)
+        record("commutation", (k,), left @ seed.N_parity(k + 1),
+               seq.ladder(k, 1) @ seed.N_parity(k))
 
-    # palindromic square step: det(y_psi(j)) y_{j+1} = y_j adj(y_psi(j)) y_j
+    # palindromic square step: det(y_psi(j)) y_{j+1} = y_j adj(y_psi(j)) y_j, whose
+    # right side is tr(Y adj P) Y - det(Y) P for any 2x2 Y, P: X + adj(X) = tr(X) I
+    # with X = adj(P) Y gives adj(P) Y = tr(X) I - adj(Y) P, and Y adj(Y) = det(Y) I
     for j in range(0, i_max):
-        yp = ys.mat(prog.psi(j))
-        record("square_step", (j,), yp.det() * ys.mat(j + 1), ys.mat(j) @ yp.adj() @ ys.mat(j))
+        y, yp = ys.mat(j), ys.mat(prog.psi(j))
+        tr = y.a * yp.d - y.b * yp.c - y.c * yp.b + y.d * yp.a
+        record("square_step", (j,), ys.det(prog.psi(j)) * ys.mat(j + 1), tr * y - ys.det(j) * yp)
 
     # trace recurrence on the power ladder
     for k in range(1, k_hi + 1):
@@ -197,7 +220,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
     # z_{i+1} = t_k z_i - y_{psi(t_{k+1})} ^ y_{psi(i)} inside block k (all z
     # over det w_k), z_{t_{k+1}} = t_{k-1} z_{t_k - 1} - y_{psi(t_k)} ^ y_{psi(t_k - 1)}
     for k in range(1, k_hi + 1):
-        lead = ys.at(prog.psi(prog.t(k + 1)))
+        lead = prog.psi(prog.t(k + 1))
         tk, dk = seq.tr(k), seq.det(k)
         for l in range(prog.s(k + 1) - 1):
             i = prog.t(k) + l
@@ -205,7 +228,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
                 break
             record("z_recurrence_block", (k, l),
                    zs.num(i + 1),
-                   tk * zs.num(i) - dk * lead.wedge(ys.at(prog.psi(i))))
+                   tk * zs.num(i) - dk * ys.wedge(lead, prog.psi(i)))
     for k in range(2, k_hi + 1):
         i, j = prog.t(k + 1), prog.t(k) - 1
         if i <= i_max:
@@ -213,7 +236,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
             record("z_recurrence_boundary", (k,),
                    dj * zs.num(i),
                    di * (seq.tr(k - 1) * zs.num(j)
-                         - dj * ys.at(prog.psi(prog.t(k))).wedge(ys.at(prog.psi(j)))))
+                         - dj * ys.wedge(prog.psi(prog.t(k)), prog.psi(j))))
 
     # (c) determinant of consecutive triples at block starts: k >= 0
     for k in range(0, k_hi + 1):
@@ -221,7 +244,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
         if i + 1 > i_max:
             break
         record("det3_triple", (k,),
-               det3(ys.at(i - 1), ys.at(i), ys.at(i + 1)),
+               ys.at(i - 1).dot(ys.wedge(i, i + 1)),
                -seq.det(k) * ys.det(i) * seed.N_parity(k + 1).tr_J())
 
     # (d) dual wedge identity z_{t_{k+1}} ^ z_i = det N Tr(J N_{k+1}) y_i,
@@ -237,19 +260,22 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
 
     # (e) consecutive y wedge powers: k >= 1, 0 <= l < s_{k+1}
     for k in range(1, k_hi + 1):
-        base = ys.at(prog.psi(prog.t(k))).wedge(ys.at(prog.t(k)))
+        base = ys.wedge(prog.psi(prog.t(k)), prog.t(k))
         for l in range(prog.s(k + 1)):
             i = prog.t(k) + l
             if i + 1 > i_max:
                 break
             record("y_wedge_power", (k, l),
-                   ys.at(i).wedge(ys.at(i + 1)),
+                   ys.wedge(i, i + 1),
                    seq.det(k) ** (l + 1) * base)
 
     # coprimality package (only when its hypotheses hold)
     def ladder_gcd(k, l):
-        # det(w_k^l w_{k-1}) = det(w_k)^l det(w_{k-1})
-        return gcd(seq.ladder(k, l).trace(), abs(seq.det(k) ** l * seq.det(k - 1)))
+        # det(w_k^l w_{k-1}) = det(w_k)^l det(w_{k-1}), whose primes all divide det w0 det w1
+        tr = seq.ladder(k, l).trace()
+        if gcd(tr, seq.det(0) * seq.det(1)) == 1:
+            return 1
+        return gcd(tr, abs(seq.det(k) ** l * seq.det(k - 1)))
 
     hyp = gcd(seq.tr(1), abs(seq.det(1))) == 1 and all(
         ladder_gcd(1, l) == 1 for l in range(prog.s(2) + 2))

@@ -15,8 +15,9 @@ from decimal import Decimal
 
 import mpmath
 
-from .sturm import SturmianProgram, quantities, spectrum_endpoints
-from .matseq import roy_family, bl_family, check_mult_growth, resolve_delta
+from .sturm import BadSequence, SturmianProgram, quantities, spectrum_endpoints
+from .matseq import BadRoyTriple, DegenerateSeed, EqualLetters, roy_family, bl_family, \
+    check_mult_growth, resolve_delta
 from .approx import make_bundle, verify_identities, contents_report, gray_fan, \
     FibonacciOnly
 from .xi import xi_value, bl_xi_oracle, properness_check
@@ -73,22 +74,31 @@ def load_config(args) -> dict:
 
 def build_seed(cfg):
     fam = cfg.get("family")
-    if fam == "roy":
-        if "abc" not in cfg:
-            raise UsageError("--family roy requires --abc a,b,c")
-        a, b, c = _parse_ints(str(cfg["abc"]), 3, "--abc")
-        return roy_family(a, b, c)
-    if fam == "bl":
-        if "ab" not in cfg:
-            raise UsageError("--family bl requires --ab a,b")
-        a, b = _parse_ints(str(cfg["ab"]), 2, "--ab")
-        return bl_family(a, b, int(cfg.get("s1", 1)))
+    try:
+        if fam == "roy":
+            if "abc" not in cfg:
+                raise UsageError("--family roy requires --abc a,b,c")
+            a, b, c = _parse_ints(str(cfg["abc"]), 3, "--abc")
+            return roy_family(a, b, c)
+        if fam == "bl":
+            if "ab" not in cfg:
+                raise UsageError("--family bl requires --ab a,b")
+            a, b = _parse_ints(str(cfg["ab"]), 2, "--ab")
+            return bl_family(a, b, int(cfg.get("s1", 1)))
+    except (BadRoyTriple, EqualLetters, DegenerateSeed) as e:
+        raise UsageError(f"bad seed: {e}")
     raise UsageError(f"unknown or missing --family (got {fam!r}); use roy or bl")
 
 
+def build_program(cfg):
+    try:
+        return SturmianProgram.parse(str(cfg["program"]))
+    except BadSequence as e:
+        raise UsageError(f"bad program: {e}")
+
+
 def build_bundle(cfg):
-    prog = SturmianProgram.parse(str(cfg["program"]))
-    return make_bundle(build_seed(cfg), prog)
+    return make_bundle(build_seed(cfg), build_program(cfg))
 
 
 def config_note(cfg, extra=None):
@@ -129,6 +139,8 @@ def _json_dump(obj, cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.up_to < 1:
+        raise UsageError(f"--up-to must be >= 1, got {args.up_to}")
     cfg = load_config(args)
     bundle = build_bundle(cfg)
     if bundle.seed.tr_JN == 0:
@@ -299,8 +311,7 @@ def cmd_spectrum(args) -> int:
                  "intervals": [[lab, str(a), None if b is None else str(b)]
                                for lab, a, b in sp.intervals]}, cfg))
         return 0
-    prog = SturmianProgram.parse(str(cfg["program"]))
-    qs = quantities(prog, prec=prec)
+    qs = quantities(build_program(cfg), prec=prec)
     rep = exponents.omega2_sweep(qs.sigma, prec=prec)
     print(f"sweep: {len(rep.rows)} triples; delta cover gap "
           f"{mpmath.nstr(rep.delta_cover_gap, 6)} on [0, "

@@ -97,10 +97,6 @@ class IntMat2:
     def trace(self) -> int:
         return self.a + self.d
 
-    def adj(self) -> "IntMat2":
-        """Adjugate: self @ self.adj() == det * I."""
-        return IntMat2(self.d, -self.b, -self.c, self.a)
-
     def content(self) -> int:
         g = gcd(self.a, self.b, self.c, self.d)
         if g == 0:

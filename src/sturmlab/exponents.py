@@ -156,7 +156,6 @@ def closed_form(sigma, delta, tau, sigma_prime,
         # the lower bound `first` decides: where it reaches theta the exponent
         # is theta itself
         es.psi2_low = Exact(theta) if first >= theta else Interval(first, theta)
-        es.notes["h_sigma"] = h
         # standard exponents
         es.omega2 = Exact((2 - delta) / sigma + 1 - delta)
         es.omega2_hat = Exact(1 + X)

@@ -567,7 +567,6 @@ class MinimaSample:
     gray: Optional[bool] = None
     kind: Optional[str] = None
     k: Optional[int] = None
-    notes: dict = field(default_factory=dict)
 
 
 def _greedy_triple(pts, keys):
@@ -795,8 +794,7 @@ def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
             chosen.append([spts[i] for i in triple])
             minima.append(tuple(_traj(p, u, qm)[side] for p in chosen[-1]))
         return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="bruteforce",
-                            points=chosen[PRIMAL], dual_points=chosen[DUAL],
-                            notes={"R": bounds[PRIMAL][1], "R0": bounds[DUAL][1]})
+                            points=chosen[PRIMAL], dual_points=chosen[DUAL])
 
 
 # ---------------------------------------------------------------------------

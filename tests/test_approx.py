@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from sturmlab.approx import (
     verify_identities,
 )
 from sturmlab.exactlin import IntMat2, SymVec, det3
-from sturmlab.matseq import bl_family, roy_family
+from sturmlab.matseq import MatrixSeed, bl_family, roy_family, solve_admissibility
 from sturmlab.sturm import SturmianProgram
 
 EXPECTED_CHECKS = {
@@ -174,3 +175,166 @@ def test_failure_reporting():
     rep = verify_identities(bundle, bundle.prog.t(6))
     assert rep.ok
     assert rep.i_max == bundle.prog.t(6)
+
+
+# (period, i) -> the (name, index) of every failure, in order, when y_i is
+# replaced by IntMat2(a, b + 1, c + 1, d) before verifying to t_9; recorded on
+# the verifier that formed every product, wedge and gcd directly, and the same
+# for roy(2,1,2) and bl(1,2)
+PERTURBED_Y_FAILURES = {
+    (1, 3): [("square_step", [(2,), (3,), (5,)]),
+             ("y_recurrence_block", [(3, 0), (4, 0), (6, 0)]),
+             ("y_recurrence_boundary", [(4,), (5,), (7,)]),
+             ("z_recurrence_boundary", [(3,), (4,), (5,), (6,), (7,)]),
+             ("det3_triple", [(3,), (4,), (5,)]),
+             ("z_wedge", [(3, 0), (4, 0), (5, 0)]),
+             ("y_wedge_power", [(3, 0), (4, 0), (6, 0)])],
+    (1, 6): [("square_step", [(5,), (6,)]),
+             ("y_recurrence_block", [(6, 0), (7, 0)]),
+             ("y_recurrence_boundary", [(7,), (8,)]),
+             ("z_recurrence_boundary", [(6,), (7,), (8,)]),
+             ("det3_triple", [(6,), (7,), (8,)]),
+             ("z_wedge", [(6, 0), (7, 0), (8, 0)]),
+             ("y_wedge_power", [(6, 0), (7, 0)])],
+    (2, 3): [("square_step", [(2,), (3,), (6,)]),
+             ("y_recurrence_block", [(2, 0), (2, 1), (4, 0)]),
+             ("y_recurrence_boundary", [(3,)]),
+             ("z_recurrence_block", [(2, 0), (4, 0)]),
+             ("z_recurrence_boundary", [(2,), (3,), (4,)]),
+             ("det3_triple", [(2,), (3,)]),
+             ("z_wedge", [(2, 0), (2, 1), (3, 0), (3, 1)]),
+             ("y_wedge_power", [(2, 0), (2, 1), (4, 0), (4, 1)])],
+    (2, 6): [("square_step", [(5,), (6,), (7,)]),
+             ("y_recurrence_block", [(3, 1), (4, 0), (4, 1)]),
+             ("y_recurrence_boundary", [(4,), (5,)]),
+             ("z_recurrence_block", [(4, 0)]),
+             ("z_recurrence_boundary", [(3,), (5,)]),
+             ("det3_triple", [(4,)]),
+             ("z_wedge", [(3, 0), (3, 1), (4, 0)]),
+             ("y_wedge_power", [(3, 1), (4, 0), (4, 1)])],
+}
+
+
+def _direct_sides(bundle, name, idx):
+    """(lhs, rhs) of a square_step, commutation or det3_triple instance, each
+    product formed in full."""
+    prog, seq, ys, seed = bundle.prog, bundle.seq, bundle.ys, bundle.seed
+    if name == "square_step":
+        j, = idx
+        p = ys.mat(prog.psi(j))
+        adj_p = IntMat2(p.d, -p.b, -p.c, p.a)
+        return p.det() * ys.mat(j + 1), ys.mat(j) @ adj_p @ ys.mat(j)
+    if name == "commutation":
+        k, = idx
+        return (seq.w(k - 1) @ seq.w(k) @ seed.N_parity(k + 1),
+                seq.w(k) @ seq.w(k - 1) @ seed.N_parity(k))
+    k, = idx
+    i = prog.t(k)
+    return (det3(ys.at(i - 1), ys.at(i), ys.at(i + 1)),
+            -seq.det(k) * ys.mat(i).det() * seed.N_parity(k + 1).tr_J())
+
+
+@pytest.mark.parametrize("period, i", sorted(PERTURBED_Y_FAILURES))
+@pytest.mark.parametrize("seed", [roy_family(2, 1, 2), bl_family(1, 2)], ids=["roy212", "bl12"])
+def test_perturbed_y_failures_unchanged(seed, period, i):
+    prog = SturmianProgram([-1, 1], [period])
+    bundle = make_bundle(seed, prog)
+    m = bundle.ys.mat(i)
+    bundle.ys._memo[i] = IntMat2(m.a, m.b + 1, m.c + 1, m.d)
+    rep = verify_identities(bundle, prog.t(9))
+    assert [f[:2] for f in rep.failures] == [
+        (name, idx) for name, idxs in PERTURBED_Y_FAILURES[period, i] for idx in idxs]
+    # commutation reads no y, so it holds; the other two are checked against
+    # their direct formulas
+    assert not any(f[0] == "commutation" for f in rep.failures)
+    for name, idx, lhs, rhs in rep.failures:
+        if name in ("square_step", "commutation", "det3_triple"):
+            assert (lhs, rhs) == _direct_sides(bundle, name, idx), (name, idx)
+
+
+def test_direct_sides_match_unperturbed(roy212_p2):
+    # on correct data the direct formulas give equal sides for every index
+    prog = roy212_p2.prog
+    for j in range(0, prog.t(6)):
+        lhs, rhs = _direct_sides(roy212_p2, "square_step", (j,))
+        assert lhs == rhs
+    for k in range(1, 6):
+        for name in ("commutation", "det3_triple"):
+            lhs, rhs = _direct_sides(roy212_p2, name, (k,))
+            assert lhs == rhs
+
+
+ROY_SEEDS = [(2, 1, 2), (3, 1, 3), (2, 7, 8), (5, 2, 4)]
+
+
+def _custom_bundle(w0, w1):
+    """A seed outside both families, with N solved from the symmetry conditions."""
+    seed = MatrixSeed(w0, w1, solve_admissibility(w0, w1), family="custom", params=())
+    return make_bundle(seed, SturmianProgram.all_ones())
+
+
+@pytest.mark.parametrize("period", [1, 2])
+@pytest.mark.parametrize("abc", ROY_SEEDS)
+def test_content_equals_full_gcd(abc, period):
+    ys = make_bundle(roy_family(*abc), SturmianProgram([-1, 1], [period])).ys
+    for i in range(-2, 21):
+        assert ys.content(i) == math.gcd(*ys.at(i).as_tuple()), i
+
+
+def test_content_full_gcd_when_the_quick_test_fails():
+    bundle = make_bundle(roy_family(2, 1, 2), SturmianProgram.all_ones())
+    seed = bundle.seed
+    assert abs(seed.w0.det() * seed.w1.det() * seed.det_N) == 8
+    bundle.ys._memo[5] = 6 * bundle.ys.mat(5)
+    assert bundle.ys.content(5) == 6
+    # det w0 det w1 det N = 2 here and y_i has content 2, 4, 8, 16, ...
+    custom = _custom_bundle(IntMat2(0, 1, 1, 0), IntMat2(0, 2, 1, 3))
+    contents = [custom.ys.content(i) for i in range(-2, 12)]
+    assert contents == [math.gcd(*custom.ys.at(i).as_tuple()) for i in range(-2, 12)]
+    assert contents[:6] == [1, 2, 2, 4, 8, 16]
+
+
+def _ladder_coprime_direct(bundle, i_max):
+    """(hypothesis, instance count, failing (k, l) with their gcd), from the
+    determinant of each ladder matrix itself."""
+    seq, prog = bundle.seq, bundle.prog
+    k_hi = prog.block_of(i_max)[0]
+
+    def g(k, l):
+        m = seq.ladder(k, l)
+        return math.gcd(m.trace(), m.det())
+
+    hyp = math.gcd(seq.tr(1), seq.det(1)) == 1 and all(
+        g(1, l) == 1 for l in range(prog.s(2) + 2))
+    pairs = [(k, l) for k in range(1, k_hi + 1) for l in range(prog.s(k + 1) + 2)]
+    if not hyp:
+        return False, 0, []
+    return True, len(pairs), [((k, l), g(k, l)) for k, l in pairs if g(k, l) != 1]
+
+
+@pytest.mark.parametrize("period, count", [(1, 27), (2, 36)])
+@pytest.mark.parametrize("abc", ROY_SEEDS)
+def test_ladder_coprime_unchanged(abc, period, count):
+    bundle = make_bundle(roy_family(*abc), SturmianProgram([-1, 1], [period]))
+    i_max = bundle.prog.t(9)
+    rep = verify_identities(bundle, i_max)
+    assert rep.checks["coprimality_hypothesis"] == 1
+    assert rep.checks["ladder_coprime"] == count
+    assert _ladder_coprime_direct(bundle, i_max) == (True, count, [])
+    assert not [f for f in rep.failures if f[0] == "ladder_coprime"]
+
+
+@pytest.mark.parametrize("w1, hyp", [
+    (IntMat2(0, 2, 1, 3), True),    # one ladder trace shares the prime 3 with det w1
+    # tr w1 is coprime to det w1, but the rungs w1 w0 and w1^2 w0 are not, so
+    # the hypothesis fails and there is no ladder_coprime instance
+    (IntMat2(0, 2, 2, 1), False),
+])
+def test_ladder_coprime_on_the_full_gcd_path(w1, hyp):
+    bundle = _custom_bundle(IntMat2(0, 1, 1, 0), w1)
+    i_max = bundle.prog.t(6)
+    rep = verify_identities(bundle, i_max)
+    got_hyp, count, bad = _ladder_coprime_direct(bundle, i_max)
+    assert got_hyp == hyp == ("ladder_coprime" in rep.checks)
+    assert rep.checks.get("ladder_coprime", 0) == count
+    assert [(f[1], f[2]) for f in rep.failures if f[0] == "ladder_coprime"] == bad

@@ -180,6 +180,29 @@ def test_usage_errors(capsys):
     assert code == 2 and "too narrow" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "bl", "--ab", "0,2"], "need a, b, s1' >= 1"),
+    (["--family", "bl", "--ab", "2,2"], "need a != b"),
+    (["--family", "roy", "--abc", "1,1,1"], "need a >= 2 and c >= b >= 1"),
+    (["--family", "roy", "--abc", "2,3,1"], "need a >= 2 and c >= b >= 1"),
+    (["--family", "roy", "--abc", "2,1,2", "--program", "period=[0]"], "cannot parse"),
+    (["--family", "roy", "--abc", "2,1,2", "--program", "garbage"], "cannot parse"),
+    (["--family", "roy", "--abc", "2,1,2", "--program", "prefix=[-1,1];period=[0]"],
+     "period terms must be >= 1"),
+])
+def test_bad_seed_or_program_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "verify", "--up-to", "4")
+    assert code == 2 and err.startswith("usage error: bad ") and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_verify_depth_below_one_is_a_usage_error(capsys, depth):
+    code, out, err = run(capsys, "--family", "roy", "--abc", "2,1,2", "verify", "--up-to", depth)
+    assert code == 2 and f"--up-to must be >= 1, got {depth}" in err
+    assert out == ""
+
+
 def test_seed_file_overridden_by_flags(capsys, tmp_path):
     seed = tmp_path / "seed.cfg"
     seed.write_text("family=roy\nabc=3,1,3\n# comment\n")

@@ -24,18 +24,29 @@ def test_J_basics():
     assert J.tr_J() == -2  # Tr(J@J) = -2
 
 
+def _adj(m: IntMat2) -> IntMat2:
+    """The adjugate, m @ adj(m) == det(m) I."""
+    return IntMat2(m.d, -m.b, -m.c, m.a)
+
+
 def test_identity_and_adj():
     m = IntMat2(3, 1, 4, 1)
     assert m @ IntMat2.identity() == m
-    assert m @ m.adj() == m.det() * IntMat2.identity()
+    assert m @ _adj(m) == m.det() * IntMat2.identity()
     assert (m ** 5) == m @ m @ m @ m @ m
     assert (m ** 0) == IntMat2.identity()
 
 
 @given(mats)
 def test_adj_identity(m):
-    assert m @ m.adj() == m.det() * IntMat2.identity()
-    assert m.adj() @ m == m.det() * IntMat2.identity()
+    assert m @ _adj(m) == m.det() * IntMat2.identity()
+    assert _adj(m) @ m == m.det() * IntMat2.identity()
+
+
+@given(mats, mats)
+def test_sandwich_by_cayley_hamilton(y, p):
+    # the form in which verify_identities checks the square step's right side
+    assert y @ _adj(p) @ y == (y @ _adj(p)).trace() * y - y.det() * p
 
 
 @given(mats, mats)
@@ -62,7 +73,7 @@ def test_symvec_matrix_alias(x):
 def test_symmetric_mJm(x):
     # for symmetric m: m (J m J) = -det(m) I, since J m J = -adj(m)
     m = _mat(x)
-    assert J @ m @ J == -m.adj()
+    assert J @ m @ J == -_adj(m)
 
 
 @given(vecs, vecs)
