@@ -154,7 +154,7 @@ def test_gray_non_fibonacci_program(capsys):
     code, out, err = run(capsys, "--family", "roy", "--abc", "2,1,2",
                          "--program", "prefix=[-1,1];period=[2]",
                          "gray", "--i", "4")
-    assert code == 1
+    assert code == 2
 
 
 def test_spectrum_endpoints(capsys):
@@ -212,3 +212,59 @@ def test_seed_file_overridden_by_flags(capsys, tmp_path):
     code, out, _ = run(capsys, "--seed-file", str(seed),
                        "--family", "bl", "--ab", "1,2", "xi", "--digits", "20")
     assert code == 0 and "0.7204846676" in out
+
+
+BL12 = ["--family", "bl", "--ab", "1,2"]
+ROY212 = ["--family", "roy", "--abc", "2,1,2"]
+
+
+@pytest.mark.parametrize("seed, argv, flag", [
+    (None, BL12 + ["three-system", "--k", "3:8", "--force-delta", "abc"], "--force-delta"),
+    (None, BL12 + ["three-system", "--k", "3:8", "--force-delta", "nan"], "--force-delta"),
+    (None, BL12 + ["three-system", "--k", "3:8", "--force-delta", "inf"], "--force-delta"),
+    (None, BL12 + ["--precision", "0", "exponents"], "--precision"),
+    (None, BL12 + ["--precision", "32", "exponents"], "--precision"),
+    ("family=bl\nab=1,2\nprecision=32\n", ["exponents"], "--precision"),
+    ("family=bl\nab=1,2\nprecision=y\n", ["verify", "--up-to", "3"], "--precision"),
+    ("family=bl\nab=1,2\ns1=x\n", ["verify", "--up-to", "3"], "--s1"),
+    (None, BL12 + ["xi", "--digits", "-20"], "--digits"),
+    (None, BL12 + ["xi", "--digits", "0"], "--digits"),
+    (None, BL12 + ["three-system", "--k", "3:8", "--samples", "-1"], "--samples"),
+    (None, ROY212 + ["gray", "--i", "1"], "--i"),
+    (None, BL12 + ["gray", "--i", "3"], "--i"),
+    (None, ROY212 + ["--program", "prefix=[-1,1];period=[2]", "gray", "--i", "4"], "--program"),
+    (None, BL12 + ["exponents", "--empirical", "--k", "3:4"], "--k"),
+    (None, BL12 + ["exponents", "--empirical", "--k", "9:3"], "--k"),
+    (None, BL12 + ["three-system", "--k", "0:4"], "--k"),
+])
+def test_bad_input_is_a_usage_error(capsys, tmp_path, seed, argv, flag):
+    if seed is not None:
+        (tmp_path / "seed.cfg").write_text(seed)
+        argv = ["--seed-file", str(tmp_path / "seed.cfg")] + argv
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err.startswith(f"usage error: {flag} ")
+    assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code, written", [
+    (BL12 + ["verify", "--up-to", "5"], 0, ["verify.json"]),
+    (BL12 + ["three-system", "--k", "3:8"], 0, ["three_system.json"]),
+    (BL12 + ["exponents"], 0, ["exponents.json"]),
+    (BL12 + ["xi", "--digits", "20"], 0, ["xi.json"]),
+    (ROY212 + ["gray", "--i", "4"], 0, ["gray.json"]),
+    (["spectrum", "--endpoints"], 0, ["spectrum.json"]),
+    (["spectrum"], 0, ["spectrum.json"]),
+    (ROY212 + ["exponents"], 1, []),                  # improper seed: a verdict, no data
+    (BL12 + ["xi", "--digits", "0"], 2, []),
+])
+def test_json_envelope_per_command(capsys, tmp_path, argv, code, written):
+    texts = []
+    for run_dir in (tmp_path / "a", tmp_path / "b"):
+        assert main(["--json", "--out-dir", str(run_dir)] + argv) == code
+        assert sorted(p.name for p in run_dir.glob("*")) == written
+        texts.append([(run_dir / name).read_text() for name in written])
+    assert texts[0] == texts[1]
+    for text in texts[0]:
+        doc = json.loads(text)
+        assert sorted(doc) == ["config", "data", "schema"] and doc["schema"] == "sturmlab/1"
+    capsys.readouterr()

@@ -21,6 +21,7 @@ TEST_ONLY_FUNCTIONS = {
     ("DualityReport", "non_growing"): "acceptance criterion 8 reads it",
     ("ComparisonReport", "non_growing"): "acceptance criterion 7 reads it",
     ("SturmianProgram", "all_ones"): "the test fixtures build the Fibonacci program with it",
+    (None, "compare"): "acceptance criterion 7 calls it",
 }
 
 
@@ -71,16 +72,14 @@ def _dataclass_fields() -> list:
     return out
 
 
-def _names_read(dirs=("src/sturmlab", "tests"), plain_names=False) -> set:
-    """Attribute names loaded anywhere in `dirs`, the constant names passed to
-    getattr and, with `plain_names`, the bare names loaded."""
+def _names_read(dirs=("src/sturmlab", "tests")) -> set:
+    """Attribute names loaded anywhere in `dirs` and the constant names passed
+    to getattr."""
     names = set()
     for path in sorted(p for d in dirs for p in (ROOT / d).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
-            elif plain_names and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
             elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
                   and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
                 names.add(node.args[1].value)
@@ -96,8 +95,8 @@ def test_every_dataclass_field_is_read():
 
 
 def _public_functions() -> list:
-    """(class or None, name) of every public top-level function and public
-    method in the package source."""
+    """(module, class or None, name) of every public top-level function and
+    public method in the package source."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -107,16 +106,33 @@ def _public_functions() -> list:
                 defs = [(node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
             else:
                 continue
-            out += [d for d in defs if not d[1].startswith("_")]
+            out += [(path.stem, *d) for d in defs if not d[1].startswith("_")]
     return out
 
 
+def _functions_called(dirs=("src/sturmlab", "sturmbench")) -> set:
+    """Bare names loaded anywhere in `dirs`, and `<module>.<name>` for every
+    attribute loaded from a plain name."""
+    names = set()
+    for path in sorted(p for d in dirs for p in (ROOT / d).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)):
+                names.add(f"{node.value.id}.{node.attr}")
+    return names
+
+
 def test_every_public_function_is_reached():
-    # a method is reached through an attribute, a function also by its bare name
+    # a method is reached through any attribute of its name; a top-level
+    # function only by its bare name or as <module>.<name>, so that a method
+    # of the same name does not count for it
     attrs = _names_read(("src/sturmlab", "sturmbench"))
-    names = _names_read(("src/sturmlab", "sturmbench"), plain_names=True)
-    test_only = {(cls, name) for cls, name in _public_functions()
-                 if name not in (attrs if cls else names)}
+    called = _functions_called()
+    test_only = {(cls, name) for module, cls, name in _public_functions()
+                 if (name not in attrs if cls else
+                     not {name, f"{module}.{name}"} & called)}
     assert test_only - set(TEST_ONLY_FUNCTIONS) == set()
     # an exception whose function has gained a reader is stale
     assert set(TEST_ONLY_FUNCTIONS) - test_only == set()
