@@ -10,8 +10,11 @@ Each kernel evaluates only the window that its own mask proves is enough:
 
 * primal: the caller's radius R = floor(c) over |x1|, |x2| loses no point,
   since the float |x|_2 of an integer point is sqrt of an exact integer,
-  correctly rounded, so it is >= each |x_i|; x0 runs over [ceil(max(-s - w, -c)), floor(min(-s + w, c))] with
-  s = x1 xi + x2 xi^2 and w = c e^{-q}, the window of e^q |x0 + s| <= c.
+  correctly rounded, so it is >= each |x_i|.  For the same reason it is
+  >= fl(sqrt(x1^2 + x2^2)), so row x1 needs only the x2 in [-h, h] with
+  fl(sqrt(x1^2 + h^2)) <= c; each chunk of rows takes the range of its
+  widest row.  x0 runs over [ceil(max(-s - w, -c)), floor(min(-s + w, c))]
+  with s = x1 xi + x2 xi^2 and w = c e^{-q}, the window of e^q |x0 + s| <= c.
 * dual: for each x0, |x1 - fl(x0 xi)| <= c' and |x2 - fl(x0 xi^2)| <= c' with
   c' = c (1 + 1e-9) + 1e-9.  A kept point has fl(|w|) <= c for w = x ^ u, and
   the float norm is at least (1 - 2^-52) |w_i| for w_1 = fl(x2 - fl(x0 xi^2))
@@ -23,10 +26,12 @@ Each kernel evaluates only the window that its own mask proves is enough:
 Points come back sorted by the key in which a full scan of the window meets
 them: (x1, x0 - window start, x2) for the primal kernel and
 (x1 - floor(x0 xi), x2 - floor(x0 xi^2), x0) for the dual one, so that points
-of equal lam always come in the same order.  lam is float64; callers
-re-evaluate the points they keep exactly.
+of equal lam always come in the same order.  lam is float64 and only
+filters: callers rank the points they get, and evaluate them, exactly.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -78,19 +83,36 @@ def collect_primal(xi: float, xi2: float, q: float, R: int, cutoff: float):
     w = cutoff * float(np.exp(-q))
     x2v = np.arange(-R, R + 1, dtype=np.float64)
     x2i = np.arange(-R, R + 1, dtype=np.int64)
-    rows = max(1, _CHUNK // max(1, x2v.size * (int(2 * min(w, cutoff)) + 2)))
+    rows = max(1, _CHUNK // (x2v.size * (int(2 * min(w, cutoff)) + 2)))
     for first in range(-R, R + 1, rows):
-        x1i = np.arange(first, min(first + rows, R + 1), dtype=np.int64)
-        c = -(x1i.astype(np.float64)[:, None] * xi + x2v * xi2)
+        last = min(first + rows, R + 1) - 1
+        # x2 over the range of the chunk's widest row, the one nearest x1 = 0
+        h = _half_width(min(max(0, first), last), R, cutoff)
+        x1i = np.arange(first, last + 1, dtype=np.int64)
+        cols, width = slice(R - h, R + h + 1), 2 * h + 1
+        c = -(x1i.astype(np.float64)[:, None] * xi + x2v[cols] * xi2)
         base = np.ceil(np.maximum(c - w, -cutoff)).astype(np.int64).ravel()
         top = np.floor(np.minimum(c + w, cutoff)).astype(np.int64).ravel()
         cell, dx = _ranges(base, top)
-        x0, x1, x2 = base[cell] + dx, x1i[cell // x2v.size], x2i[cell % x2v.size]
+        x0, x1, x2 = base[cell] + dx, x1i[cell // width], x2i[cols][cell % width]
         x0f, x1f, x2f = x0.astype(np.float64), x1.astype(np.float64), x2.astype(np.float64)
         nrm = np.sqrt(x0f * x0f + x1f * x1f + x2f * x2f)
         dot = np.abs(x0f + x1f * xi + x2f * xi2) * eq
         out.add(x0, x1, x2, np.maximum(nrm, dot), (x1, dx, x2), cutoff)
     return out.result()
+
+
+def _half_width(x1: int, R: int, cutoff: float) -> int:
+    """The largest h <= R with fl(sqrt(x1^2 + h^2)) <= cutoff, or -1 if there
+    is none: the x2 range [-h, h] of row x1."""
+    h = min(R, int(math.sqrt(max(cutoff * cutoff - x1 * x1, 0.0))))
+    # the float estimate is off by at most one at the kernel's sizes; step to
+    # the exact answer of the test that the kernel applies
+    while h < R and math.sqrt(x1 * x1 + (h + 1) * (h + 1)) <= cutoff:
+        h += 1
+    while h >= 0 and math.sqrt(x1 * x1 + h * h) > cutoff:
+        h -= 1
+    return h
 
 
 def collect_dual(xi: float, xi2: float, q: float, R0: int, cutoff: float):

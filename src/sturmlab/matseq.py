@@ -357,7 +357,6 @@ class HatW:
             )
         self.seq = seq
         self.prog = seq.prog
-        self.k0 = k0
         self.prec = prec
         with mpmath.workprec(prec):
             self._anchors = (seq.log_norm(k0 - 1, prec), seq.log_norm(k0, prec))

@@ -12,6 +12,9 @@ L_j(q) (j = 1,2,3) are the logs of the successive minima of the corresponding
 convex bodies with respect to Z^3.  Both sides go through one code path
 indexed by PRIMAL/DUAL: the bodies max(|x|, e^q|x.u|) and max(|x^u|, e^-q|x|),
 with the quadratic forms |x|^2 + e^{2q}(x.u)^2 and |x^u|^2 + e^{-2q}|x|^2.
+Each body has one exact definition, the integer terms of `_size_keys`: they
+rank points for the candidate and the brute-force minima and fix the centres
+of plane completions; logarithms are taken only for the reported points.
 """
 from __future__ import annotations
 
@@ -181,7 +184,6 @@ class SystemBreakpoints:
             self.hat_scale = rho
         with mpmath.workprec(prec):
             qs = quantities(self.prog, prec=prec)
-            self.sigma = qs.sigma
             threshold = qs.sigma / (1 + qs.sigma)
             if delta is None:
                 choice = resolve_delta(bundle.seq, prec)
@@ -470,42 +472,46 @@ def _shape_checks(P: SystemBreakpoints, tol):
 # trajectories and minima
 # ---------------------------------------------------------------------------
 
-def _dot_u_mpf(x, u):
-    return mpmath.mpf(x.x0) * u[0] + mpmath.mpf(x.x1) * u[1] + mpmath.mpf(x.x2) * u[2]
+PRIMAL, DUAL = 0, 1      # the two sides, as in (L_x(q), L*_x(q))
 
 
-def _log_norm(x, u):
-    """(log|x|, log|x.u|, log|x^u|) at current mpmath precision."""
-    fx = (mpmath.mpf(x.x0), mpmath.mpf(x.x1), mpmath.mpf(x.x2))
-    ln = mpmath.log(mpmath.sqrt(fx[0] ** 2 + fx[1] ** 2 + fx[2] ** 2))
-    dot = fx[0] * u[0] + fx[1] * u[1] + fx[2] * u[2]
-    w0 = fx[1] * u[2] - fx[2] * u[1]
-    w1 = fx[2] * u[0] - fx[0] * u[2]
-    w2 = fx[0] * u[1] - fx[1] * u[0]
-    wn = mpmath.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    ldot = mpmath.log(abs(dot)) if dot != 0 else mpmath.mpf("-inf")
-    lw = mpmath.log(wn) if wn != 0 else mpmath.mpf("-inf")
-    return ln, ldot, lw
-
-
-PRIMAL, DUAL = 0, 1      # the two sides, as indices into (L_x(q), L*_x(q))
-
-
-def _traj(x, u, q):
-    """(L_x(q), L*_x(q)) at current mpmath precision; q an mpf."""
-    ln, ldot, lw = _log_norm(x, u)
-    return max(ln, ldot + q), max(lw, ln - q)
+def _traj(x, u, q, side):
+    """L_x(q) (side PRIMAL) or L*_x(q) (side DUAL) at current mpmath
+    precision; q an mpf.  Each side takes only the two logs it needs."""
+    fx0, fx1, fx2 = mpmath.mpf(x.x0), mpmath.mpf(x.x1), mpmath.mpf(x.x2)
+    ln = mpmath.log(mpmath.sqrt(fx0 ** 2 + fx1 ** 2 + fx2 ** 2))
+    if side == PRIMAL:
+        return max(ln, mpmath.log(abs(fx0 * u[0] + fx1 * u[1] + fx2 * u[2])) + q)
+    w0 = fx1 * u[2] - fx2 * u[1]
+    w1 = fx2 * u[0] - fx0 * u[2]
+    w2 = fx0 * u[1] - fx1 * u[0]
+    return max(mpmath.log(mpmath.sqrt(w0 * w0 + w1 * w1 + w2 * w2)), ln - q)
 
 
 def _size_keys(u, q, p):
-    """Exact integer ranking keys (primal, dual) for points x at q, from the
-    working precision p.  With U = round(2^p u) and E = round(2^p e^{2q}):
+    """The bodies of both sides at q in exact integers, from the working
+    precision p: a (key, form) pair per side, indexed by PRIMAL/DUAL.  With
+    U = round(2^p u) and E = round(2^p e^{2q}), each side is two integer
+    quadratic terms of a pair of points (x, y):
+
+        primal  2^{3p} <x, y>,  E (x.U)(y.U)
+        dual    E <x^U, y^U>,   2^{3p} <x, y>
+
+    The key of x is the larger of its two terms at y = x:
 
         primal  max(|x|^2 2^{3p}, E (x.U)^2)   ~ 2^{3p} e^{2 L_x(q)}
         dual    max(E |x^U|^2, |x|^2 2^{3p})   ~ 2^{3p} e^{2q} e^{2 L*_x(q)}
 
     so at a fixed q each key orders points like the trajectory of its side,
-    with no logarithm and no square root.
+    with no logarithm and no square root.  The form is the sum of the two
+    terms: a positive definite bilinear form proportional, up to the same
+    rounding, to the side's quadratic form |x|^2 + e^{2q}(x.u)^2 or
+    |x^u|^2 + e^{-2q}|x|^2.  Plane completions solve for their
+    least-squares centre in it exactly: the 2x2 normal equations of two
+    nearly parallel deep points cancel most of the bits of their
+    determinant, and a centre solved at the working precision can miss its
+    own integer part (on roy(2,1,2), period (1, 2), by about 2^566 at
+    q ~ 741 with p = 2635).
 
     Rounding, on top of u's own p-bit rounding (which the trajectories share):
     each coordinate of U is within 1/2 of 2^p u_i, so |x.U - 2^p x.u| <=
@@ -521,39 +527,22 @@ def _size_keys(u, q, p):
     At prec_for(q) > 3.3 q + 191 bits, eta < 2^{-189}: a near-tie can swap
     only points whose trajectories are equal to the p-bit rounding that the
     trajectories themselves carry."""
-    U0, U1, U2 = (int(mpmath.nint(mpmath.ldexp(c, p))) for c in u)
+    U = SymVec(*(int(mpmath.nint(mpmath.ldexp(c, p))) for c in u))
     E = int(mpmath.nint(mpmath.ldexp(mpmath.exp(2 * q), p)))
-    s = 3 * p
+    s, UU = 3 * p, U.dot(U)
 
-    def primal(x):
-        d = x.x0 * U0 + x.x1 * U1 + x.x2 * U2
-        return max(x.dot(x) << s, E * d * d)
+    def primal(x, y):
+        xU = x.dot(U)
+        return x.dot(y) << s, E * xU * (xU if y is x else y.dot(U))
 
-    def dual(x):
-        w0 = x.x1 * U2 - x.x2 * U1
-        w1 = x.x2 * U0 - x.x0 * U2
-        w2 = x.x0 * U1 - x.x1 * U0
-        return max(E * (w0 * w0 + w1 * w1 + w2 * w2), x.dot(x) << s)
+    def dual(x, y):          # <x^U, y^U> = <x, y> |U|^2 - (x.U)(y.U)
+        xy, xU = x.dot(y), x.dot(U)
+        return E * (xy * UU - xU * (xU if y is x else y.dot(U))), xy << s
 
-    return primal, dual
+    def body(terms):         # (key, form)
+        return (lambda x: max(terms(x, x))), (lambda x, y: sum(terms(x, y)))
 
-
-def _quad_form(side, u, q):
-    """The quadratic form B of a side's body at q, at current mpmath
-    precision: B(x, x) is within a factor 2 of the squared size of x."""
-    if side == PRIMAL:
-        e2q = mpmath.exp(2 * q)
-
-        def B(p, r):  # <p, r> + e^{2q} (p.u)(r.u)
-            return mpmath.mpf(p.dot(r)) + e2q * _dot_u_mpf(p, u) * _dot_u_mpf(r, u)
-    else:
-        e2q = mpmath.exp(-2 * q)
-        usq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
-
-        def B(p, r):  # <p^u, r^u> + e^{-2q} <p, r>
-            pr = mpmath.mpf(p.dot(r))
-            return pr * usq - _dot_u_mpf(p, u) * _dot_u_mpf(r, u) + e2q * pr
-    return B
+    return body(primal), body(dual)
 
 
 @dataclass
@@ -644,14 +633,14 @@ class CandidateBuilder:
             keys.setdefault(p.as_tuple() if positive else (-p).as_tuple())
         return [SymVec(*key) for key in keys]
 
-    def _complete(self, triple, pts, keys, B, key):
+    def _complete(self, triple, pts, keys, key, form):
         """Augment the candidate list and its keys (in place) with plane
         completions around the current best pairs, then redo the greedy
         selection."""
         for _ in range(2):
             best = list(triple)
             for pair in [(best[0], best[1]), (best[0], best[2]), (best[1], best[2])]:
-                for comp in self._completions(pts[pair[0]], pts[pair[1]], B):
+                for comp in self._completions(pts[pair[0]], pts[pair[1]], form):
                     pts.append(comp)
                     keys.append(key(comp))
             new = _greedy_triple(pts, keys)
@@ -660,45 +649,30 @@ class CandidateBuilder:
             triple = new
         return triple
 
-    def _completions(self, v1: SymVec, v2: SymVec, B):
-        """Integer points x with x . n = 1 (n the primitive normal of the
-        v1-v2 plane, so x sits one layer off it), locally minimized around the
-        least-squares center of the quadratic form B."""
-        n = v1.wedge(v2)
-        if n.is_zero():
-            return []
-        n = n.primitive()
-        x0 = _solve_dot_one(n)
-        if x0 is None:
-            return []
-        a11, a22, a12 = B(v1, v1), B(v2, v2), B(v1, v2)
-        r1, r2 = -B(x0, v1), -B(x0, v2)
-        det = a11 * a22 - a12 * a12
-        if det == 0:
-            return []
-        ac = (r1 * a22 - r2 * a12) / det
-        bc = (r2 * a11 - r1 * a12) / det
-        try:
-            ai, bi = int(mpmath.nint(ac)), int(mpmath.nint(bc))
-        except (OverflowError, ValueError):
-            return []
-        out = []
-        for da in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1):
-            for db in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1):
-                p = x0 + (ai + da) * v1 + (bi + db) * v2
-                if not p.is_zero():
-                    out.append(p)
-        return out
+    def _completions(self, v1: SymVec, v2: SymVec, form):
+        """The points x0 + (a + da) v1 + (b + db) v2, |da|, |db| <=
+        COMPLETION_WINDOW, rows of da first, where x0 + a v1 + b v2 is the
+        least-squares centre in the integer bilinear `form` of the layer
+        x . n = 1 (n the primitive normal of the v1-v2 plane), rounded to
+        integer a, b, half to even.
 
-
-def _solve_dot_one(n: SymVec):
-    """Integer x with x . n = 1 for a primitive n, via extended gcd."""
-    g1, a, b = _ext_gcd(n.x0, n.x1)
-    g, c, d = _ext_gcd(g1, n.x2)
-    if abs(g) != 1:
-        return None
-    s = 1 if g == 1 else -1
-    return SymVec(s * c * a, s * c * b, s * d)
+        v1 and v2 come from a greedy triple, so they are independent and n
+        exists; n is primitive, so the extended gcd of its coordinates is
+        +-1 and gives x0, and no point of the layer is zero.  The form is
+        positive definite, so for independent v1, v2 the determinant of the
+        normal equations is positive (strict Cauchy-Schwarz)."""
+        n = v1.wedge(v2).primitive()
+        g1, a, b = _ext_gcd(n.x0, n.x1)
+        g, c, d = _ext_gcd(g1, n.x2)
+        x0 = SymVec(g * c * a, g * c * b, g * d)
+        f11, f22, f12 = form(v1, v1), form(v2, v2), form(v1, v2)
+        r1, r2 = -form(x0, v1), -form(x0, v2)
+        det = f11 * f22 - f12 * f12
+        ai = round(Fraction(r1 * f22 - r2 * f12, det))
+        bi = round(Fraction(r2 * f11 - r1 * f12, det))
+        return [x0 + (ai + da) * v1 + (bi + db) * v2
+                for da in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1)
+                for db in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1)]
 
 
 def _ext_gcd(a, b):
@@ -726,14 +700,14 @@ def minima_candidates(builder: CandidateBuilder, q, P: Optional[SystemBreakpoint
         u = builder.u(prec)
         base = builder.base_points(q)
         minima, chosen = [], []
-        for side, key in zip((PRIMAL, DUAL), _size_keys(u, qm, prec)):
+        for side, (key, form) in enumerate(_size_keys(u, qm, prec)):
             pts, keys = list(base), [key(p) for p in base]
             triple = _greedy_triple(pts, keys)
             if triple is None:
                 raise NoCandidates("candidate set spans less than 3 dimensions")
-            triple = builder._complete(triple, pts, keys, _quad_form(side, u, qm), key)
+            triple = builder._complete(triple, pts, keys, key, form)
             chosen.append([pts[i] for i in triple])
-            minima.append(tuple(_traj(p, u, qm)[side] for p in chosen[-1]))
+            minima.append(tuple(_traj(p, u, qm, side) for p in chosen[-1]))
     return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="candidate",
                         points=chosen[PRIMAL], dual_points=chosen[DUAL],
                         gray=None if P is None else P.in_gray(float(q)), kind=kind, k=k)
@@ -761,7 +735,9 @@ DUAL_R_MAX = 5 * 10 ** 6
 
 def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
     """Exact successive minima by exhaustive enumeration; the search radius is
-    certified by a candidate-based upper bound on lambda_3(q)."""
+    certified by a candidate-based upper bound on lambda_3(q).  The kernels'
+    float lambda only filters the points; each side ranks them by the exact
+    keys of `_size_keys`, like the candidates."""
     cand = minima_candidates(builder, q)
     prec = builder.prec_for(q)
     with mpmath.workprec(prec):
@@ -785,14 +761,15 @@ def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
                 raise TooLarge(f"{name} search radius {R} exceeds {limit}")
             bounds.append((cutoff, R))
         minima, chosen = [], []
-        for side, ((name, *_, collect), (cutoff, R)) in enumerate(zip(sides, bounds)):
-            pts, lams = collect(xi_f, xi2_f, float(qm), R, cutoff)
+        bodies = zip(sides, bounds, _size_keys(u, qm, prec))
+        for side, ((name, *_, collect), (cutoff, R), (key, _)) in enumerate(bodies):
+            pts = collect(xi_f, xi2_f, float(qm), R, cutoff)[0]
             spts = [SymVec(int(a), int(b), int(c)) for a, b, c in pts]
-            triple = _greedy_triple(spts, list(lams))
+            triple = _greedy_triple(spts, [key(p) for p in spts])
             if triple is None:
                 raise TooLarge(f"{name} enumeration returned fewer than 3 independent points")
             chosen.append([spts[i] for i in triple])
-            minima.append(tuple(_traj(p, u, qm)[side] for p in chosen[-1]))
+            minima.append(tuple(_traj(p, u, qm, side) for p in chosen[-1]))
         return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="bruteforce",
                             points=chosen[PRIMAL], dual_points=chosen[DUAL])
 

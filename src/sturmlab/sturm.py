@@ -165,20 +165,17 @@ class QuadSurd:
             other = QuadSurd.from_fraction(other)
         if self.d == other.d or self.q == 0 or other.q == 0:
             return (self - other).sign()
-        if self == other:
-            return 0
-        # different radicands: numeric separation at increasing precision
-        prec = 128
-        while prec <= 1 << 16:
-            with mpmath.workprec(prec):
-                a = self.to_real(prec)
-                b = other.to_real(prec)
-                # crude but safe error bound: a few ulps of the larger magnitude
-                err = mpmath.ldexp(max(abs(a), abs(b), mpmath.mpf(1)), -prec + 8)
-                if abs(a - b) > 2 * err:
-                    return 1 if a > b else -1
-            prec *= 2
-        raise Unbounded("could not separate two surds numerically")
+        # different radicands, self = (p1 + q1 sqrt d1) / r1 and other =
+        # (p2 + q2 sqrt d2) / r2: the sign of x + c sqrt(d2), with the surd
+        # x = p1 r2 - p2 r1 + q1 r2 sqrt(d1) and c = -q2 r1 != 0
+        x = QuadSurd.make(self.p * other.r - other.p * self.r, self.q * other.r, self.d, 1)
+        c = -other.q * self.r
+        sx, sc = x.sign(), (c > 0) - (c < 0)
+        if sx != -sc:
+            return sc
+        # opposite signs: the larger of |x| and |c| sqrt(d2) wins, and
+        # x^2 - c^2 d2 is a surd over d1
+        return sx * (x * x - c * c * other.d).sign()
 
     def __lt__(self, other):
         return self.compare(other) < 0

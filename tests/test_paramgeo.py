@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -20,7 +21,8 @@ from sturmlab.paramgeo import (
 def traj_eval(x, u, q, prec: int = 256):
     """(L_x(q), L*_x(q)) of a nonzero integer point at `prec` bits."""
     with mpmath.workprec(prec):
-        return paramgeo._traj(x, u, q if isinstance(q, mpmath.mpf) else mpmath.mpf(q))
+        qm = q if isinstance(q, mpmath.mpf) else mpmath.mpf(q)
+        return tuple(paramgeo._traj(x, u, qm, side) for side in (paramgeo.PRIMAL, paramgeo.DUAL))
 
 
 def sum_rule_exact(P, k: int) -> bool:
@@ -294,7 +296,8 @@ def test_size_keys_order_like_trajectories(cb_bl, cb_roy, seed, q, ra, rb):
             # 2 eta, plus the p-bit rounding of the mpf dot products (relative
             # to |x.u| >= |x| e^-q), logs and square roots inside the trajectories
             tol = mpmath.ldexp(2 * 3 * eq + 4 * u1 * eq + abs(la) + abs(lb) + 8, -p)
-            ka, kb = keys[side](a), keys[side](b)
+            key = keys[side][0]
+            ka, kb = key(a), key(b)
             if la < lb - tol:
                 assert ka < kb, (side, la, lb)
             elif lb < la - tol:
@@ -431,23 +434,98 @@ PINNED_MINIMA = [
      [(4753, 13662, 39270), (-3742, -10756, -30917), (-3105, -8925, -25654)],
      ('5.222513325729031480829446209091673794626634213034', '5.4292398159736789800890188722037212172851243224852', '5.9524696598441450250891591462392931385147936836659'),
      ('-4.1081667264822300836501373079586491826261866236607', '-3.5384155094276479834898762351244965592746547211327', '-3.0581849957508893288444322627765830958690564857418')),
+    # period-2 bl(1,2) at q ~ 399, scored at 1508 bits: the exact completion
+    # centres find a second dual minimum 1.02 lower than a centre solved in mpf
+    ('bl_p2', ('q_t', 7), 'candidate',
+     [(11264716891871862407000153, -15103507986919000840794730, -7363011698691531810777305),
+      (-7163417544578261295827014805035787644112377391054973682470823,
+       7093979055811372866409752351739824236283865555642763998601217,
+       9002117477295798285838928047649397537365597398007403218483419),
+      (-22049944839835510241507250699775901055535892361454094294443408928869719916698956400250,
+       90836706081815683410211406392816112041546117733616984236180535414557801324694495615841,
+       -91016391692351494563825548264399789509192405501741766421410243711130222568222280279007)],
+     [(83730502439308371146084819939225869050287113362281641567998657954086621416751798601685,
+       48661977625766990262040809163199549240377887792392874442079919362235870891989347891092,
+       28281068397589889936995768876356841813255956474316279440714788780414414817520252176589),
+      (-2051126872602406017872286493578972381988408807334206835561626191297818862837891644346859197130185615689329562805,
+       -1192061280828164650361539922529986200708250008270177478435194841902626153409696221485553256919527999172177937929,
+       -692794832065532341687452368368243277429640899906498100113199486281205132867495875487355614954225029264808538859),
+      (-1463391075800160234221439474099557176127003931625386622604128366702369684620119817841731349419539640568683092726586109737572027276936208995731006913,
+       -850484610909289351811398053593082576975563525440249703303792985060434954358700302864153346578174615313573471072634138951552056015438332854178423859,
+       -494279407162588151035221857348720956811862104701643460613499324927630766402099898792036319033362250451320919496138719735455700934305456368387688284)],
+     ('60.042856348455095289099725161940502149210202265952', '140.75896593425650818191414352785117791029739550923', '198.28826380606067909691625920117148730614019899549'),
+     ('-198.10557160381315569063124511653444822464279949822', '-140.5971686873699582088074058377155882114671741646', '-59.884831572328502061041401790715950019603913813193')),
 ]
 
 
 @pytest.mark.parametrize("seed, q, method, points, dual_points, L, Lstar", PINNED_MINIMA)
 def test_pinned_minima(request, seed, q, method, points, dual_points, L, Lstar):
     cb = request.getfixturevalue("cb_" + seed)
-    if isinstance(q, tuple):
-        kind, k = q
-        q = dict(predicted_system(cb.bundle, (3, 8)).breakpoints()[kind])[k]
-    else:
-        q = mpmath.mpf(q)
+    q = _at(cb, q)
     find = minima_candidates if method == "candidate" else minima_bruteforce
     s = find(cb, q)
     assert [p.as_tuple() for p in s.points] == points
     assert [p.as_tuple() for p in s.dual_points] == dual_points
     assert tuple(mpmath.nstr(x, 50) for x in s.L) == L
     assert tuple(mpmath.nstr(x, 50) for x in s.Lstar) == Lstar
+
+
+def _at(cb, q):
+    """q, or the breakpoint (kind, k) of the seed's predicted system on k 3:8."""
+    if isinstance(q, tuple):
+        return dict(predicted_system(cb.bundle, (3, 8)).breakpoints()[q[0]])[q[1]]
+    return mpmath.mpf(q)
+
+
+@pytest.fixture(scope="module")
+def cb_roy_p12():
+    prog = SturmianProgram([-1, 1], [1, 2])
+    return CandidateBuilder(make_bundle(roy_family(2, 1, 2), prog), prec=256)
+
+
+@pytest.mark.parametrize("seed, q", [("roy_p12", 300), ("roy_p12", 741), ("bl_p2", ("q_t", 7))])
+def test_completion_centres_are_exact(request, seed, q):
+    """At depth, the centre of each plane completion around a reported pair
+    is the exact least-squares minimiser of the side's integer form over the
+    layer, rounded: it lies within 1/2 of it in both plane coordinates."""
+    cb = request.getfixturevalue("cb_" + seed)
+    q = _at(cb, q)
+    s = minima_candidates(cb, q)
+    p = cb.prec_for(q)
+    with mpmath.workprec(p):
+        bodies = paramgeo._size_keys(cb.u(p), q, p)
+    for pts, (key, form) in zip((s.points, s.dual_points), bodies):
+        for x in pts:
+            assert key(x) <= form(x, x) <= 2 * key(x)
+        for v1, v2 in ((pts[0], pts[1]), (pts[0], pts[2]), (pts[1], pts[2])):
+            comps = cb._completions(v1, v2, form)
+            centre = comps[len(comps) // 2]
+            # the minimiser centre + a v1 + b v2 solves the normal equations
+            f11, f22, f12 = form(v1, v1), form(v2, v2), form(v1, v2)
+            r1, r2 = -form(centre, v1), -form(centre, v2)
+            det = f11 * f22 - f12 * f12
+            a, b = Fraction(r1 * f22 - r2 * f12, det), Fraction(r2 * f11 - r1 * f12, det)
+            assert abs(a) <= Fraction(1, 2) and abs(b) <= Fraction(1, 2), (float(a), float(b))
+
+
+def test_bruteforce_ranks_by_exact_keys(cb_roy, monkeypatch):
+    """The kernels' float lambda only filters the points: with every lambda
+    tied, or with the lambdas reversed against their points, brute force
+    picks the same minima."""
+    import numpy as np
+    from sturmlab import kernels
+
+    q = mpmath.mpf(7)
+    want = minima_bruteforce(cb_roy, q)
+    for garble in (lambda pts, lam: (pts, np.zeros_like(lam)),
+                   lambda pts, lam: (pts, lam[::-1])):
+        for name in ("collect_primal", "collect_dual"):
+            monkeypatch.setattr(kernels, name,
+                                lambda *a, f=getattr(kernels, name), g=garble: g(*f(*a)))
+        got = minima_bruteforce(cb_roy, q)
+        monkeypatch.undo()
+        assert (got.points, got.dual_points) == (want.points, want.dual_points)
+        assert (got.L, got.Lstar) == (want.L, want.Lstar)
 
 
 def test_breakpoint_samples_share_abscissas(bl12, monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sturmlab.exactlin import to_real
@@ -76,6 +76,29 @@ def test_surd_compare_cross_radicand():
     assert QuadSurd.make(0, 1, 2, 1).compare(Fraction(3, 2)) < 0
     # sqrt(2) + sqrt(2) vs rational
     assert QuadSurd.make(0, 2, 2, 1) > 2
+
+
+_big = st.integers(min_value=-10 ** 12, max_value=10 ** 12)
+irrational_surds = st.builds(
+    QuadSurd.make, _big, _big.filter(bool),
+    st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 1001, 30030]),
+    st.integers(min_value=1, max_value=10 ** 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(irrational_surds, irrational_surds)
+# 1 + sqrt 2 and a convergent multiple of sqrt 3 differ by 2.5e-40
+@example(QuadSurd.make(1, 1, 2, 1),
+         QuadSurd.make(0, 30161134263516182208, 3, 21638772050872614461))
+def test_surd_compare_distinct_radicands(x, y):
+    """The exact comparison across radicands agrees with 600-bit mpmath
+    wherever that separates the two values."""
+    assume(x.d != y.d)
+    with mpmath.workprec(600):
+        diff = x.to_real(600) - y.to_real(600)
+        assume(abs(diff) > mpmath.mpf(2) ** -500)
+    want = 1 if diff > 0 else -1
+    assert x.compare(y) == want and y.compare(x) == -want
 
 
 def test_golden_ratio_surd():
