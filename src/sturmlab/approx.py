@@ -154,13 +154,21 @@ class IdentityReport:
 
 
 def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
-    """Exact verification of the commutation, recurrence, wedge, determinant
-    and coprimality identities for all indices up to i_max.
+    """Exact verification of the recurrence, wedge, determinant and
+    coprimality identities for all indices up to i_max.
 
     Each big object is formed once: the w products come from the power ladder
     of `MatrixSequence`, det y_i from `YSeq.det`, and the y wedges of the z
     numerators, z recurrences, det3 triples and y wedge powers from
-    `YSeq.wedge`.  Each coprimality gcd is first taken against det w0 det w1."""
+    `YSeq.wedge`.  Each coprimality gcd is first taken against det w0 det w1.
+
+    Not checked, as they cannot fail or repeat another instance:
+    - commutation w_{k-1} w_k N_{k+1} = w_k w_{k-1} N_k: `MatrixSeed` requires
+      w1 N, w0 N^T and w1 w0 N^T symmetric, which gives k = 1, and
+      w_{k+1} = w_k^s w_{k-1} gives k + 1 from k;
+    - the trace recurrence of the power ladder: it is Cayley-Hamilton;
+    - the y recurrence across a block boundary: the block's last instance;
+    - ladder coprimality at k = 1: the coprimality hypothesis itself."""
     prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
     seed = bundle.seed
     checks = {}
@@ -173,13 +181,6 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
 
     k_hi = prog.block_of(i_max)[0] if i_max >= 0 else 0
 
-    # commutation: w_{k-1} w_k N_{k+1} = w_k w_{k-1} N_k for k >= 1, where
-    # w_k w_{k-1} is ladder(k, 1) and, for k >= 2, w_{k-1} w_k is ladder(k-1, s_k+1)
-    for k in range(1, k_hi + 2):
-        left = seq.w(0) @ seq.w(1) if k == 1 else seq.ladder(k - 1, prog.s(k) + 1)
-        record("commutation", (k,), left @ seed.N_parity(k + 1),
-               seq.ladder(k, 1) @ seed.N_parity(k))
-
     # palindromic square step: det(y_psi(j)) y_{j+1} = y_j adj(y_psi(j)) y_j, whose
     # right side is tr(Y adj P) Y - det(Y) P for any 2x2 Y, P: X + adj(X) = tr(X) I
     # with X = adj(P) Y gives adj(P) Y = tr(X) I - adj(Y) P, and Y adj(Y) = det(Y) I
@@ -187,14 +188,6 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
         y, yp = ys.mat(j), ys.mat(prog.psi(j))
         tr = y.a * yp.d - y.b * yp.c - y.c * yp.b + y.d * yp.a
         record("square_step", (j,), ys.det(prog.psi(j)) * ys.mat(j + 1), tr * y - ys.det(j) * yp)
-
-    # trace recurrence on the power ladder
-    for k in range(1, k_hi + 1):
-        tk, dk = seq.tr(k), seq.det(k)
-        for l in range(2, prog.s(k + 1) + 2):
-            record("trace_recurrence", (k, l),
-                   seq.ladder(k, l).trace(),
-                   tk * seq.ladder(k, l - 1).trace() - dk * seq.ladder(k, l - 2).trace())
 
     # (a) three-term recurrence inside a block: k >= 1, 0 <= l < s_{k+1}
     for k in range(1, k_hi + 1):
@@ -206,15 +199,6 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
             record("y_recurrence_block", (k, l),
                    ys.at(i + 1),
                    tk * ys.at(i) - dk * ys.at(prog.psi(i)))
-
-    # (a') recurrence across a block boundary: k >= 2
-    for k in range(2, k_hi + 2):
-        i = prog.t(k)
-        if i > i_max:
-            break
-        record("y_recurrence_boundary", (k,),
-               ys.at(i),
-               seq.tr(k - 1) * ys.at(i - 1) - seq.det(k - 1) * ys.at(prog.psi(i - 1)))
 
     # (b) z recurrences, multiplied through by the denominators:
     # z_{i+1} = t_k z_i - y_{psi(t_{k+1})} ^ y_{psi(i)} inside block k (all z
@@ -281,7 +265,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
         ladder_gcd(1, l) == 1 for l in range(prog.s(2) + 2))
     checks["coprimality_hypothesis"] = 1
     if hyp:
-        for k in range(1, k_hi + 1):
+        for k in range(2, k_hi + 1):
             for l in range(prog.s(k + 1) + 2):
                 # the content divides gcd(tr, det), so coprime ladders are primitive
                 record("ladder_coprime", (k, l), ladder_gcd(k, l), 1)

@@ -6,22 +6,21 @@ return those whose parametric size is at most a cutoff c:
 * primal: lam(x) = max(|x|_2, e^q |x . u|)           (u = (1, xi, xi^2))
 * dual:   lam*(x) = max(|x ^ u|_2, e^{-q} |x|_2)
 
-Each kernel evaluates only the window that its own mask proves is enough:
+Each kernel widens the cutoff c to c' = `_widen`(c), at least c plus the
+float64 error of lam over its window, so a point whose exact lam is at most c
+has float lam at most c'.  It evaluates only the window its own mask proves
+holds every such point (points up to c' - c above c may come back too):
 
-* primal: the caller's radius R = floor(c) over |x1|, |x2| loses no point,
-  since the float |x|_2 of an integer point is sqrt of an exact integer,
-  correctly rounded, so it is >= each |x_i|.  For the same reason it is
-  >= fl(sqrt(x1^2 + x2^2)), so row x1 needs only the x2 in [-h, h] with
-  fl(sqrt(x1^2 + h^2)) <= c; each chunk of rows takes the range of its
-  widest row.  x0 runs over [ceil(max(-s - w, -c)), floor(min(-s + w, c))]
-  with s = x1 xi + x2 xi^2 and w = c e^{-q}, the window of e^q |x0 + s| <= c.
-* dual: for each x0, |x1 - fl(x0 xi)| <= c' and |x2 - fl(x0 xi^2)| <= c' with
-  c' = c (1 + 1e-9) + 1e-9.  A kept point has fl(|w|) <= c for w = x ^ u, and
-  the float norm is at least (1 - 2^-52) |w_i| for w_1 = fl(x2 - fl(x0 xi^2))
-  and w_2 = fl(fl(x0 xi) - x1), each rounded once more: the relative slack
-  covers these roundings, the absolute one a w_i^2 that underflows.  The
-  ranges are taken around the exact fractional parts of fl(x0 xi) and
-  fl(x0 xi^2), so adding c' to them rounds by at most (1 + c') 2^-53.
+* primal: |x1|, |x2| <= R = floor(c).  The float |x|_2 of an integer point is
+  the correctly rounded sqrt of an exact integer, so it is >= fl(sqrt(x1^2 +
+  x2^2)) and row x1 needs only the x2 in [-h, h] with fl(sqrt(x1^2 + h^2))
+  <= c'; each chunk of rows takes the range of its widest row.  x0 runs over
+  [ceil(max(-s - w, -c')), floor(min(-s + w, c'))] with s = fl(x1 xi + x2 xi^2)
+  and w = c' e^{-q}: c' - c exceeds e^q times the error of s and of the ends.
+* dual: for each x0, |x1 - fl(x0 xi)| <= c' and |x2 - fl(x0 xi^2)| <= c', as
+  x0 xi - x1 and x2 - x0 xi^2 are components of x ^ u and c' - c exceeds the
+  error of fl(x0 xi), fl(x0 xi^2) and of the ends.  The ranges are taken
+  around the exact fractional parts of fl(x0 xi) and fl(x0 xi^2).
 
 Points come back sorted by the key in which a full scan of the window meets
 them: (x1, x0 - window start, x2) for the primal kernel and
@@ -74,12 +73,26 @@ class _Gather:
         return np.concatenate(self.pts)[order], np.concatenate(self.lams)[order]
 
 
+def _widen(xi: float, xi2: float, q: float, cutoff: float, scale: float, n1: float) -> float:
+    """cutoff plus a bound on |fl(lam) - lam| for the points of a window with
+    |x|_1 <= n1 and lam <= cutoff; scale is e^q for the primal body, 1 for the
+    dual one.  With eps = 2^-53 and m = max(1, |xi|, |xi^2|), fl(x . u), s, each
+    component of fl(x ^ u) and fl(x0 xi) are off by at most 4.1 eps m n1 (float
+    xi and xi^2 by 1.01 eps relative, a sum of products by gamma_3), x ^ u as a
+    vector by 7.2 eps m n1, fl(e^{+-q}) by (|q| + 4) eps relative, and each
+    product, sum of squares or square root by 3 eps relative: in all at most
+    scale 8 eps m n1 + (|q| + 9) eps lam, half of what is added."""
+    m = max(1.0, abs(xi), abs(xi2))
+    return cutoff + scale * m * n1 * 2.0 ** -49 + cutoff * (abs(q) + 8) * 2.0 ** -52
+
+
 def collect_primal(xi: float, xi2: float, q: float, R: int, cutoff: float):
-    """All nonzero integer points with lam(x) <= cutoff, searched over
-    |x1|, |x2| <= R.  Returns (points int64 (n,3), lam (n,))."""
+    """Every nonzero integer point with lam(x) <= cutoff and |x1|, |x2| <= R
+    (all of them when R = floor(cutoff)).  Returns (points int64 (n,3), lam (n,))."""
     xi, xi2, q, R, cutoff = float(xi), float(xi2), float(q), int(R), float(cutoff)
     out = _Gather()
     eq = float(np.exp(q))
+    cutoff = _widen(xi, xi2, q, cutoff, eq, 2 * R + cutoff + 1)
     w = cutoff * float(np.exp(-q))
     x2v = np.arange(-R, R + 1, dtype=np.float64)
     x2i = np.arange(-R, R + 1, dtype=np.int64)
@@ -116,19 +129,19 @@ def _half_width(x1: int, R: int, cutoff: float) -> int:
 
 
 def collect_dual(xi: float, xi2: float, q: float, R0: int, cutoff: float):
-    """All nonzero integer points with lam*(x) <= cutoff and |x0| <= R0."""
+    """Every nonzero integer point with lam*(x) <= cutoff and |x0| <= R0."""
     xi, xi2, q, R0, cutoff = float(xi), float(xi2), float(q), int(R0), float(cutoff)
     out = _Gather()
     emq = float(np.exp(-q))
-    slack = cutoff * (1 + 1e-9) + 1e-9
+    cutoff = _widen(xi, xi2, q, cutoff, 1.0, R0 * (1 + abs(xi) + abs(xi2)) + 2 * cutoff + 3)
     for first in range(-R0, R0 + 1, _CHUNK):
         x0i = np.arange(first, min(first + _CHUNK, R0 + 1), dtype=np.int64)
         x0f = x0i.astype(np.float64)
         p1, p2 = x0f * xi, x0f * xi2
         b1, b2 = np.floor(p1), np.floor(p2)
-        # offsets d from b: |d - (p - b)| <= slack, where p - b is exact
-        lo1, hi1 = np.ceil(p1 - b1 - slack), np.floor(p1 - b1 + slack)
-        lo2, hi2 = np.ceil(p2 - b2 - slack), np.floor(p2 - b2 + slack)
+        # offsets d from b: |d - (p - b)| <= cutoff, where p - b is exact
+        lo1, hi1 = np.ceil(p1 - b1 - cutoff), np.floor(p1 - b1 + cutoff)
+        lo2, hi2 = np.ceil(p2 - b2 - cutoff), np.floor(p2 - b2 + cutoff)
         live = np.nonzero((lo1 <= hi1) & (lo2 <= hi2))[0]
         lo1, hi1 = lo1[live].astype(np.int64), hi1[live].astype(np.int64)
         lo2, hi2 = lo2[live].astype(np.int64), hi2[live].astype(np.int64)

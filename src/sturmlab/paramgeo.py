@@ -29,7 +29,6 @@ import mpmath
 from .exactlin import DEFAULT_PRECISION, SymVec, det3
 from .approx import Bundle
 from .matseq import HatW, resolve_delta
-from .sturm import quantities
 from . import kernels
 
 
@@ -182,16 +181,12 @@ class SystemBreakpoints:
             self._anchor_vals = (self.hatw.anchors[0] / rho,
                                  self.hatw.anchors[1] / rho)
             self.hat_scale = rho
-        with mpmath.workprec(prec):
-            qs = quantities(self.prog, prec=prec)
-            threshold = qs.sigma / (1 + qs.sigma)
             if delta is None:
                 choice = resolve_delta(bundle.seq, prec)
                 self.delta, self.delta_source = choice.value, choice.source
             else:
                 self.delta = mpmath.mpf(str(delta)) if not isinstance(delta, mpmath.mpf) else delta
                 self.delta_source = "forced"
-            self.invalid_delta = bool(self.delta >= threshold)
         self._idx = {}
         self._wexp = {}
         self._d_k = {}

@@ -2,18 +2,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sturmlab.approx import (
     BadIndex, FibonacciOnly, contents_report, gray_fan, make_bundle,
     verify_identities,
 )
 from sturmlab.exactlin import IntMat2, SymVec, det3
-from sturmlab.matseq import MatrixSeed, bl_family, roy_family, solve_admissibility
+from sturmlab.matseq import (
+    DegenerateSeed, MatrixSeed, SingularN, bl_family, roy_family, solve_admissibility,
+)
 from sturmlab.sturm import SturmianProgram
 
 EXPECTED_CHECKS = {
-    "square_step", "commutation", "trace_recurrence", "y_recurrence_boundary",
-    "y_recurrence_block", "y_wedge_power", "z_recurrence_boundary",
+    "square_step", "y_recurrence_block", "y_wedge_power", "z_recurrence_boundary",
     "z_wedge", "det3_triple", "ladder_coprime", "coprimality_hypothesis",
 }
 
@@ -184,21 +187,18 @@ def test_failure_reporting():
 PERTURBED_Y_FAILURES = {
     (1, 3): [("square_step", [(2,), (3,), (5,)]),
              ("y_recurrence_block", [(3, 0), (4, 0), (6, 0)]),
-             ("y_recurrence_boundary", [(4,), (5,), (7,)]),
              ("z_recurrence_boundary", [(3,), (4,), (5,), (6,), (7,)]),
              ("det3_triple", [(3,), (4,), (5,)]),
              ("z_wedge", [(3, 0), (4, 0), (5, 0)]),
              ("y_wedge_power", [(3, 0), (4, 0), (6, 0)])],
     (1, 6): [("square_step", [(5,), (6,)]),
              ("y_recurrence_block", [(6, 0), (7, 0)]),
-             ("y_recurrence_boundary", [(7,), (8,)]),
              ("z_recurrence_boundary", [(6,), (7,), (8,)]),
              ("det3_triple", [(6,), (7,), (8,)]),
              ("z_wedge", [(6, 0), (7, 0), (8, 0)]),
              ("y_wedge_power", [(6, 0), (7, 0)])],
     (2, 3): [("square_step", [(2,), (3,), (6,)]),
              ("y_recurrence_block", [(2, 0), (2, 1), (4, 0)]),
-             ("y_recurrence_boundary", [(3,)]),
              ("z_recurrence_block", [(2, 0), (4, 0)]),
              ("z_recurrence_boundary", [(2,), (3,), (4,)]),
              ("det3_triple", [(2,), (3,)]),
@@ -206,7 +206,6 @@ PERTURBED_Y_FAILURES = {
              ("y_wedge_power", [(2, 0), (2, 1), (4, 0), (4, 1)])],
     (2, 6): [("square_step", [(5,), (6,), (7,)]),
              ("y_recurrence_block", [(3, 1), (4, 0), (4, 1)]),
-             ("y_recurrence_boundary", [(4,), (5,)]),
              ("z_recurrence_block", [(4, 0)]),
              ("z_recurrence_boundary", [(3,), (5,)]),
              ("det3_triple", [(4,)]),
@@ -216,18 +215,14 @@ PERTURBED_Y_FAILURES = {
 
 
 def _direct_sides(bundle, name, idx):
-    """(lhs, rhs) of a square_step, commutation or det3_triple instance, each
-    product formed in full."""
+    """(lhs, rhs) of a square_step or det3_triple instance, each product formed
+    in full."""
     prog, seq, ys, seed = bundle.prog, bundle.seq, bundle.ys, bundle.seed
     if name == "square_step":
         j, = idx
         p = ys.mat(prog.psi(j))
         adj_p = IntMat2(p.d, -p.b, -p.c, p.a)
         return p.det() * ys.mat(j + 1), ys.mat(j) @ adj_p @ ys.mat(j)
-    if name == "commutation":
-        k, = idx
-        return (seq.w(k - 1) @ seq.w(k) @ seed.N_parity(k + 1),
-                seq.w(k) @ seq.w(k - 1) @ seed.N_parity(k))
     k, = idx
     i = prog.t(k)
     return (det3(ys.at(i - 1), ys.at(i), ys.at(i + 1)),
@@ -244,11 +239,8 @@ def test_perturbed_y_failures_unchanged(seed, period, i):
     rep = verify_identities(bundle, prog.t(9))
     assert [f[:2] for f in rep.failures] == [
         (name, idx) for name, idxs in PERTURBED_Y_FAILURES[period, i] for idx in idxs]
-    # commutation reads no y, so it holds; the other two are checked against
-    # their direct formulas
-    assert not any(f[0] == "commutation" for f in rep.failures)
     for name, idx, lhs, rhs in rep.failures:
-        if name in ("square_step", "commutation", "det3_triple"):
+        if name in ("square_step", "det3_triple"):
             assert (lhs, rhs) == _direct_sides(bundle, name, idx), (name, idx)
 
 
@@ -259,9 +251,8 @@ def test_direct_sides_match_unperturbed(roy212_p2):
         lhs, rhs = _direct_sides(roy212_p2, "square_step", (j,))
         assert lhs == rhs
     for k in range(1, 6):
-        for name in ("commutation", "det3_triple"):
-            lhs, rhs = _direct_sides(roy212_p2, name, (k,))
-            assert lhs == rhs
+        lhs, rhs = _direct_sides(roy212_p2, "det3_triple", (k,))
+        assert lhs == rhs
 
 
 ROY_SEEDS = [(2, 1, 2), (3, 1, 3), (2, 7, 8), (5, 2, 4)]
@@ -271,6 +262,25 @@ def _custom_bundle(w0, w1):
     """A seed outside both families, with N solved from the symmetry conditions."""
     seed = MatrixSeed(w0, w1, solve_admissibility(w0, w1), family="custom", params=())
     return make_bundle(seed, SturmianProgram.all_ones())
+
+
+SMALL_MATRICES = st.builds(IntMat2, *[st.integers(-3, 3)] * 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SMALL_MATRICES, SMALL_MATRICES)
+def test_commutation_follows_from_admissibility(w0, w1):
+    """w_{k-1} w_k N_{k+1} = w_k w_{k-1} N_k for k <= 6 on every admissible
+    seed: why `verify_identities` does not check it."""
+    try:
+        seed = MatrixSeed(w0, w1, solve_admissibility(w0, w1), family="custom", params=())
+    except (DegenerateSeed, SingularN):
+        assume(False)
+    for period in ([1], [2], [1, 2]):
+        seq = make_bundle(seed, SturmianProgram([-1, 1], period)).seq
+        for k in range(1, 7):
+            assert (seq.w(k - 1) @ seq.w(k) @ seed.N_parity(k + 1)
+                    == seq.w(k) @ seq.w(k - 1) @ seed.N_parity(k)), (period, k)
 
 
 @pytest.mark.parametrize("period", [1, 2])
@@ -296,7 +306,8 @@ def test_content_full_gcd_when_the_quick_test_fails():
 
 def _ladder_coprime_direct(bundle, i_max):
     """(hypothesis, instance count, failing (k, l) with their gcd), from the
-    determinant of each ladder matrix itself."""
+    determinant of each ladder matrix itself; the rungs of k = 1 are the
+    hypothesis, so the instances start at k = 2."""
     seq, prog = bundle.seq, bundle.prog
     k_hi = prog.block_of(i_max)[0]
 
@@ -306,18 +317,23 @@ def _ladder_coprime_direct(bundle, i_max):
 
     hyp = math.gcd(seq.tr(1), seq.det(1)) == 1 and all(
         g(1, l) == 1 for l in range(prog.s(2) + 2))
-    pairs = [(k, l) for k in range(1, k_hi + 1) for l in range(prog.s(k + 1) + 2)]
+    pairs = [(k, l) for k in range(2, k_hi + 1) for l in range(prog.s(k + 1) + 2)]
     if not hyp:
         return False, 0, []
     return True, len(pairs), [((k, l), g(k, l)) for k, l in pairs if g(k, l) != 1]
 
 
-@pytest.mark.parametrize("period, count", [(1, 27), (2, 36)])
+@pytest.mark.parametrize("period, rungs", [(1, 27), (2, 36)])
 @pytest.mark.parametrize("abc", ROY_SEEDS)
-def test_ladder_coprime_unchanged(abc, period, count):
+def test_ladder_coprime_unchanged(abc, period, rungs):
+    """`rungs` counts the ladder rungs (k, l), 1 <= k <= k_hi, l < s_{k+1} + 2,
+    up to t_9; the s_2 + 2 rungs of k = 1 are the hypothesis, and
+    `ladder_coprime` checks the other 24 (period 1) or 32 (period 2)."""
     bundle = make_bundle(roy_family(*abc), SturmianProgram([-1, 1], [period]))
     i_max = bundle.prog.t(9)
     rep = verify_identities(bundle, i_max)
+    count = {1: 24, 2: 32}[period]
+    assert count == rungs - (bundle.prog.s(2) + 2)
     assert rep.checks["coprimality_hypothesis"] == 1
     assert rep.checks["ladder_coprime"] == count
     assert _ladder_coprime_direct(bundle, i_max) == (True, count, [])

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 import sys
 import time
 from decimal import Decimal
@@ -27,6 +29,24 @@ def test_verify_ok(capsys):
     assert code == 0
     assert "instances  ok" in out
     assert "FAIL" not in out
+
+
+def test_readme_lists_the_verified_families(capsys, tmp_path):
+    """The families the README lists under `verify` are the `checks` keys of
+    `verify --json`; `z_recurrence_block` has instances only when some s_k >= 2."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("`verify --up-to k` checks each identity family", 1)[1]
+    listed = set(re.findall(r"^- `(\w+)`", section.split("\n\n")[1], re.M))
+    keys = {}
+    for period in ("1", "2"):
+        run_dir = tmp_path / period
+        argv = ["--family", "roy", "--abc", "2,1,2", "--program", f"prefix=[-1,1];period=[{period}]",
+                "--json", "--out-dir", str(run_dir), "verify", "--up-to", "8"]
+        assert main(argv) == 0
+        keys[period] = set(json.loads((run_dir / "verify.json").read_text())["data"]["checks"])
+    capsys.readouterr()
+    assert keys["2"] == listed
+    assert keys["1"] == listed - {"z_recurrence_block"}
 
 
 def test_verify_json_deterministic(capsys, tmp_path):

@@ -23,6 +23,7 @@ def _primal_reference(xi, xi2, q, R, cutoff):
     """Scalar loop over the same window as ``collect_primal``."""
     pts, lams = [], []
     eq = np.exp(q)
+    cutoff = kernels._widen(xi, xi2, q, cutoff, eq, 2 * R + cutoff + 1)
     w = cutoff * np.exp(-q)
     for x1 in range(-R, R + 1):
         for x2 in range(-R, R + 1):
@@ -47,6 +48,7 @@ def _dual_reference(xi, xi2, q, R0, cutoff):
     """Scalar loop over the same window as ``collect_dual``."""
     pts, lams = [], []
     emq = np.exp(-q)
+    cutoff = kernels._widen(xi, xi2, q, cutoff, 1.0, R0 * (1 + abs(xi) + abs(xi2)) + 2 * cutoff + 3)
     span = int(cutoff * np.sqrt(1.0 + xi * xi)) + 2
     for x0 in range(-R0, R0 + 1):
         c1 = x0 * xi
@@ -125,7 +127,8 @@ def test_overflow_past_cap(monkeypatch, collect, args):
 # (x1, x0 - window start, x2) for the primal kernel and
 # (x1 - floor(x0 xi), x2 - floor(x0 xi^2), x0) for the dual kernel.
 
-def _primal_key(xi, xi2, q, cutoff):
+def _primal_key(xi, xi2, q, R, cutoff):
+    cutoff = kernels._widen(xi, xi2, q, cutoff, float(np.exp(q)), 2 * R + cutoff + 1)
     w = cutoff * float(np.exp(-q))
 
     def key(x):
@@ -134,7 +137,7 @@ def _primal_key(xi, xi2, q, cutoff):
     return key
 
 
-def _dual_key(xi, xi2, q, cutoff):
+def _dual_key(xi, xi2, q, R0, cutoff):
     return lambda x: (x[1] - math.floor(x[0] * xi), x[2] - math.floor(x[0] * xi2), x[0])
 
 
@@ -150,7 +153,7 @@ def _check_contract(side, xi, q, R, cutoff):
     ref_pts, ref_lam = reference(xi, xi * xi, q, R, cutoff)
     assert dict(zip(got, lam.tolist())) == dict(zip(map(tuple, ref_pts.tolist()), ref_lam.tolist()))
     assert len(got) == len(ref_pts)
-    keys = list(map(key(xi, xi * xi, q, cutoff), got))
+    keys = list(map(key(xi, xi * xi, q, R, cutoff), got))
     assert keys == sorted(keys)
     return len(got)
 

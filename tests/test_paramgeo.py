@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from sturmlab import paramgeo
 from sturmlab.approx import make_bundle
 from sturmlab.exactlin import SymVec
+from sturmlab.exponents import ImproperDelta, closed_form
 from sturmlab.matseq import bl_family, roy_family
-from sturmlab.sturm import SturmianProgram
+from sturmlab.sturm import SturmianProgram, quantities
+from sturmlab.xi import properness_check
 from sturmlab.paramgeo import (
     CandidateBuilder, LinExpr, TooLarge, breakpoint_samples, compare, csv_rows,
     duality_check, minima_bruteforce, minima_candidates, predicted_system,
@@ -91,13 +93,17 @@ def test_key_values_symbolic(P_bl):
         assert key_values_exact(P_bl, i)
 
 
-def test_delta_resolution(P_bl, roy212):
+def test_delta_resolution(P_bl, bl12, roy212):
     assert P_bl.delta == 0
     assert "unimodular" in P_bl.delta_source
-    assert not P_bl.invalid_delta
+    assert properness_check(bl12).delta_ok is True
     R = predicted_system(roy212, (3, 7))
     assert R.delta_source == "empirical delta_hat at k = 18"
-    assert R.invalid_delta           # delta_hat ~0.394 >= sigma/(1+sigma) ~0.382
+    # delta_hat ~0.394 >= sigma/(1+sigma) ~0.382
+    assert properness_check(roy212).delta_ok is False
+    qs = quantities(roy212.prog)
+    with pytest.raises(ImproperDelta):
+        closed_form(qs.sigma, R.delta, qs.tau, qs.sigma_prime)
 
 
 def test_hat_rescaling_tracks_log_norms(P_bl, bl12):
@@ -357,6 +363,18 @@ def test_bruteforce_checks_both_radii_first(cb_bl, monkeypatch):
     monkeypatch.setattr(kernels, "collect_primal", no_enumeration)
     with pytest.raises(TooLarge, match="dual search radius .* exceeds 5000000"):
         minima_bruteforce(cb_bl, 20.0)
+
+
+@pytest.mark.parametrize("family, q", [(bl_family(1, 2), 17.36), (roy_family(2, 1, 2), 16.2)],
+                         ids=["bl12-dual", "roy212-primal"])
+def test_bruteforce_survives_float_cancellation(prog_twos, family, q):
+    """On period 2 the float lam of the candidate's own third point (dual for
+    bl(1,2), primal for roy(2,1,2)) exceeds its exact value by more than
+    10^-9 relative at these q; the kernels' error bound keeps the point."""
+    builder = CandidateBuilder(make_bundle(family, prog_twos), prec=256)
+    brute, cand = minima_bruteforce(builder, q), minima_candidates(builder, q)
+    assert all(b <= c for b, c in zip(brute.L, cand.L))
+    assert all(b <= c for b, c in zip(brute.Lstar, cand.Lstar))
 
 
 @pytest.mark.parametrize("builder, qs", [("cb_bl", (1.5, 6.0, 11.0, 25.0)),
