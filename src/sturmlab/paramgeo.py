@@ -198,6 +198,11 @@ class SystemBreakpoints:
                             ).mul_delta_poly({0: 1}) - (
                 self._wk(k) + self._wk(k - 1)).mul_delta_poly({1: 1})
         self._windows = [self._window(i) for i in self.window_index_range()]
+        self._gray = []          # the gray intervals, (i + 1, b_i, a_{i+1})
+        for i in sorted(self._idx)[:-1]:        # the indices are consecutive
+            b, a = self.num(self._idx[i].b), self.num(self._idx[i + 1].a)
+            if a >= b:
+                self._gray.append((i + 1, b, a))
 
     # -- symbolic builders --------------------------------------------------
     def _wk(self, k: int) -> LinExpr:
@@ -309,18 +314,10 @@ class SystemBreakpoints:
 
     def gray_intervals(self):
         """I'_{i+1} = [b_i, a_{i+1}] for consecutive indices in range."""
-        out = []
-        items = sorted(self._idx)
-        for i in items[:-1]:
-            if i + 1 in self._idx:
-                b = self.num(self._idx[i].b)
-                a = self.num(self._idx[i + 1].a)
-                if a >= b:
-                    out.append((i + 1, b, a))
-        return out
+        return list(self._gray)
 
     def in_gray(self, q, margin=0.0) -> bool:
-        return any(b - margin <= q <= a + margin for _, b, a in self.gray_intervals())
+        return any(b - margin <= q <= a + margin for _, b, a in self._gray)
 
     def I_intervals(self):
         """I_i = [a_i, b_i] (where the top component of P is -hatL*_i)."""
@@ -485,9 +482,9 @@ def _traj(x, u, q, side):
 
 def _size_keys(u, q, p):
     """The bodies of both sides at q in exact integers, from the working
-    precision p: a (key, form) pair per side, indexed by PRIMAL/DUAL.  With
+    precision p: a (key, terms) pair per side, indexed by PRIMAL/DUAL.  With
     U = round(2^p u) and E = round(2^p e^{2q}), each side is two integer
-    quadratic terms of a pair of points (x, y):
+    terms of a pair of points (x, y), both symmetric bilinear forms:
 
         primal  2^{3p} <x, y>,  E (x.U)(y.U)
         dual    E <x^U, y^U>,   2^{3p} <x, y>
@@ -498,8 +495,8 @@ def _size_keys(u, q, p):
         dual    max(E |x^U|^2, |x|^2 2^{3p})   ~ 2^{3p} e^{2q} e^{2 L*_x(q)}
 
     so at a fixed q each key orders points like the trajectory of its side,
-    with no logarithm and no square root.  The form is the sum of the two
-    terms: a positive definite bilinear form proportional, up to the same
+    with no logarithm and no square root.  The form, the sum of the two
+    terms, is a positive definite bilinear form proportional, up to the same
     rounding, to the side's quadratic form |x|^2 + e^{2q}(x.u)^2 or
     |x^u|^2 + e^{-2q}|x|^2.  Plane completions solve for their
     least-squares centre in it exactly: the 2x2 normal equations of two
@@ -534,8 +531,8 @@ def _size_keys(u, q, p):
         xy, xU = x.dot(y), x.dot(U)
         return E * (xy * UU - xU * (xU if y is x else y.dot(U))), xy << s
 
-    def body(terms):         # (key, form)
-        return (lambda x: max(terms(x, x))), (lambda x, y: sum(terms(x, y)))
+    def body(terms):         # (key, terms)
+        return (lambda x: max(terms(x, x))), terms
 
     return body(primal), body(dual)
 
@@ -575,7 +572,8 @@ def _greedy_triple(pts, keys):
 
 
 # plane completions: the (2 COMPLETION_WINDOW + 1)^2 grid points of a layer
-# nearest to its least-squares center
+# around its least-squares centre, of which only those that can still enter
+# the triple are built
 COMPLETION_WINDOW = 4
 
 
@@ -628,46 +626,87 @@ class CandidateBuilder:
             keys.setdefault(p.as_tuple() if positive else (-p).as_tuple())
         return [SymVec(*key) for key in keys]
 
-    def _complete(self, triple, pts, keys, key, form):
+    def _complete(self, triple, pts, keys, terms):
         """Augment the candidate list and its keys (in place) with plane
         completions around the current best pairs, then redo the greedy
-        selection."""
+        selection.
+
+        Only the completion points whose key is at most that of the current
+        third point are built, and the selection is the one that the full
+        grids would give.  `_greedy_triple` sorts stably by (key, index), and
+        new points get larger indices, so the prefix that ends at the current
+        third point already has rank 3 and greedy picks all three points
+        inside it: a point with a larger key is never picked.  The second
+        round's third key is no larger than the first round's, so what the
+        first round dropped stays irrelevant.  The keys are exact values of
+        the side's pair of terms, the one definition of its body, so
+        key <= form <= 2 key holds as for every other point."""
         for _ in range(2):
-            best = list(triple)
-            for pair in [(best[0], best[1]), (best[0], best[2]), (best[1], best[2])]:
-                for comp in self._completions(pts[pair[0]], pts[pair[1]], form):
+            bound = keys[triple[2]]
+            for i, j in ((triple[0], triple[1]), (triple[0], triple[2]), (triple[1], triple[2])):
+                for comp, k in self._completions(pts[i], pts[j], terms, bound):
                     pts.append(comp)
-                    keys.append(key(comp))
+                    keys.append(k)
             new = _greedy_triple(pts, keys)
             if new == triple:
                 break
             triple = new
         return triple
 
-    def _completions(self, v1: SymVec, v2: SymVec, form):
-        """The points x0 + (a + da) v1 + (b + db) v2, |da|, |db| <=
-        COMPLETION_WINDOW, rows of da first, where x0 + a v1 + b v2 is the
-        least-squares centre in the integer bilinear `form` of the layer
-        x . n = 1 (n the primitive normal of the v1-v2 plane), rounded to
-        integer a, b, half to even.
+    def _completions(self, v1: SymVec, v2: SymVec, terms, bound):
+        """(point, key) for the points x_c + da v1 + db v2, |da|, |db| <=
+        COMPLETION_WINDOW, rows of da first, whose key (the larger of the
+        two terms) is at most `bound`; x_c is the rounded centre of `_centre`.  Each term T is a symmetric
+        bilinear form, so T(x, x) = T(x_c, x_c) + 2 da T(x_c, v1) +
+        2 db T(x_c, v2) + da^2 T(v1, v1) + 2 da db T(v1, v2) + db^2 T(v2, v2),
+        and the exact key of every grid point follows from the six pairs."""
+        xc, six = _centre(v1, v2, terms)
+        out = []
+        for da in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1):
+            # along the row of da, the two terms are a + db (b + db c)
+            (a0, b0, c0), (a1, b1, c1) = [
+                (xx + da * (2 * x1 + da * s11), 2 * (x2 + da * s12), s22)
+                for xx, x1, x2, s11, s12, s22 in zip(*six)]
+            xa = xc + da * v1
+            for db in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1):
+                k0 = a0 + db * (b0 + db * c0)
+                if k0 <= bound:
+                    k1 = a1 + db * (b1 + db * c1)
+                    if k1 <= bound:
+                        out.append((xa + db * v2, max(k0, k1)))
+        return out
 
-        v1 and v2 come from a greedy triple, so they are independent and n
-        exists; n is primitive, so the extended gcd of its coordinates is
-        +-1 and gives x0, and no point of the layer is zero.  The form is
-        positive definite, so for independent v1, v2 the determinant of the
-        normal equations is positive (strict Cauchy-Schwarz)."""
-        n = v1.wedge(v2).primitive()
-        g1, a, b = _ext_gcd(n.x0, n.x1)
-        g, c, d = _ext_gcd(g1, n.x2)
-        x0 = SymVec(g * c * a, g * c * b, g * d)
-        f11, f22, f12 = form(v1, v1), form(v2, v2), form(v1, v2)
-        r1, r2 = -form(x0, v1), -form(x0, v2)
-        det = f11 * f22 - f12 * f12
-        ai = round(Fraction(r1 * f22 - r2 * f12, det))
-        bi = round(Fraction(r2 * f11 - r1 * f12, det))
-        return [x0 + (ai + da) * v1 + (bi + db) * v2
-                for da in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1)
-                for db in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1)]
+
+def _centre(v1: SymVec, v2: SymVec, terms):
+    """x_c = x0 + a v1 + b v2, the least-squares centre of the layer
+    x . n = 1 (n the primitive normal of the v1-v2 plane) in the side's form
+    (the sum of its terms), with a, b rounded to integers, half to even; and
+    the terms on the six pairs (x_c, x_c), (x_c, v1), (x_c, v2), (v1, v1),
+    (v1, v2), (v2, v2).
+
+    v1 and v2 come from a greedy triple, so they are independent and n
+    exists; n is primitive, so the extended gcd of its coordinates is
+    +-1 and gives x0, and no point of the layer is zero.  The form is
+    positive definite, so for independent v1, v2 the determinant of the
+    normal equations is positive (strict Cauchy-Schwarz)."""
+    n = v1.wedge(v2).primitive()
+    g1, a, b = _ext_gcd(n.x0, n.x1)
+    g, c, d = _ext_gcd(g1, n.x2)
+    x0 = SymVec(g * c * a, g * c * b, g * d)
+    vv = terms(v1, v1), terms(v1, v2), terms(v2, v2)
+    f11, f12, f22 = (sum(t) for t in vv)
+    r1, r2 = -sum(terms(x0, v1)), -sum(terms(x0, v2))
+    det = f11 * f22 - f12 * f12
+    xc = (x0 + _round_div(r1 * f22 - r2 * f12, det) * v1
+          + _round_div(r2 * f11 - r1 * f12, det) * v2)
+    return xc, (terms(xc, xc), terms(xc, v1), terms(xc, v2)) + vv
+
+
+def _round_div(n: int, d: int) -> int:
+    """round(Fraction(n, d)) for d > 0, by one divmod and no gcd: the
+    nearest integer to n / d, half to even."""
+    q, r = divmod(n, d)
+    return q + 1 if 2 * r > d or (2 * r == d and q % 2) else q
 
 
 def _ext_gcd(a, b):
@@ -695,12 +734,12 @@ def minima_candidates(builder: CandidateBuilder, q, P: Optional[SystemBreakpoint
         u = builder.u(prec)
         base = builder.base_points(q)
         minima, chosen = [], []
-        for side, (key, form) in enumerate(_size_keys(u, qm, prec)):
+        for side, (key, terms) in enumerate(_size_keys(u, qm, prec)):
             pts, keys = list(base), [key(p) for p in base]
             triple = _greedy_triple(pts, keys)
             if triple is None:
                 raise NoCandidates("candidate set spans less than 3 dimensions")
-            triple = builder._complete(triple, pts, keys, key, form)
+            triple = builder._complete(triple, pts, keys, terms)
             chosen.append([pts[i] for i in triple])
             minima.append(tuple(_traj(p, u, qm, side) for p in chosen[-1]))
     return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="candidate",

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -512,18 +513,112 @@ def test_completion_centres_are_exact(request, seed, q):
     p = cb.prec_for(q)
     with mpmath.workprec(p):
         bodies = paramgeo._size_keys(cb.u(p), q, p)
-    for pts, (key, form) in zip((s.points, s.dual_points), bodies):
+    for pts, (key, terms) in zip((s.points, s.dual_points), bodies):
+        def form(x, y):
+            return sum(terms(x, y))
+
         for x in pts:
             assert key(x) <= form(x, x) <= 2 * key(x)
         for v1, v2 in ((pts[0], pts[1]), (pts[0], pts[2]), (pts[1], pts[2])):
-            comps = cb._completions(v1, v2, form)
-            centre = comps[len(comps) // 2]
+            centre = paramgeo._centre(v1, v2, terms)[0]
             # the minimiser centre + a v1 + b v2 solves the normal equations
             f11, f22, f12 = form(v1, v1), form(v2, v2), form(v1, v2)
             r1, r2 = -form(centre, v1), -form(centre, v2)
             det = f11 * f22 - f12 * f12
             a, b = Fraction(r1 * f22 - r2 * f12, det), Fraction(r2 * f11 - r1 * f12, det)
             assert abs(a) <= Fraction(1, 2) and abs(b) <= Fraction(1, 2), (float(a), float(b))
+
+
+@pytest.fixture(scope="module")
+def cb_roy278(prog_ones):
+    return CandidateBuilder(make_bundle(roy_family(2, 7, 8), prog_ones), prec=256)
+
+
+def _full_grid_candidates(cb, q):
+    """Reference for `minima_candidates`: each plane completion builds all
+    (2 COMPLETION_WINDOW + 1)^2 points of its grid and scores each by
+    key(point), around a centre rounded through Fraction.  Returns
+    (points, minima) per side."""
+    w = range(-paramgeo.COMPLETION_WINDOW, paramgeo.COMPLETION_WINDOW + 1)
+    prec = cb.prec_for(q)
+    out = []
+    with mpmath.workprec(prec):
+        u, base = cb.u(prec), cb.base_points(q)
+        for side, (key, terms) in enumerate(paramgeo._size_keys(u, q, prec)):
+            def form(x, y):
+                return sum(terms(x, y))
+
+            pts, keys = list(base), [key(p) for p in base]
+            triple = paramgeo._greedy_triple(pts, keys)
+            for _ in range(2):
+                for i, j in ((triple[0], triple[1]), (triple[0], triple[2]),
+                             (triple[1], triple[2])):
+                    v1, v2 = pts[i], pts[j]
+                    n = v1.wedge(v2).primitive()
+                    g1, a, b = paramgeo._ext_gcd(n.x0, n.x1)
+                    g, c, d = paramgeo._ext_gcd(g1, n.x2)
+                    x0 = SymVec(g * c * a, g * c * b, g * d)
+                    f11, f22, f12 = form(v1, v1), form(v2, v2), form(v1, v2)
+                    r1, r2 = -form(x0, v1), -form(x0, v2)
+                    det = f11 * f22 - f12 * f12
+                    ai = round(Fraction(r1 * f22 - r2 * f12, det))
+                    bi = round(Fraction(r2 * f11 - r1 * f12, det))
+                    for da in w:
+                        for db in w:
+                            pts.append(x0 + (ai + da) * v1 + (bi + db) * v2)
+                            keys.append(key(pts[-1]))
+                new = paramgeo._greedy_triple(pts, keys)
+                if new == triple:
+                    break
+                triple = new
+            chosen = [pts[i] for i in triple]
+            out.append((chosen, [paramgeo._traj(x, u, q, side) for x in chosen]))
+    return out
+
+
+@pytest.mark.parametrize("seed, q", [
+    ("bl", 1.5), ("bl", 6.0), ("bl", 11.0), ("bl", 25.0), ("bl", ("q_t", 7)),
+    ("bl_p2", 4.0), ("bl_p2", 13.0), ("bl_p2", ("q_t", 7)),
+    ("roy_p12", 300), ("roy_p12", 741),
+    ("roy278", 3.0), ("roy278", 9.0), ("roy278", ("q_t", 7))])
+def test_pruned_completions_match_full_grid(request, monkeypatch, seed, q):
+    """Plane completions that build only the points that can still enter the
+    triple give bit-identical candidate minima to the full grids, and the key
+    of every built point, from the quadratic expansion, is its exact key."""
+    cb = request.getfixturevalue("cb_" + seed)
+    q = _at(cb, q)
+    built = []
+    completions = CandidateBuilder._completions
+
+    def recorded(builder, v1, v2, terms, bound):
+        out = completions(builder, v1, v2, terms, bound)
+        built.extend((terms, x, k) for x, k in out)
+        return out
+
+    monkeypatch.setattr(CandidateBuilder, "_completions", recorded)
+    s = minima_candidates(cb, q)
+    monkeypatch.undo()
+    assert built and all(k == max(terms(x, x)) for terms, x, k in built)
+    (points, L), (dual_points, Lstar) = _full_grid_candidates(cb, q)
+    assert [x.as_tuple() for x in s.points] == [x.as_tuple() for x in points]
+    assert [x.as_tuple() for x in s.dual_points] == [x.as_tuple() for x in dual_points]
+    assert [x._mpf_ for x in s.L] == [x._mpf_ for x in L]
+    assert [x._mpf_ for x in s.Lstar] == [x._mpf_ for x in Lstar]
+
+
+def test_round_div_is_round_of_fraction():
+    """One divmod rounds like round(Fraction(n, d)): to nearest, half to even."""
+    rng = random.Random(16)
+    cases = [(3, 2), (5, 2), (-3, 2), (-5, 2), (9, 6), (15, 6), (-9, 6), (-15, 6),
+             (0, 5), (7, 1), (-7, 1), (-1, 3), (-2, 3), (2, 3), (-4, 3)]
+    for _ in range(300):
+        d = rng.getrandbits(3000) | 1 << 2999
+        m = rng.getrandbits(3000) - (1 << 2999)
+        # ties with an odd and an even quotient, and generic operands
+        cases += [((2 * m + 1) * d, 2 * d), ((4 * m + 1) * d, 2 * d),
+                  ((4 * m + 3) * d, 2 * d), (rng.getrandbits(3000) - (1 << 2999), d)]
+    for n, d in cases:
+        assert paramgeo._round_div(n, d) == round(Fraction(n, d)), (n, d)
 
 
 def test_bruteforce_ranks_by_exact_keys(cb_roy, monkeypatch):
