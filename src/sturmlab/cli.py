@@ -13,6 +13,7 @@ its report and returns `(code, data)`; with `--json`, `main` writes `data` to
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -318,6 +319,7 @@ def cmd_spectrum(args, cfg):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def make_parser():
     p = argparse.ArgumentParser(prog="sturmlab")
     p.add_argument("--precision", default=None)

@@ -579,14 +579,13 @@ COMPLETION_WINDOW = 4
 
 class CandidateBuilder:
     """Candidate lattice points for the minima at a given q: the y_i, the
-    primitive integer points in the z_j directions, the unit vectors, wedges
-    of leading candidates, and plane-completion points for the third minimum."""
+    primitive integer points in the z_j directions, the unit vectors, and
+    plane-completion points for the third minimum."""
 
     def __init__(self, bundle: Bundle, prec: int = DEFAULT_PRECISION):
         self.bundle = bundle
         self.base_prec = prec
         self._u_cache = {}
-        self._zhat = {}
 
     def prec_for(self, q) -> int:
         return max(self.base_prec, int(3.3 * float(q)) + 192)
@@ -598,11 +597,6 @@ class CandidateBuilder:
         if key not in self._u_cache:
             self._u_cache[key] = xi_value(self.bundle, prec).u_vector(prec)
         return self._u_cache[key]
-
-    def _zhat_at(self, j):
-        if j not in self._zhat:
-            self._zhat[j] = self.bundle.zs.integerized(j).primitive()
-        return self._zhat[j]
 
     def i_max_for(self, q) -> int:
         """Smallest index whose y-norm comfortably exceeds e^q."""
@@ -619,7 +613,7 @@ class CandidateBuilder:
         i_max = self.i_max_for(q)
         pts = [SymVec(1, 0, 0), SymVec(0, 1, 0), SymVec(0, 0, 1)]
         pts += [self.bundle.ys.at(i).primitive() for i in range(-2, i_max + 1)]
-        pts += [self._zhat_at(j) for j in range(0, i_max + 1)]
+        pts += [self.bundle.zs.num(j).primitive() for j in range(0, i_max + 1)]
         keys = {}
         for p in pts:
             positive = p.x0 > 0 or (p.x0 == 0 and (p.x1, p.x2) > (0, 0))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -302,26 +303,21 @@ class SturmianProgram:
         """Return k >= 1 with t_k = i, or None.  (t_k, k >= 1, increases from 0.)"""
         if i < 0:
             return None
-        k = 1
-        while self.t(k) < i:
-            k += 1
-        return k if self.t(k) == i else None
+        k, l = self.block_of(i)
+        return k if l == 0 else None
 
     def block_of(self, j: int):
         """For j >= 0 return (k, l) with k >= 1, t_k <= j < t_{k+1}, l = j - t_k."""
         if j < 0:
             raise BadSequence(f"block decomposition needs j >= 0, got {j}")
-        k = 1
-        while self.t(k + 1) <= j:
-            k += 1
-        return k, j - self.t(k)
+        self.t(j + 2)  # t_k >= k - 1, so the cache now passes j
+        k = bisect_right(self._t_cache, j) - 1
+        return k, j - self._t_cache[k]
 
     def psi(self, i: int) -> int:
         """psi(t_k) = t_{k-1} - 1 for k >= 1; psi(i) = i - 1 otherwise."""
         k = self.t_index_of(i)
-        if k is not None and k >= 1:
-            return self.t(k - 1) - 1
-        return i - 1
+        return i - 1 if k is None else self.t(k - 1) - 1
 
 
 # ---------------------------------------------------------------------------

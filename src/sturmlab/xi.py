@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 import mpmath
@@ -24,7 +25,7 @@ class NoConvergence(ValueError):
 class XiValue:
     lo: Fraction
     hi: Fraction
-    index: int              # last y index used
+    index: int              # k of the w_k, or the quotient count of the oracle
     precision_bits: int
 
     def mpf(self, prec: Optional[int] = None):
@@ -40,39 +41,45 @@ class XiValue:
             return (mpmath.mpf(1), x, x * x)
 
 
-def xi_value(bundle: Bundle, precision_bits: int = DEFAULT_PRECISION,
-             max_index: int = 2000) -> XiValue:
-    """xi as the limit of the ratios y_{i,1} / y_{i,0}.
+def xi_value(bundle: Bundle, precision_bits: int = DEFAULT_PRECISION) -> XiValue:
+    """xi enclosed by the column ratios c/a and d/b of w_k = [[a, b], [c, d]]
+    at the first k with a, b > 0 and |det w_k| 2^precision_bits <= a b.
 
-    The enclosure is certified relative to an observed-contraction hypothesis:
-    once the successive ratio gaps d_i shrink by at least 4x at every step, the
-    geometric tail bound gives |xi - r_{i+1}| <= (4/3) d_{i+1} < 2 d_{i+1}.
-    """
-    ys = bundle.ys
-    target = Fraction(1, 2 ** precision_bits)
-    prev_ratio = None
-    prev_gap = None
-    streak = 0
-    for i in range(0, max_index + 1):
-        v = ys.at(i)
-        if v.x0 == 0:
-            prev_ratio, prev_gap, streak = None, None, 0
-            continue
-        r = Fraction(v.x1, v.x0)
-        if prev_ratio is not None:
-            gap = abs(r - prev_ratio)
-            if prev_gap is not None:
-                if gap * 4 <= prev_gap:
-                    streak += 1
-                else:
-                    streak = 0
-            prev_gap = gap
-            if streak >= 2 and gap * 4 <= target:
-                return XiValue(lo=r - 2 * gap, hi=r + 2 * gap,
-                               index=i, precision_bits=precision_bits)
-        prev_ratio = r
-    raise NoConvergence(
-        f"ratio gaps did not contract to 2^-{precision_bits} within {max_index} terms")
+    (i) For nonnegative w_0, w_1 each w_k^{s-1} w_{k-1} is nonnegative, so
+    the columns of w_{k+1} = w_k (w_k^{s-1} w_{k-1}) combine those of w_k
+    with nonnegative weights: the cones nest.  On the cone of w_k the ratio
+    of row 1 to row 0 runs between c/a and d/b, a width |det w_k| / (a b).
+    (ii) For i = t_m + l, m >= k, y_i = L_i N_m, and the columns of
+    L_i = w_m (w_m^l w_{m-1}) lie in the cone of w_m, inside that of w_k.
+    [y_i] tends to [1 : xi : xi^2], so on a subsequence with one parity of m
+    L_i / |y_i| tends to c (1, xi)^T (1, xi) N_m^{-1}, c != 0, whose nonzero
+    columns are multiples of (1, xi) and lie in the closed cone.
+
+    A cone still too wide when ||w_k|| passes 2^B raises NoConvergence, with
+    B = precision_bits + 4 L and L the bit length of ||w_3||.  On roy and bl
+    seeds w_2, w_3 > 0 and, for k >= 4, w_k = w_2 M w_j with M >= 0 and
+    j in {2, 3} (rows nest two steps apart), so its entries lie within a
+    factor K = ||w_2|| ||w_3|| < 2^{2L} of each other.  |det w_k| is 1 on bl
+    seeds and at most ||w_k|| on roy seeds (the bottom-right entry is
+    supermultiplicative and >= |det| on w_0, w_1), so the width is at most
+    K^2 / ||w_k|| <= 2^-precision_bits at the budget; bl seeds need only
+    a b >= 2^precision_bits.  Negative entries and pairs of permutation
+    matrices are refused; on the others S(w_k) - 2, S the entry sum, is
+    unbounded, as S(XY) >= S(X) + S(Y) - 2 and S = 2 only on permutations."""
+    seq, w0, w1 = bundle.seq, bundle.seed.w0, bundle.seed.w1
+    entries = (w0.a, w0.b, w0.c, w0.d, w1.a, w1.b, w1.c, w1.d)
+    if min(entries) < 0:
+        raise NoConvergence(f"w0 = {w0} or w1 = {w1} has a negative entry: cones need not nest")
+    if sum(entries) == 4:
+        raise NoConvergence(f"w0 = {w0} and w1 = {w1} are permutation matrices: cones never narrow")
+    budget = precision_bits + 4 * seq.norm(3).bit_length()
+    for k in count():
+        w = seq.w(k)
+        if w.a > 0 and w.b > 0 and abs(seq.det(k)) << precision_bits <= w.a * w.b:
+            lo, hi = sorted((Fraction(w.c, w.a), Fraction(w.d, w.b)))
+            return XiValue(lo=lo, hi=hi, index=k, precision_bits=precision_bits)
+        if seq.norm(k).bit_length() > budget:
+            raise NoConvergence(f"cones of w_k wider than 2^-{precision_bits} at ||w_{k}|| >= 2^{budget}")
 
 
 # ---------------------------------------------------------------------------

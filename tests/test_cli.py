@@ -75,7 +75,7 @@ def test_verify_past_int_digit_limit(capsys):
 def test_xi_json_past_int_digit_limit(capsys, tmp_path):
     limit = sys.get_int_max_str_digits()
     code, _, _ = run(capsys, "--family", "roy", "--abc", "2,1,2", "--out-dir", str(tmp_path),
-                     "--json", "xi", "--digits", "2000")
+                     "--json", "xi", "--digits", "6000")
     assert code == 0
     assert sys.get_int_max_str_digits() == limit
     data = json.loads((tmp_path / "xi.json").read_text())["data"]
@@ -83,7 +83,7 @@ def test_xi_json_past_int_digit_limit(capsys, tmp_path):
     lo, hi = (Fraction(*(int(Decimal(part)) for part in data[key].split("/")))
               for key in ("xi_lo", "xi_hi"))
     xv = xi_value(make_bundle(roy_family(2, 1, 2), SturmianProgram.all_ones()),
-                  int(2000 * 3.33) + 32)
+                  int(6000 * 3.33) + 32)
     assert (lo, hi) == (xv.lo, xv.hi)
     assert len(data["xi_lo"]) > 2 * 4300
 

@@ -31,8 +31,6 @@ TEST_ONLY_DEFAULTS = {
     (None, "compare", "window_of"): "acceptance criterion 7 splits the samples at k = 8 with it",
     ("SystemBreakpoints", "in_gray", "margin"): "acceptance criterion 12 widens the gray "
                                                 "intervals with it",
-    (None, "xi_value", "max_index"): "test_no_convergence_cap caps the y index with it to reach "
-                                      "NoConvergence",
 }
 
 

@@ -606,6 +606,26 @@ def test_pruned_completions_match_full_grid(request, monkeypatch, seed, q):
     assert [x._mpf_ for x in s.Lstar] == [x._mpf_ for x in Lstar]
 
 
+@pytest.mark.parametrize("period", [[1], [2], [1, 2]], ids=str)
+@pytest.mark.parametrize("family,params", [("bl", (1, 2)), ("roy", (2, 1, 2)), ("roy", (2, 7, 8))])
+def test_base_points_match_integerized_zhat(family, params, period):
+    """The z-hat candidates are the primitive z numerators: scaling by
+    det w_2 / det w_k changes at most the sign, which base_points fixes."""
+    seed = (bl_family if family == "bl" else roy_family)(*params)
+    cb = CandidateBuilder(make_bundle(seed, SturmianProgram([-1, 1], period)), prec=256)
+    ys, zs = cb.bundle.ys, cb.bundle.zs
+    for q in (1, 4, 9, 16):
+        i_max = cb.i_max_for(q)
+        pts = [SymVec(1, 0, 0), SymVec(0, 1, 0), SymVec(0, 0, 1)]
+        pts += [ys.at(i).primitive() for i in range(-2, i_max + 1)]
+        pts += [zs.integerized(j).primitive() for j in range(0, i_max + 1)]
+        ref = {}
+        for p in pts:
+            p = p if p.x0 > 0 or (p.x0 == 0 and (p.x1, p.x2) > (0, 0)) else -p
+            ref.setdefault(p.as_tuple())
+        assert [p.as_tuple() for p in cb.base_points(q)] == list(ref)
+
+
 def test_round_div_is_round_of_fraction():
     """One divmod rounds like round(Fraction(n, d)): to nearest, half to even."""
     rng = random.Random(16)

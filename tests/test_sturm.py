@@ -204,6 +204,36 @@ def test_block_of(prog):
         assert l == j - prog.t(k)
 
 
+def _scan_t_index_of(prog, i):
+    """Reference: the earlier linear scan for k >= 1 with t_k = i."""
+    if i < 0:
+        return None
+    k = 1
+    while prog.t(k) < i:
+        k += 1
+    return k if prog.t(k) == i else None
+
+
+def _scan_block_of(prog, j):
+    """Reference: the earlier linear scan for t_k <= j < t_{k+1}."""
+    k = 1
+    while prog.t(k + 1) <= j:
+        k += 1
+    return k, j - prog.t(k)
+
+
+@pytest.mark.parametrize("period,prefix", [
+    ([1], [-1, 1]), ([2], [-1, 1]), ([1, 2], [-1, 1]), ([1, 2], [-1, 1, 3]),
+])
+def test_bisection_matches_scan(period, prefix):
+    # the bisected lookups start from a cold cache, largest index first
+    prog, ref = SturmianProgram(prefix, period), SturmianProgram(prefix, period)
+    for j in range(500, -1, -1):
+        assert prog.block_of(j) == _scan_block_of(ref, j)
+    for i in range(-3, 501):
+        assert prog.t_index_of(i) == _scan_t_index_of(ref, i)
+
+
 # --- limit quantities -------------------------------------------------------
 
 def test_quantities_all_ones():
