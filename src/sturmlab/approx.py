@@ -254,9 +254,19 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
                    seq.det(k) ** (l + 1) * base)
 
     # coprimality package (only when its hypotheses hold)
+    def ladder_trace(k, l):
+        if l <= prog.s(k + 1):
+            return seq.ladder(k, l).trace()
+        # the top rung w_k^{s+1} w_{k-1} = w_k w_{k+1} has the trace of w_{k+1} w_k =
+        # ladder(k + 1, 1), built for the y of block k + 1 when k < k_hi
+        if k < k_hi:
+            return seq.ladder(k + 1, 1).trace()
+        a, b = seq.w(k), seq.w(k + 1)
+        return a.a * b.a + a.b * b.c + a.c * b.b + a.d * b.d
+
     def ladder_gcd(k, l):
         # det(w_k^l w_{k-1}) = det(w_k)^l det(w_{k-1}), whose primes all divide det w0 det w1
-        tr = seq.ladder(k, l).trace()
+        tr = ladder_trace(k, l)
         if gcd(tr, seq.det(0) * seq.det(1)) == 1:
             return 1
         return gcd(tr, abs(seq.det(k) ** l * seq.det(k - 1)))

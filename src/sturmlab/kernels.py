@@ -1,32 +1,66 @@
 """Hot enumeration kernels for brute-force successive minima.
 
-Both kernels evaluate integer points x = (x0, x1, x2) in numpy passes and
-return those whose parametric size is at most a cutoff c:
+Both kernels return the nonzero integer points x = (x0, x1, x2) of a window
+whose float64 size lam is at most a widened cutoff c':
 
 * primal: lam(x) = max(|x|_2, e^q |x . u|)           (u = (1, xi, xi^2))
 * dual:   lam*(x) = max(|x ^ u|_2, e^{-q} |x|_2)
 
-Each kernel widens the cutoff c to c' = `_widen`(c), at least c plus the
-float64 error of lam over its window, so a point whose exact lam is at most c
-has float lam at most c'.  It evaluates only the window its own mask proves
-holds every such point (points up to c' - c above c may come back too):
+c' = `_widen`(c) is c plus more than the float64 error of lam over the
+window, so a point of the window whose exact lam is at most c has float lam
+at most c' (points up to c' - c above c may come back too).  The window,
+whose points all have |x|_1 <= the n1 each kernel gives `_widen`:
 
-* primal: |x1|, |x2| <= R = floor(c).  The float |x|_2 of an integer point is
-  the correctly rounded sqrt of an exact integer, so it is >= fl(sqrt(x1^2 +
-  x2^2)) and row x1 needs only the x2 in [-h, h] with fl(sqrt(x1^2 + h^2))
-  <= c'; each chunk of rows takes the range of its widest row.  x0 runs over
-  [ceil(max(-s - w, -c')), floor(min(-s + w, c'))] with s = fl(x1 xi + x2 xi^2)
-  and w = c' e^{-q}: c' - c exceeds e^q times the error of s and of the ends.
-* dual: for each x0, |x1 - fl(x0 xi)| <= c' and |x2 - fl(x0 xi^2)| <= c', as
-  x0 xi - x1 and x2 - x0 xi^2 are components of x ^ u and c' - c exceeds the
-  error of fl(x0 xi), fl(x0 xi^2) and of the ends.  The ranges are taken
-  around the exact fractional parts of fl(x0 xi) and fl(x0 xi^2).
+* primal: |x1|, |x2| <= R and x0 in [ceil(max(-s - w, -c')),
+  floor(min(-s + w, c'))], with s = fl(x1 xi + x2 xi^2) and w = c' e^{-q}:
+  c' - c exceeds e^q times the error of s and of the ends.
+* dual: |x0| <= R0 and, with p1 = fl(x0 xi), p2 = fl(x0 xi^2) and
+  b_i = floor(p_i), x_i - b_i in [ceil(p_i - b_i - c'), floor(p_i - b_i + c')]:
+  x0 xi - x1 and x2 - x0 xi^2 are components of x ^ u, and c' - c exceeds
+  the error of p1, p2 and of the ends.
 
-Points come back sorted by the key in which a full scan of the window meets
-them: (x1, x0 - window start, x2) for the primal kernel and
-(x1 - floor(x0 xi), x2 - floor(x0 xi^2), x0) for the dual one, so that points
-of equal lam always come in the same order.  lam is float64 and only
-filters: callers rank the points they get, and evaluate them, exactly.
+Neither kernel scans its window.  Each scans a box in an LLL-reduced basis
+of its body, and keeps a cell only if it passes the three tests of a window
+scan: float lam <= c', nonzero, inside the window.  The box holds every
+point that passes them:
+
+1. Let lam_G be lam computed exactly from the float inputs xi, xi2 and
+   E = fl(e^q) (primal) or F = fl(e^{-q}) (dual).  Its float value differs
+   from lam_G only by roundings that `_widen` counts, so on the window
+   |fl(lam) - lam_G| <= 8 eps S + (|q| + 9) eps lam_G, eps = 2^-53 and
+   S = scale * m * n1 as in `_widen`.
+2. After `_widen`'s own roundings, c' - c >= 15 eps S + (2|q| + 13) eps c.
+   Put r = 2c' - c.  For |q| <= 710 (float e^{+-q} is finite only there)
+   r - c' = c' - c >= 8 eps S + (|q| + 9) eps r, so a window point with
+   lam_G > r has fl(lam) > r - 8 eps S - (|q| + 9) eps r >= c'.  Every kept
+   point has lam_G <= r.
+3. lam_G <= r gives Q(x) <= 2 r^2 for the form Q(x) = x^T G x with
+   primal  G = I + E^2 u u^T               (|x|^2 + E^2 (x . u)^2)
+   dual    G = |u|^2 I - u u^T + F^2 I      (|x ^ u|^2 + F^2 |x|^2).
+   A kept dual point also has |x| <= |x0| |u| + |x - x0 u| <= R0 |u|_1 + r
+   (x - x0 u is (0, -w2, w1) for w = x ^ u), so F may be raised to
+   r / (R0 |u|_1 + r) where that is larger: the box then shrinks with the
+   window when |x0| <= R0 cuts the body short.  (Callers give the primal
+   kernel R = floor(c), where |x1|, |x2| <= R does not cut its body.)  The
+   entries of G are rationals, so an integer multiple of G is an integer
+   matrix, and `_lll` reduces Z^3 under it exactly.
+4. In the reduced basis b_0, b_1, b_2 (the rows of a unimodular H), x =
+   sum c_i b_i and Q(x) = c^T G' c with G' = H G H^T.  By Cauchy-Schwarz in
+   the form, c_i^2 <= Q(x) (G'^-1)_ii = Q(x) cof_ii / det G', so
+   |c_i| <= floor(sqrt(2 r^2 cof_ii / det G')), taken by `isqrt` of an
+   exact integer quotient: no rounding calls for a wider box.
+
+So the kernels keep exactly the points of a window scan: a cell that passes
+the tests is a window point with float lam <= c', and every such point lies
+in the box.  Their lam is the same float64 expression, bit for bit, and
+they sort by the key in which a window scan meets its points: (x1, x0 -
+window start, x2) for the primal kernel and (x1 - floor(x0 xi),
+x2 - floor(x0 xi^2), x0) for the dual one, so that points of equal lam
+always come in the same order.  Any unimodular basis gives these points; a
+reduced one makes the box hold a few times the points of the body, so the
+cost follows the number of points, not the size of the window.  lam is
+float64 and only filters: callers rank the points they get, and evaluate
+them, exactly.
 """
 from __future__ import annotations
 
@@ -34,56 +68,134 @@ import math
 
 import numpy as np
 
+from .exactlin import SymVec, det3
+
 
 class KernelOverflow(RuntimeError):
     pass
 
 
 _CAP = 4_000_000
-_CHUNK = 1 << 18          # window cells (primal) or x0 values (dual) per pass
-
-
-def _ranges(lo, hi):
-    """Expand the integer ranges lo[i] .. hi[i] (empty where hi < lo): the
-    index i and the offset k - lo[i] of each member k, in (i, k) order."""
-    n = np.maximum(hi - lo + 1, 0)
-    i = np.repeat(np.arange(n.size), n)
-    return i, np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
+_CHUNK = 1 << 18          # box cells per pass
 
 
 class _Gather:
     """The kept points of all passes, sorted at the end by their visiting key."""
 
     def __init__(self):
-        none = np.empty(0, dtype=np.int64)
-        self.pts, self.lams = [np.empty((0, 3), dtype=np.int64)], [np.empty(0)]
+        none = np.empty(0)
+        self.pts, self.lams = [np.empty((0, 3))], [none]
         self.keys, self.n = [(none, none, none)], 0
 
-    def add(self, x0, x1, x2, lam, key, cutoff):
-        keep = np.nonzero((lam <= cutoff) & ((x0 != 0) | (x1 != 0) | (x2 != 0)))[0]
+    def add(self, x, lam, key, keep):
+        """Keep the nonzero points of x (float64 coordinates) where keep holds."""
+        keep = np.nonzero(keep & ((x[0] != 0) | (x[1] != 0) | (x[2] != 0)))[0]
         self.n += keep.size
         if self.n > _CAP:
             raise KernelOverflow(f"more than {_CAP} candidate points; tighten the cutoff")
-        self.pts.append(np.stack((x0[keep], x1[keep], x2[keep]), axis=1))
+        self.pts.append(np.stack([c[keep] for c in x], axis=1))
         self.lams.append(lam[keep])
         self.keys.append([k[keep] for k in key])
 
     def result(self):
         order = np.lexsort([np.concatenate(k) for k in zip(*self.keys)][::-1])
-        return np.concatenate(self.pts)[order], np.concatenate(self.lams)[order]
+        return np.concatenate(self.pts)[order].astype(np.int64), np.concatenate(self.lams)[order]
 
 
 def _widen(xi: float, xi2: float, q: float, cutoff: float, scale: float, n1: float) -> float:
-    """cutoff plus a bound on |fl(lam) - lam| for the points of a window with
-    |x|_1 <= n1 and lam <= cutoff; scale is e^q for the primal body, 1 for the
-    dual one.  With eps = 2^-53 and m = max(1, |xi|, |xi^2|), fl(x . u), s, each
-    component of fl(x ^ u) and fl(x0 xi) are off by at most 4.1 eps m n1 (float
-    xi and xi^2 by 1.01 eps relative, a sum of products by gamma_3), x ^ u as a
+    """cutoff plus 16 eps S + 2 (|q| + 8) eps cutoff, S = scale m n1, which
+    exceeds the float64 error of lam at lam <= cutoff on a window with
+    |x|_1 <= n1; scale is e^q for the primal body, 1 for the dual one.  With
+    eps = 2^-53 and m = max(1, |xi|, |xi^2|), fl(x . u), s, each component
+    of fl(x ^ u) and fl(x0 xi) are off by at most 4.1 eps m n1 (float xi and
+    xi^2 by 1.01 eps relative, a sum of products by gamma_3), x ^ u as a
     vector by 7.2 eps m n1, fl(e^{+-q}) by (|q| + 4) eps relative, and each
-    product, sum of squares or square root by 3 eps relative: in all at most
-    scale 8 eps m n1 + (|q| + 9) eps lam, half of what is added."""
+    product, sum of squares or square root by 3 eps relative: for every point
+    of the window, |fl(lam) - lam| <= 8 eps S + (|q| + 9) eps lam."""
     m = max(1.0, abs(xi), abs(xi2))
     return cutoff + scale * m * n1 * 2.0 ** -49 + cutoff * (abs(q) + 8) * 2.0 ** -52
+
+
+def _dyadic(*xs):
+    """Integers n_i and one power of two K with x_i = n_i / K exactly."""
+    ratios = [float(x).as_integer_ratio() for x in xs]
+    K = max(d for _, d in ratios)
+    return [n * (K // d) for n, d in ratios], K
+
+
+def _lll(g):
+    """Rows of a unimodular H whose rows are an LLL-reduced (delta = 99/100)
+    basis of Z^3 under the positive definite integer Gram g, and their Gram
+    H g H^T.  Integral LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.6.7): d1 = g00, d2 = g00 g11 - g01^2 and d3 = det g are the Gram
+    determinants of the leading rows, and lam_kl = d_l mu_kl is an integer,
+    so no step leaves the integers.  The Gram is kept as its six entries."""
+    (a, b, c), (_, d, e), (_, _, f) = g
+    d3 = _det(g)
+    h = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def sub(k, l, m):        # row k of h -= m row l
+        h[k] = [x - m * y for x, y in zip(h[k], h[l])]
+
+    k = 1
+    while k < 3:
+        d2 = a * d - b * b
+        if k == 1:           # size-reduce row 1 by row 0: lam_10 = g01
+            if 2 * abs(b) > a:
+                m = (2 * b + a) // (2 * a)
+                sub(1, 0, m)
+                b, d, e = b - m * a, d - m * (2 * b - m * a), e - m * c
+            if 100 * d2 < 99 * a * a - 100 * b * b:
+                h[0], h[1] = h[1], h[0]
+                a, c, d, e = d, e, a, c
+                continue
+            k = 2
+            continue
+        lam = a * e - b * c  # lam_21, against d2
+        if 2 * abs(lam) > d2:
+            m = (2 * lam + d2) // (2 * d2)
+            sub(2, 1, m)
+            c, e, f = c - m * b, e - m * d, f - m * (2 * e - m * d)
+            lam -= m * d2
+        if 100 * d3 * a < 99 * d2 * d2 - 100 * lam * lam:
+            h[1], h[2] = h[2], h[1]
+            b, c, d, f = c, b, f, d
+            k = 1
+            continue
+        if 2 * abs(c) > a:   # lam_20 = g02, against d1
+            m = (2 * c + a) // (2 * a)
+            sub(2, 0, m)
+            c, e, f = c - m * a, e - m * b, f - m * (2 * c - m * a)
+        k = 3
+    return h, [[a, b, c], [b, d, e], [c, e, f]]
+
+
+def _det(g):
+    return det3(*(SymVec(*row) for row in g))
+
+
+def _box(gram, bound):
+    """Chunks (x0, x1, x2) of float64 arrays, at most _CHUNK points each, of a
+    box that holds every integer x with x^T gram x <= bound (integers): the
+    box |c_i| <= floor(sqrt(bound cof_ii / det)) in an LLL-reduced basis
+    (module docstring, step 4).  The coordinates are integers, exact while
+    they stay below 2^53."""
+    h, g = _lll(gram)
+    det = _det(g)
+    half = [math.isqrt(bound * (g[j][j] * g[l][l] - g[j][l] * g[l][j]) // det)
+            for j, l in ((1, 2), (0, 2), (0, 1))]
+    # the longest side first, so that the plane of the other two is smallest
+    (b0, h0), (b1, h1), (b2, h2) = sorted(
+        ((np.array(b, dtype=np.float64), n) for b, n in zip(h, half)), key=lambda t: -t[1])
+    c1 = np.arange(-h1, h1 + 1, dtype=np.float64)[:, None]
+    c2 = np.arange(-h2, h2 + 1, dtype=np.float64)
+    plane = [(c1 * b1[j] + c2 * b2[j]).ravel() for j in range(3)]
+    size = plane[0].size
+    rows, step = max(1, _CHUNK // size), min(size, _CHUNK)
+    for first in range(-h0, h0 + 1, rows):
+        c0 = np.arange(first, min(first + rows, h0 + 1), dtype=np.float64)[:, None]
+        for at in range(0, size, step):
+            yield [(c0 * b0[j] + p[at:at + step]).ravel() for j, p in enumerate(plane)]
 
 
 def collect_primal(xi: float, xi2: float, q: float, R: int, cutoff: float):
@@ -92,40 +204,25 @@ def collect_primal(xi: float, xi2: float, q: float, R: int, cutoff: float):
     xi, xi2, q, R, cutoff = float(xi), float(xi2), float(q), int(R), float(cutoff)
     out = _Gather()
     eq = float(np.exp(q))
-    cutoff = _widen(xi, xi2, q, cutoff, eq, 2 * R + cutoff + 1)
-    w = cutoff * float(np.exp(-q))
-    x2v = np.arange(-R, R + 1, dtype=np.float64)
-    x2i = np.arange(-R, R + 1, dtype=np.int64)
-    rows = max(1, _CHUNK // (x2v.size * (int(2 * min(w, cutoff)) + 2)))
-    for first in range(-R, R + 1, rows):
-        last = min(first + rows, R + 1) - 1
-        # x2 over the range of the chunk's widest row, the one nearest x1 = 0
-        h = _half_width(min(max(0, first), last), R, cutoff)
-        x1i = np.arange(first, last + 1, dtype=np.int64)
-        cols, width = slice(R - h, R + h + 1), 2 * h + 1
-        c = -(x1i.astype(np.float64)[:, None] * xi + x2v[cols] * xi2)
-        base = np.ceil(np.maximum(c - w, -cutoff)).astype(np.int64).ravel()
-        top = np.floor(np.minimum(c + w, cutoff)).astype(np.int64).ravel()
-        cell, dx = _ranges(base, top)
-        x0, x1, x2 = base[cell] + dx, x1i[cell // width], x2i[cols][cell % width]
-        x0f, x1f, x2f = x0.astype(np.float64), x1.astype(np.float64), x2.astype(np.float64)
-        nrm = np.sqrt(x0f * x0f + x1f * x1f + x2f * x2f)
-        dot = np.abs(x0f + x1f * xi + x2f * xi2) * eq
-        out.add(x0, x1, x2, np.maximum(nrm, dot), (x1, dx, x2), cutoff)
+    wide = _widen(xi, xi2, q, cutoff, eq, 2 * R + cutoff + 1)
+    w = wide * float(np.exp(-q))
+    # u = U / k, r = 2 wide - cutoff = (2a - b) / k and E = e / k1: Q <= 2 r^2
+    # is x^T (K^2 I + v v^T) x <= 2 k1^2 (2a - b)^2, with K = k k1 and v = e U
+    (*U, a, b), k = _dyadic(1.0, xi, xi2, wide, cutoff)
+    (e,), k1 = _dyadic(eq)
+    v, K = [e * c for c in U], k * k1
+    gram = [[K * K * (i == j) + v[i] * v[j] for j in range(3)] for i in range(3)]
+    for x0, x1, x2 in _box(gram, 2 * (k1 * (2 * a - b)) ** 2):
+        lam = np.maximum(np.sqrt(x0 * x0 + x1 * x1 + x2 * x2),
+                         np.abs(x0 + x1 * xi + x2 * xi2) * eq)
+        near = np.nonzero(lam <= wide)[0]
+        x0, x1, x2, lam = x0[near], x1[near], x2[near], lam[near]
+        c = -(x1 * xi + x2 * xi2)
+        base = np.ceil(np.maximum(c - w, -wide))
+        inside = ((np.abs(x1) <= R) & (np.abs(x2) <= R) & (base <= x0)
+                  & (x0 <= np.floor(np.minimum(c + w, wide))))
+        out.add((x0, x1, x2), lam, (x1, x0 - base, x2), inside)
     return out.result()
-
-
-def _half_width(x1: int, R: int, cutoff: float) -> int:
-    """The largest h <= R with fl(sqrt(x1^2 + h^2)) <= cutoff, or -1 if there
-    is none: the x2 range [-h, h] of row x1."""
-    h = min(R, int(math.sqrt(max(cutoff * cutoff - x1 * x1, 0.0))))
-    # the float estimate is off by at most one at the kernel's sizes; step to
-    # the exact answer of the test that the kernel applies
-    while h < R and math.sqrt(x1 * x1 + (h + 1) * (h + 1)) <= cutoff:
-        h += 1
-    while h >= 0 and math.sqrt(x1 * x1 + h * h) > cutoff:
-        h -= 1
-    return h
 
 
 def collect_dual(xi: float, xi2: float, q: float, R0: int, cutoff: float):
@@ -133,28 +230,30 @@ def collect_dual(xi: float, xi2: float, q: float, R0: int, cutoff: float):
     xi, xi2, q, R0, cutoff = float(xi), float(xi2), float(q), int(R0), float(cutoff)
     out = _Gather()
     emq = float(np.exp(-q))
-    cutoff = _widen(xi, xi2, q, cutoff, 1.0, R0 * (1 + abs(xi) + abs(xi2)) + 2 * cutoff + 3)
-    for first in range(-R0, R0 + 1, _CHUNK):
-        x0i = np.arange(first, min(first + _CHUNK, R0 + 1), dtype=np.int64)
-        x0f = x0i.astype(np.float64)
-        p1, p2 = x0f * xi, x0f * xi2
+    wide = _widen(xi, xi2, q, cutoff, 1.0, R0 * (1 + abs(xi) + abs(xi2)) + 2 * cutoff + 3)
+    # u = U / K, F = f / K, r = 2 wide - cutoff = r' / K and R0 |u|_1 + r =
+    # rho / K.  With F raised to r' / rho where that is larger (module
+    # docstring, step 3) and K^2 F^2 = fn / fd, Q <= 2 r^2 is
+    # x^T (fd (|U|^2 I - U U^T) + fn I) x <= 2 fd r'^2
+    (*U, f, a, b), K = _dyadic(1.0, xi, xi2, emq, wide, cutoff)
+    r = 2 * a - b
+    rho = R0 * sum(map(abs, U)) + r
+    fn, fd = (f * f, 1) if f * rho >= K * r else ((K * r) ** 2, rho * rho)
+    diag = fd * sum(c * c for c in U) + fn
+    gram = [[diag * (i == j) - fd * U[i] * U[j] for j in range(3)] for i in range(3)]
+    for x0, x1, x2 in _box(gram, 2 * fd * r * r):
+        p1, p2 = x0 * xi, x0 * xi2
+        w0 = x1 * xi2 - x2 * xi
+        w1 = x2 - p2
+        w2 = p1 - x1
+        lam = np.maximum(np.sqrt(w0 * w0 + w1 * w1 + w2 * w2),
+                         np.sqrt(x0 * x0 + x1 * x1 + x2 * x2) * emq)
+        near = np.nonzero(lam <= wide)[0]
+        x0, x1, x2, p1, p2, lam = x0[near], x1[near], x2[near], p1[near], p2[near], lam[near]
         b1, b2 = np.floor(p1), np.floor(p2)
-        # offsets d from b: |d - (p - b)| <= cutoff, where p - b is exact
-        lo1, hi1 = np.ceil(p1 - b1 - cutoff), np.floor(p1 - b1 + cutoff)
-        lo2, hi2 = np.ceil(p2 - b2 - cutoff), np.floor(p2 - b2 + cutoff)
-        live = np.nonzero((lo1 <= hi1) & (lo2 <= hi2))[0]
-        lo1, hi1 = lo1[live].astype(np.int64), hi1[live].astype(np.int64)
-        lo2, hi2 = lo2[live].astype(np.int64), hi2[live].astype(np.int64)
-        i, e1 = _ranges(lo1, hi1)              # (x0, d1) pairs
-        j, e2 = _ranges(lo2[i], hi2[i])        # each pair times its d2 range
-        i = i[j]
-        at, d1, d2 = live[i], lo1[i] + e1[j], lo2[i] + e2
-        x0, x1, x2 = x0i[at], b1[at].astype(np.int64) + d1, b2[at].astype(np.int64) + d2
-        x0f, x1f, x2f = x0f[at], x1.astype(np.float64), x2.astype(np.float64)
-        w0 = x1f * xi2 - x2f * xi
-        w1 = x2f - x0f * xi2
-        w2 = x0f * xi - x1f
-        wn = np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-        nrm = np.sqrt(x0f * x0f + x1f * x1f + x2f * x2f) * emq
-        out.add(x0, x1, x2, np.maximum(wn, nrm), (d1, d2, x0), cutoff)
+        d1, d2 = x1 - b1, x2 - b2
+        f1, f2 = p1 - b1, p2 - b2          # exact
+        inside = ((np.abs(x0) <= R0) & (np.ceil(f1 - wide) <= d1) & (d1 <= np.floor(f1 + wide))
+                  & (np.ceil(f2 - wide) <= d2) & (d2 <= np.floor(f2 + wide)))
+        out.add((x0, x1, x2), lam, (d1, d2, x0), inside)
     return out.result()

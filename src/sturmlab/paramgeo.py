@@ -523,18 +523,32 @@ def _size_keys(u, q, p):
     E = int(mpmath.nint(mpmath.ldexp(mpmath.exp(2 * q), p)))
     s, UU = 3 * p, U.dot(U)
 
-    def primal(x, y):
-        xU = x.dot(U)
-        return x.dot(y) << s, E * xU * (xU if y is x else y.dot(U))
+    def primal(x, xU, y, yU):
+        return x.dot(y) << s, E * xU * yU
 
-    def dual(x, y):          # <x^U, y^U> = <x, y> |U|^2 - (x.U)(y.U)
-        xy, xU = x.dot(y), x.dot(U)
-        return E * (xy * UU - xU * (xU if y is x else y.dot(U))), xy << s
+    def dual(x, xU, y, yU):  # <x^U, y^U> = <x, y> |U|^2 - (x.U)(y.U)
+        xy = x.dot(y)
+        return E * (xy * UU - xU * yU), xy << s
 
-    def body(terms):         # (key, terms)
+    def body(of):            # (key, terms)
+        terms = _Terms(of, U)
         return (lambda x: max(terms(x, x))), terms
 
     return body(primal), body(dual)
+
+
+class _Terms:
+    """terms(x, y): the two integer terms of one side of `_size_keys` on the
+    points x, y.  terms.of(x, x.U, y, y.U) gives them from the points' dot
+    products with U, so that `_centre`, which takes the terms on every pair
+    of four points, forms each p-bit x.U once."""
+
+    def __init__(self, of, U):
+        self.of, self.U = of, U
+
+    def __call__(self, x, y):
+        xU = x.dot(self.U)
+        return self.of(x, xU, y, xU if y is x else y.dot(self.U))
 
 
 @dataclass
@@ -687,13 +701,15 @@ def _centre(v1: SymVec, v2: SymVec, terms):
     g1, a, b = _ext_gcd(n.x0, n.x1)
     g, c, d = _ext_gcd(g1, n.x2)
     x0 = SymVec(g * c * a, g * c * b, g * d)
-    vv = terms(v1, v1), terms(v1, v2), terms(v2, v2)
+    of, (u1, u2, u0) = terms.of, (x.dot(terms.U) for x in (v1, v2, x0))
+    vv = of(v1, u1, v1, u1), of(v1, u1, v2, u2), of(v2, u2, v2, u2)
     f11, f12, f22 = (sum(t) for t in vv)
-    r1, r2 = -sum(terms(x0, v1)), -sum(terms(x0, v2))
+    r1, r2 = -sum(of(x0, u0, v1, u1)), -sum(of(x0, u0, v2, u2))
     det = f11 * f22 - f12 * f12
     xc = (x0 + _round_div(r1 * f22 - r2 * f12, det) * v1
           + _round_div(r2 * f11 - r1 * f12, det) * v2)
-    return xc, (terms(xc, xc), terms(xc, v1), terms(xc, v2)) + vv
+    uc = xc.dot(terms.U)
+    return xc, (of(xc, uc, xc, uc), of(xc, uc, v1, u1), of(xc, uc, v2, u2)) + vv
 
 
 def _round_div(n: int, d: int) -> int:

@@ -378,6 +378,28 @@ def test_bruteforce_survives_float_cancellation(prog_twos, family, q):
     assert all(b <= c for b, c in zip(brute.Lstar, cand.Lstar))
 
 
+@pytest.mark.parametrize("builder, qs", [("cb_bl", (13.0, 15.0, 17.0)), ("cb_roy", (14.75,))])
+def test_bruteforce_same_with_window_scan(request, monkeypatch, builder, qs):
+    """Brute-force samples are identical with the box-scanning kernels and
+    with the window scan they replaced."""
+    from sturmlab import kernels
+    from test_kernels import WINDOW_SCAN
+    cb = request.getfixturevalue(builder)
+    boxed = [minima_bruteforce(cb, mpmath.mpf(q)) for q in qs]
+    for name, scan in WINDOW_SCAN.items():
+        monkeypatch.setattr(kernels, name, scan)
+    assert [minima_bruteforce(cb, mpmath.mpf(q)) for q in qs] == boxed
+
+
+def test_duality_same_with_window_scan(cb_roy, monkeypatch):
+    from sturmlab import kernels
+    from test_kernels import WINDOW_SCAN
+    boxed = duality_check(cb_roy, [2.0, 6.0, 10.0])
+    for name, scan in WINDOW_SCAN.items():
+        monkeypatch.setattr(kernels, name, scan)
+    assert duality_check(cb_roy, [2.0, 6.0, 10.0]) == boxed
+
+
 @pytest.mark.parametrize("builder, qs", [("cb_bl", (1.5, 6.0, 11.0, 25.0)),
                                          ("cb_roy", (2.5, 8.0))])
 def test_candidate_minima_are_own_trajectories(request, builder, qs):
