@@ -30,7 +30,7 @@ point that passes them:
    |fl(lam) - lam_G| <= 8 eps S + (|q| + 9) eps lam_G, eps = 2^-53 and
    S = scale * m * n1 as in `_widen`.
 2. After `_widen`'s own roundings, c' - c >= 15 eps S + (2|q| + 13) eps c.
-   Put r = 2c' - c.  For |q| <= 710 (float e^{+-q} is finite only there)
+   Put r = 2c' - c.  For |q| <= 10^15, where 2 (|q| + 9) eps <= 4/13,
    r - c' = c' - c >= 8 eps S + (|q| + 9) eps r, so a window point with
    lam_G > r has fl(lam) > r - 8 eps S - (|q| + 9) eps r >= c'.  Every kept
    point has lam_G <= r.
@@ -49,6 +49,18 @@ point that passes them:
    the form, c_i^2 <= Q(x) (G'^-1)_ii = Q(x) cof_ii / det G', so
    |c_i| <= floor(sqrt(2 r^2 cof_ii / det G')), taken by `isqrt` of an
    exact integer quotient: no rounding calls for a wider box.
+
+The kernels check three conditions of this proof and of its cost, and raise
+TooLarge, before any cell is scanned, where one fails:
+
+a. every float input of the body is finite (`_dyadic`): E = fl(e^q) is
+   finite only for q < 709.783, and F = fl(e^{-q}) only for q > -709.783;
+b. the box has at most _CAP cells (`_box`);
+c. no coordinate of a box cell can reach 2^53 (`_box`), so the float64
+   cells are exactly the integer points of the box.
+
+Step 2's |q| <= 10^15 is left to the caller on the side where the weight
+underflows instead of overflowing (q < 0 primal, q > 0 dual).
 
 So the kernels keep exactly the points of a window scan: a cell that passes
 the tests is a window point with float lam <= c', and every such point lies
@@ -71,11 +83,11 @@ import numpy as np
 from .exactlin import SymVec, det3
 
 
-class KernelOverflow(RuntimeError):
+class TooLarge(ValueError):
     pass
 
 
-_CAP = 4_000_000
+_CAP = 4_000_000          # box cells per call
 _CHUNK = 1 << 18          # box cells per pass
 
 
@@ -85,14 +97,11 @@ class _Gather:
     def __init__(self):
         none = np.empty(0)
         self.pts, self.lams = [np.empty((0, 3))], [none]
-        self.keys, self.n = [(none, none, none)], 0
+        self.keys = [(none, none, none)]
 
     def add(self, x, lam, key, keep):
         """Keep the nonzero points of x (float64 coordinates) where keep holds."""
         keep = np.nonzero(keep & ((x[0] != 0) | (x[1] != 0) | (x[2] != 0)))[0]
-        self.n += keep.size
-        if self.n > _CAP:
-            raise KernelOverflow(f"more than {_CAP} candidate points; tighten the cutoff")
         self.pts.append(np.stack([c[keep] for c in x], axis=1))
         self.lams.append(lam[keep])
         self.keys.append([k[keep] for k in key])
@@ -118,6 +127,8 @@ def _widen(xi: float, xi2: float, q: float, cutoff: float, scale: float, n1: flo
 
 def _dyadic(*xs):
     """Integers n_i and one power of two K with x_i = n_i / K exactly."""
+    if not all(map(math.isfinite, xs)):
+        raise TooLarge("a float64 input of the enumeration body is not finite")
     ratios = [float(x).as_integer_ratio() for x in xs]
     K = max(d for _, d in ratios)
     return [n * (K // d) for n, d in ratios], K
@@ -177,13 +188,20 @@ def _det(g):
 def _box(gram, bound):
     """Chunks (x0, x1, x2) of float64 arrays, at most _CHUNK points each, of a
     box that holds every integer x with x^T gram x <= bound (integers): the
-    box |c_i| <= floor(sqrt(bound cof_ii / det)) in an LLL-reduced basis
-    (module docstring, step 4).  The coordinates are integers, exact while
-    they stay below 2^53."""
+    box |c_i| <= h_i = floor(sqrt(bound cof_ii / det)) in an LLL-reduced
+    basis (module docstring, step 4).  Raises TooLarge before the first chunk
+    if the box has more than _CAP cells, or if a coordinate of a cell can
+    reach 2^53, past which float64 no longer holds every integer: |x_j| <=
+    sum_i h_i |H_ij|, and every partial sum of the scan is bounded by it."""
     h, g = _lll(gram)
     det = _det(g)
     half = [math.isqrt(bound * (g[j][j] * g[l][l] - g[j][l] * g[l][j]) // det)
             for j, l in ((1, 2), (0, 2), (0, 1))]
+    cells = math.prod(2 * n + 1 for n in half)
+    if cells > _CAP:
+        raise TooLarge(f"the enumeration box has {cells} cells, more than {_CAP}")
+    if max(sum(n * abs(b[j]) for b, n in zip(h, half)) for j in range(3)) >= 2 ** 53:
+        raise TooLarge("a coordinate of the enumeration box can reach 2^53")
     # the longest side first, so that the plane of the other two is smallest
     (b0, h0), (b1, h1), (b2, h2) = sorted(
         ((np.array(b, dtype=np.float64), n) for b, n in zip(h, half)), key=lambda t: -t[1])

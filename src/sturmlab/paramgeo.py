@@ -30,14 +30,7 @@ from .exactlin import DEFAULT_PRECISION, SymVec, det3
 from .approx import Bundle
 from .matseq import HatW, resolve_delta
 from . import kernels
-
-
-class TooLarge(ValueError):
-    pass
-
-
-class NoCandidates(ValueError):
-    pass
+from .kernels import TooLarge
 
 
 # ---------------------------------------------------------------------------
@@ -746,9 +739,8 @@ def minima_candidates(builder: CandidateBuilder, q, P: Optional[SystemBreakpoint
         minima, chosen = [], []
         for side, (key, terms) in enumerate(_size_keys(u, qm, prec)):
             pts, keys = list(base), [key(p) for p in base]
+            # never None: the base points start with the three unit vectors
             triple = _greedy_triple(pts, keys)
-            if triple is None:
-                raise NoCandidates("candidate set spans less than 3 dimensions")
             triple = builder._complete(triple, pts, keys, terms)
             chosen.append([pts[i] for i in triple])
             minima.append(tuple(_traj(p, u, qm, side) for p in chosen[-1]))
@@ -770,18 +762,12 @@ def breakpoint_samples(builder: CandidateBuilder, P: SystemBreakpoints) -> list:
     return out
 
 
-# brute-force search limits: the primal radius over x1, x2 is floor(cutoff) (a
-# point of size c has |x| <= c) and at most R_MAX; the dual radius over x0 is
-# at most DUAL_R_MAX
-R_MAX = 10 ** 4
-DUAL_R_MAX = 5 * 10 ** 6
-
-
 def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
     """Exact successive minima by exhaustive enumeration; the search radius is
     certified by a candidate-based upper bound on lambda_3(q).  The kernels'
     float lambda only filters the points; each side ranks them by the exact
-    keys of `_size_keys`, like the candidates."""
+    keys of `_size_keys`, like the candidates.  Raises TooLarge where a
+    kernel refuses its body (conditions a-c of the `kernels` docstring)."""
     cand = minima_candidates(builder, q)
     prec = builder.prec_for(q)
     with mpmath.workprec(prec):
@@ -789,25 +775,18 @@ def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
         u = builder.u(prec)
         xi_f, xi2_f = float(u[1]), float(u[2])
         # side -> (name, candidate bound on the third minimum, search radius
-        # for a cutoff c, radius limit, kernel); a dual point of size c has
-        # |x| <= e^q c
+        # for a cutoff c, kernel); a primal point of size c has |x| <= c, a
+        # dual one |x| <= e^q c
         sides = (
-            ("primal", cand.L[2], math.floor, R_MAX, kernels.collect_primal),
+            ("primal", cand.L[2], math.floor, kernels.collect_primal),
             ("dual", cand.Lstar[2], lambda c: math.ceil(c * float(mpmath.exp(qm)) * 1.01) + 1,
-             DUAL_R_MAX, kernels.collect_dual),
+             kernels.collect_dual),
         )
-        # (cutoff, radius) of both sides, checked before either side enumerates
-        bounds = []
-        for name, bound, radius, limit, _ in sides:
-            cutoff = float(mpmath.exp(bound)) * (1 + 1e-9)
-            R = radius(cutoff)
-            if R > limit:
-                raise TooLarge(f"{name} search radius {R} exceeds {limit}")
-            bounds.append((cutoff, R))
         minima, chosen = [], []
-        bodies = zip(sides, bounds, _size_keys(u, qm, prec))
-        for side, ((name, *_, collect), (cutoff, R), (key, _)) in enumerate(bodies):
-            pts = collect(xi_f, xi2_f, float(qm), R, cutoff)[0]
+        for side, ((name, bound, radius, collect), (key, _)) in enumerate(
+                zip(sides, _size_keys(u, qm, prec))):
+            cutoff = float(mpmath.exp(bound)) * (1 + 1e-9)
+            pts = collect(xi_f, xi2_f, float(qm), radius(cutoff), cutoff)[0]
             spts = [SymVec(int(a), int(b), int(c)) for a, b, c in pts]
             triple = _greedy_triple(spts, [key(p) for p in spts])
             if triple is None:

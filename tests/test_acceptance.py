@@ -1,5 +1,5 @@
-"""Acceptance gate: twelve numbered criteria plus the sweep criterion, thirteen
-in all.
+"""Acceptance gate: twelve numbered criteria, criterion 8 again at depth, and
+the sweep criterion, fourteen in all.
 
 Each test prints a single `criterion N: PASS/FAIL` line before asserting, so a
 plain `pytest -v -s` run doubles as the checklist.  Every criterion asserts a
@@ -165,6 +165,26 @@ def test_criterion_8_mahler_duality(bl12):
     ok = finite and rep.non_growing
     assert report(8, ok, "max dev " + ", ".join(
         f"j={j}: {rep.per_j[j]:.3f}" for j in (1, 2, 3))), rep.per_j_windows
+
+
+def test_criterion_8_deep_mahler_duality(bl12, roy212):
+    """Criterion 8 to q = 30 on two seeds, with a proved bound.  The primal
+    body K = {max(|x|, e^q |x.u|) <= 1} has the polar K° = conv(B, +-e^q u),
+    and for q >= 0 the dual body K* satisfies K* ⊂ 2 K° ⊂ 2 |u| K*, so
+    Mahler's 1 <= lambda_j(K) lambda_{4-j}(K°) <= 3! gives
+    -log 2 <= L_j + L*_{4-j} <= log(6 |u|)."""
+    devs = {}
+    for name, bundle in (("bl(1,2,1)", bl12), ("roy(2,1,2)", roy212)):
+        cb = paramgeo.CandidateBuilder(bundle, prec=256)
+        rep = paramgeo.duality_check(cb, [float(q) for q in range(0, 31, 2)])
+        u = cb.u(256)
+        bound = math.log(6 * float(mpmath.sqrt(sum(c * c for c in u))))
+        dev = max(rep.per_j.values())
+        assert math.isfinite(dev) and rep.non_growing, (name, rep.per_j_windows)
+        devs[name] = (dev, bound)
+    ok = all(dev <= bound for dev, bound in devs.values())
+    assert report("8-deep", ok, "; ".join(
+        f"{name}: max dev {dev:.3f} <= {bound:.3f}" for name, (dev, bound) in devs.items())), devs
 
 
 def test_criterion_9_empirical_exponents(prog_ones, bl_breakpoint_samples):

@@ -2,8 +2,11 @@
 (`__init__.py` is left out: its imports are the package's re-exports), every
 dataclass field in the package source is read somewhere, and every public
 function and method is reached from the package or the benchmark, and every
-keyword default is overridden by some caller there."""
+keyword default is overridden by some caller there, and every exception the
+package defines is a ValueError."""
 import ast
+import importlib
+import inspect
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -188,3 +191,13 @@ def test_every_keyword_default_is_set_by_a_caller():
     assert never_set - set(TEST_ONLY_DEFAULTS) == set()
     # an exception whose default has gained a caller is stale
     assert set(TEST_ONLY_DEFAULTS) - never_set == set()
+
+
+def test_every_exception_is_a_value_error():
+    # cli.main maps ValueError to an exit code; any other exception escapes it
+    # as a traceback
+    for path in sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"):
+        module = importlib.import_module("sturmlab." + path.stem)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                assert issubclass(cls, ValueError), f"{module.__name__}.{name}"

@@ -117,12 +117,36 @@ def test_collect_dual_filters():
 @pytest.mark.parametrize("collect, args", [(kernels.collect_primal, (2.0, 12, 8.0)),
                                            (kernels.collect_dual, (2.0, 10, 2.0))])
 def test_overflow_past_cap(monkeypatch, collect, args):
-    n = len(collect(XI, XI2, *args)[1])
-    monkeypatch.setattr(kernels, "_CAP", n)
-    assert len(collect(XI, XI2, *args)[1]) == n
-    monkeypatch.setattr(kernels, "_CAP", n - 1)
-    with pytest.raises(kernels.KernelOverflow):
+    """A box of _CAP cells is scanned; one of more raises TooLarge before
+    any chunk is scanned."""
+    chunks = []
+    box = kernels._box
+
+    def counted(gram, bound):
+        for x in box(gram, bound):
+            chunks.append(x[0].size)
+            yield x
+
+    monkeypatch.setattr(kernels, "_box", counted)
+    expected = collect(XI, XI2, *args)
+    cells = sum(chunks)
+    monkeypatch.setattr(kernels, "_CAP", cells)
+    _assert_same(collect(XI, XI2, *args), expected)
+    chunks.clear()
+    monkeypatch.setattr(kernels, "_CAP", cells - 1)
+    with pytest.raises(kernels.TooLarge, match=f"{cells} cells"):
         collect(XI, XI2, *args)
+    assert chunks == []
+
+
+def test_box_refuses_coordinates_past_2_53():
+    """The body 4((x0 - N x1)^2 + x2^2) + x1^2 <= 2 with N = 2^60 + 1 holds
+    +-(N, 1, 0) only; its reduced box has 3 cells, whose float64 coordinates
+    would round N to 2^60."""
+    N = 2 ** 60 + 1
+    gram = [[4, -4 * N, 0], [-4 * N, 4 * N * N + 1, 0], [0, 0, 4]]
+    with pytest.raises(kernels.TooLarge, match="2\\^53"):
+        next(kernels._box(gram, 2))
 
 
 # --- order contract ------------------------------------------------------------
@@ -206,7 +230,7 @@ class _WindowGather:
         keep = np.nonzero((lam <= cutoff) & ((x0 != 0) | (x1 != 0) | (x2 != 0)))[0]
         self.n += keep.size
         if self.n > kernels._CAP:
-            raise kernels.KernelOverflow(f"more than {kernels._CAP} candidate points")
+            raise kernels.TooLarge(f"more than {kernels._CAP} candidate points")
         self.pts.append(np.stack((x0[keep], x1[keep], x2[keep]), axis=1))
         self.lams.append(lam[keep])
         self.keys.append([k[keep] for k in key])
@@ -356,14 +380,13 @@ def _body_scale(side, xi, q, points=400):
        st.floats(0.0, 17.0), st.floats(0.02, 1.0))
 def test_kernels_match_window_scan_random_bodies(name, xi, q, t):
     """Bodies up to about 400 points with the radius minima_bruteforce gives
-    each side, within R_MAX and DUAL_R_MAX."""
+    each side."""
     side = name.split("_")[1]
     cutoff = t * _body_scale(side, xi, q)
     if side == "primal":
-        R, limit = math.floor(cutoff), paramgeo.R_MAX
+        R = math.floor(cutoff)
     else:
-        R, limit = math.ceil(cutoff * math.exp(q) * 1.01) + 1, paramgeo.DUAL_R_MAX
-    assert R <= limit
+        R = math.ceil(cutoff * math.exp(q) * 1.01) + 1
     args = (xi, xi * xi, q, R, cutoff)
     _assert_same(getattr(kernels, name)(*args), WINDOW_SCAN[name](*args), args)
 

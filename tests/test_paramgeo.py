@@ -337,8 +337,16 @@ def test_minima_are_ordered_and_independent(cb_bl):
 
 
 def test_bruteforce_radius_guard(cb_bl):
-    with pytest.raises(TooLarge, match="primal search radius .* exceeds 10000"):
+    with pytest.raises(TooLarge, match="enumeration box has .* cells"):
         minima_bruteforce(cb_bl, mpmath.mpf(40))
+
+
+@pytest.mark.parametrize("q", [34, 705, 720])
+def test_bruteforce_refuses_what_it_cannot_scan(cb_bl, q):
+    """At q = 34 the box passes _CAP cells; at q = 705 and 720 a float64
+    input of the primal body (its widened cutoff, or e^q) is infinite."""
+    with pytest.raises(TooLarge):
+        minima_bruteforce(cb_bl, mpmath.mpf(q))
 
 
 def test_bruteforce_dual_guard(cb_bl, monkeypatch):
@@ -353,17 +361,15 @@ def test_bruteforce_dual_guard(cb_bl, monkeypatch):
         minima_bruteforce(cb_bl, mpmath.mpf(2))
 
 
-def test_bruteforce_checks_both_radii_first(cb_bl, monkeypatch):
-    # at q = 20 the primal radius is within R_MAX but the dual one is not:
-    # the dual TooLarge comes before any enumeration
-    from sturmlab import kernels
-
-    def no_enumeration(*args):
-        raise AssertionError("collect_primal ran before the dual radius was checked")
-
-    monkeypatch.setattr(kernels, "collect_primal", no_enumeration)
-    with pytest.raises(TooLarge, match="dual search radius .* exceeds 5000000"):
-        minima_bruteforce(cb_bl, 20.0)
+@pytest.mark.parametrize("seed, q", [("bl", 20), ("bl", 28), ("bl", 30),
+                                     ("roy", 20), ("roy", 24), ("roy", 28)])
+def test_bruteforce_below_candidates_to_q30(request, seed, q):
+    """Past the reach of the window scan, the brute-force minima are at most
+    the candidate ones."""
+    cb = request.getfixturevalue("cb_" + seed)
+    brute, cand = minima_bruteforce(cb, mpmath.mpf(q)), minima_candidates(cb, mpmath.mpf(q))
+    assert brute.method == "bruteforce"
+    assert all(b - c <= 1e-30 for b, c in zip(brute.L + brute.Lstar, cand.L + cand.Lstar))
 
 
 @pytest.mark.parametrize("family, q", [(bl_family(1, 2), 17.36), (roy_family(2, 1, 2), 16.2)],
