@@ -12,9 +12,10 @@ L_j(q) (j = 1,2,3) are the logs of the successive minima of the corresponding
 convex bodies with respect to Z^3.  Both sides go through one code path
 indexed by PRIMAL/DUAL: the bodies max(|x|, e^q|x.u|) and max(|x^u|, e^-q|x|),
 with the quadratic forms |x|^2 + e^{2q}(x.u)^2 and |x^u|^2 + e^{-2q}|x|^2.
-Each body has one exact definition, the integer terms of `_size_keys`: they
-rank points for the candidate and the brute-force minima and fix the centres
-of plane completions; logarithms are taken only for the reported points.
+Each body has one exact definition, the integer terms of `kernels._size_keys`:
+they rank points for the candidate and the brute-force minima and fix the
+centres of plane completions; logarithms are taken only for the reported
+points.
 """
 from __future__ import annotations
 
@@ -26,11 +27,11 @@ from typing import Optional
 
 import mpmath
 
-from .exactlin import DEFAULT_PRECISION, SymVec, det3
+from .exactlin import DEFAULT_PRECISION, SymVec
 from .approx import Bundle
 from .matseq import HatW, resolve_delta
 from . import kernels
-from .kernels import TooLarge
+from .kernels import _size_keys
 
 
 # ---------------------------------------------------------------------------
@@ -473,77 +474,6 @@ def _traj(x, u, q, side):
     return max(mpmath.log(mpmath.sqrt(w0 * w0 + w1 * w1 + w2 * w2)), ln - q)
 
 
-def _size_keys(u, q, p):
-    """The bodies of both sides at q in exact integers, from the working
-    precision p: a (key, terms) pair per side, indexed by PRIMAL/DUAL.  With
-    U = round(2^p u) and E = round(2^p e^{2q}), each side is two integer
-    terms of a pair of points (x, y), both symmetric bilinear forms:
-
-        primal  2^{3p} <x, y>,  E (x.U)(y.U)
-        dual    E <x^U, y^U>,   2^{3p} <x, y>
-
-    The key of x is the larger of its two terms at y = x:
-
-        primal  max(|x|^2 2^{3p}, E (x.U)^2)   ~ 2^{3p} e^{2 L_x(q)}
-        dual    max(E |x^U|^2, |x|^2 2^{3p})   ~ 2^{3p} e^{2q} e^{2 L*_x(q)}
-
-    so at a fixed q each key orders points like the trajectory of its side,
-    with no logarithm and no square root.  The form, the sum of the two
-    terms, is a positive definite bilinear form proportional, up to the same
-    rounding, to the side's quadratic form |x|^2 + e^{2q}(x.u)^2 or
-    |x^u|^2 + e^{-2q}|x|^2.  Plane completions solve for their
-    least-squares centre in it exactly: the 2x2 normal equations of two
-    nearly parallel deep points cancel most of the bits of their
-    determinant, and a centre solved at the working precision can miss its
-    own integer part (on roy(2,1,2), period (1, 2), by about 2^566 at
-    q ~ 741 with p = 2635).
-
-    Rounding, on top of u's own p-bit rounding (which the trajectories share):
-    each coordinate of U is within 1/2 of 2^p u_i, so |x.U - 2^p x.u| <=
-    ||x||_1 / 2, and each coordinate of x^U is within ||x||_1 / 2 of that of
-    2^p x^u; E is within a relative 3/2 * 2^{-p} of 2^p e^{2q}.  A rounded
-    term moves a key only where it is the larger term, that is where
-    e^q |x.u| >= |x| (e^q |x^u| >= |x| on the dual side) up to the same
-    rounding, and there its relative error is at most
-    sqrt(3) ||x||_1 e^q / 2^{p+1} |x| <= (3/2) e^q 2^{-p}.  So half the log
-    of a key is within eta = 3 e^q 2^{-p} of the trajectory plus a constant
-    ((3p/2) log 2, plus q on the dual side), and the keys can order two
-    points against their trajectories only if those agree to within 2 eta.
-    At prec_for(q) > 3.3 q + 191 bits, eta < 2^{-189}: a near-tie can swap
-    only points whose trajectories are equal to the p-bit rounding that the
-    trajectories themselves carry."""
-    U = SymVec(*(int(mpmath.nint(mpmath.ldexp(c, p))) for c in u))
-    E = int(mpmath.nint(mpmath.ldexp(mpmath.exp(2 * q), p)))
-    s, UU = 3 * p, U.dot(U)
-
-    def primal(x, xU, y, yU):
-        return x.dot(y) << s, E * xU * yU
-
-    def dual(x, xU, y, yU):  # <x^U, y^U> = <x, y> |U|^2 - (x.U)(y.U)
-        xy = x.dot(y)
-        return E * (xy * UU - xU * yU), xy << s
-
-    def body(of):            # (key, terms)
-        terms = _Terms(of, U)
-        return (lambda x: max(terms(x, x))), terms
-
-    return body(primal), body(dual)
-
-
-class _Terms:
-    """terms(x, y): the two integer terms of one side of `_size_keys` on the
-    points x, y.  terms.of(x, x.U, y, y.U) gives them from the points' dot
-    products with U, so that `_centre`, which takes the terms on every pair
-    of four points, forms each p-bit x.U once."""
-
-    def __init__(self, of, U):
-        self.of, self.U = of, U
-
-    def __call__(self, x, y):
-        xU = x.dot(self.U)
-        return self.of(x, xU, y, xU if y is x else y.dot(self.U))
-
-
 @dataclass
 class MinimaSample:
     q: object
@@ -559,20 +489,17 @@ class MinimaSample:
 
 def _greedy_triple(pts, keys):
     """Indices of the three linearly independent points of smallest key."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    chosen = []
-    for idx in order:
+    chosen, span = [], None      # the first point, then the normal of the first two
+    for idx in sorted(range(len(keys)), key=keys.__getitem__):
         p = pts[idx]
-        if not chosen:
-            chosen.append(idx)
-        elif len(chosen) == 1:
-            a = pts[chosen[0]]
-            if not a.wedge(p).is_zero():
-                chosen.append(idx)
-        else:
-            a, b = pts[chosen[0]], pts[chosen[1]]
-            if det3(a, b, p) != 0:
-                chosen.append(idx)
+        if len(chosen) == 1:
+            p = span.wedge(p)
+            if p.is_zero():
+                continue
+        elif chosen and p.dot(span) == 0:
+            continue
+        chosen.append(idx)
+        span = p
         if len(chosen) == 3:
             return chosen
     return None
@@ -763,35 +690,23 @@ def breakpoint_samples(builder: CandidateBuilder, P: SystemBreakpoints) -> list:
 
 
 def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
-    """Exact successive minima by exhaustive enumeration; the search radius is
-    certified by a candidate-based upper bound on lambda_3(q).  The kernels'
-    float lambda only filters the points; each side ranks them by the exact
-    keys of `_size_keys`, like the candidates.  Raises TooLarge where a
-    kernel refuses its body (conditions a-c of the `kernels` docstring)."""
+    """Exact successive minima by exhaustive enumeration: each side's kernel
+    lists the points whose key of `_size_keys` is at most B, the smaller of
+    the candidates' third key and the largest key of the reduced basis (each
+    the largest key of three independent points, so the greedy triple always
+    exists), ranked by those keys.  Both boxes are sized before either is
+    walked; `kernels.TooLarge` names a side whose box passes `kernels._CAP`."""
     cand = minima_candidates(builder, q)
     prec = builder.prec_for(q)
     with mpmath.workprec(prec):
         qm = mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q
         u = builder.u(prec)
-        xi_f, xi2_f = float(u[1]), float(u[2])
-        # side -> (name, candidate bound on the third minimum, search radius
-        # for a cutoff c, kernel); a primal point of size c has |x| <= c, a
-        # dual one |x| <= e^q c
-        sides = (
-            ("primal", cand.L[2], math.floor, kernels.collect_primal),
-            ("dual", cand.Lstar[2], lambda c: math.ceil(c * float(mpmath.exp(qm)) * 1.01) + 1,
-             kernels.collect_dual),
-        )
+        bounds = [kernels.basis_bound(side, u[1], u[2], qm, prec, pts[2])
+                  for side, pts in enumerate((cand.points, cand.dual_points))]
         minima, chosen = [], []
-        for side, ((name, bound, radius, collect), (key, _)) in enumerate(
-                zip(sides, _size_keys(u, qm, prec))):
-            cutoff = float(mpmath.exp(bound)) * (1 + 1e-9)
-            pts = collect(xi_f, xi2_f, float(qm), radius(cutoff), cutoff)[0]
-            spts = [SymVec(int(a), int(b), int(c)) for a, b, c in pts]
-            triple = _greedy_triple(spts, [key(p) for p in spts])
-            if triple is None:
-                raise TooLarge(f"{name} enumeration returned fewer than 3 independent points")
-            chosen.append([spts[i] for i in triple])
+        for side, (collect, bound) in enumerate(zip((kernels.collect_primal, kernels.collect_dual), bounds)):
+            pts, keys = collect(u[1], u[2], qm, prec, Fraction(bound, 2 ** (3 * prec)))
+            chosen.append([pts[i] for i in _greedy_triple(pts, keys)])
             minima.append(tuple(_traj(p, u, qm, side) for p in chosen[-1]))
         return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="bruteforce",
                             points=chosen[PRIMAL], dual_points=chosen[DUAL])

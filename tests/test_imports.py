@@ -2,12 +2,15 @@
 (`__init__.py` is left out: its imports are the package's re-exports), every
 dataclass field in the package source is read somewhere, and every public
 function and method is reached from the package or the benchmark, and every
-keyword default is overridden by some caller there, and every exception the
-package defines is a ValueError."""
+keyword default is overridden by some caller there, every exception the
+package defines is a ValueError, and the package loads no numpy."""
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sturmlab"
@@ -201,3 +204,10 @@ def test_every_exception_is_a_value_error():
         for name, cls in inspect.getmembers(module, inspect.isclass):
             if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
                 assert issubclass(cls, ValueError), f"{module.__name__}.{name}"
+
+
+def test_numpy_is_not_loaded():
+    code = "import sys, sturmlab.cli, sturmlab.paramgeo; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 from sturmlab import paramgeo
 from sturmlab.approx import make_bundle
-from sturmlab.exactlin import SymVec
+from sturmlab.exactlin import SymVec, det3
 from sturmlab.exponents import ImproperDelta, closed_form
+from sturmlab.kernels import TooLarge
 from sturmlab.matseq import bl_family, roy_family
 from sturmlab.sturm import SturmianProgram, quantities
 from sturmlab.xi import properness_check
 from sturmlab.paramgeo import (
-    CandidateBuilder, LinExpr, TooLarge, breakpoint_samples, compare, csv_rows,
+    CandidateBuilder, LinExpr, breakpoint_samples, compare, csv_rows,
     duality_check, minima_bruteforce, minima_candidates, predicted_system,
     svg_plot, validate_3system,
 )
@@ -65,6 +67,11 @@ def cb_bl(bl12):
 @pytest.fixture(scope="module")
 def cb_roy(roy212):
     return CandidateBuilder(roy212, prec=256)
+
+
+@pytest.fixture(scope="module")
+def cb_roy278(prog_ones):
+    return CandidateBuilder(make_bundle(roy_family(2, 7, 8), prog_ones), prec=256)
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +339,6 @@ def test_minima_are_ordered_and_independent(cb_bl):
     s = minima_candidates(cb_bl, mpmath.mpf(6))
     assert float(s.L[0]) <= float(s.L[1]) <= float(s.L[2])
     assert len(s.points) == 3
-    from sturmlab.exactlin import det3
     assert det3(*s.points) != 0
 
 
@@ -341,24 +347,71 @@ def test_bruteforce_radius_guard(cb_bl):
         minima_bruteforce(cb_bl, mpmath.mpf(40))
 
 
-@pytest.mark.parametrize("q", [34, 705, 720])
+@pytest.mark.parametrize("q", [36, 705, 720])
 def test_bruteforce_refuses_what_it_cannot_scan(cb_bl, q):
-    """At q = 34 the box passes _CAP cells; at q = 705 and 720 a float64
-    input of the primal body (its widened cutoff, or e^q) is infinite."""
-    with pytest.raises(TooLarge):
+    """At each of these q a box passes _CAP cells (at q = 705 and 720 with
+    e^{2q} far past the float64 range, which the exact bodies never enter)."""
+    with pytest.raises(TooLarge, match="enumeration box has .* cells"):
         minima_bruteforce(cb_bl, mpmath.mpf(q))
 
 
-def test_bruteforce_dual_guard(cb_bl, monkeypatch):
-    import numpy as np
+def test_bruteforce_reaches_q34(cb_bl):
+    """bl(1,2) at q = 34, past the reach of the float64 kernels: the
+    brute-force minima are at most the candidate ones."""
+    q = mpmath.mpf(34)
+    brute, cand = minima_bruteforce(cb_bl, q), minima_candidates(cb_bl, q)
+    assert all(b <= c for b, c in zip(brute.L + brute.Lstar, cand.L + cand.Lstar))
+
+
+def test_bruteforce_refuses_before_walking(cb_bl_p2, monkeypatch):
+    """Period-2 bl(1,2) at q = 25: the dual box is too large, and the
+    refusal comes before either side is walked, within 0.1 s of the
+    candidate call."""
     from sturmlab import kernels
+    spent, inner = [], paramgeo.minima_candidates
 
-    def two_points(xi, xi2, q, R0, cutoff):
-        return np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64), np.array([0.5, 0.6])
+    def timed(*args):
+        t = time.perf_counter()
+        out = inner(*args)
+        spent.append(time.perf_counter() - t)
+        return out
 
-    monkeypatch.setattr(kernels, "collect_dual", two_points)
-    with pytest.raises(TooLarge, match="fewer than 3 independent points"):
-        minima_bruteforce(cb_bl, mpmath.mpf(2))
+    monkeypatch.setattr(paramgeo, "minima_candidates", timed)
+    monkeypatch.setattr(kernels, "_walk", lambda *a: pytest.fail("a side was walked"))
+    t = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"the dual enumeration box has \d+ cells"):
+        minima_bruteforce(cb_bl_p2, mpmath.mpf(25))
+    assert time.perf_counter() - t - sum(spent) < 0.1
+
+
+@pytest.mark.parametrize("builder, q", [("cb_bl", 2.0), ("cb_bl", 13.0), ("cb_roy", 8.0),
+                                        ("cb_roy278", 20.0)])
+def test_bruteforce_lists_the_witnesses_of_its_bound(request, monkeypatch, builder, q):
+    """Each side's bound B is the largest key of the candidate triple or of
+    the reduced basis, whichever is smaller; the three points that give it
+    are independent and are listed, up to sign.  The candidates give every
+    bound here but the dual ones of roy(2,1,2) at q = 8 and roy(2,7,8) at
+    q = 20, which the reduced basis gives."""
+    from sturmlab import kernels
+    cb, qm = request.getfixturevalue(builder), mpmath.mpf(q)
+    calls = []
+    for name in ("collect_primal", "collect_dual"):
+        monkeypatch.setattr(kernels, name, lambda *a, f=getattr(kernels, name):
+                            calls.append((a, f(*a))) or calls[-1][1])
+    minima_bruteforce(cb, qm)
+    cand, p = minima_candidates(cb, qm), cb.prec_for(q)
+    with mpmath.workprec(p):
+        bodies = paramgeo._size_keys(cb.u(p), qm, p)
+    by_basis = []
+    for (args, (pts, _)), (key, terms), triple in zip(calls, bodies, (cand.points, cand.dual_points)):
+        bound = args[4] * 2 ** (3 * p)
+        basis = kernels._reduced(terms)[0]
+        witnesses = triple if key(triple[2]) == bound else basis
+        by_basis.append(witnesses is basis)
+        assert max(map(key, witnesses)) == bound and det3(*witnesses) != 0
+        listed = set(x.as_tuple() for x in pts)
+        assert all(x.as_tuple() in listed or (-x).as_tuple() in listed for x in witnesses)
+    assert by_basis == [False, builder != "cb_bl"]
 
 
 @pytest.mark.parametrize("seed, q", [("bl", 20), ("bl", 28), ("bl", 30),
@@ -375,35 +428,14 @@ def test_bruteforce_below_candidates_to_q30(request, seed, q):
 @pytest.mark.parametrize("family, q", [(bl_family(1, 2), 17.36), (roy_family(2, 1, 2), 16.2)],
                          ids=["bl12-dual", "roy212-primal"])
 def test_bruteforce_survives_float_cancellation(prog_twos, family, q):
-    """On period 2 the float lam of the candidate's own third point (dual for
-    bl(1,2), primal for roy(2,1,2)) exceeds its exact value by more than
-    10^-9 relative at these q; the kernels' error bound keeps the point."""
+    """On period 2 the float64 lam of the candidate's own third point (dual
+    for bl(1,2), primal for roy(2,1,2)) exceeds its exact value by more than
+    10^-9 relative at these q, which once dropped the point; the exact keys
+    keep it."""
     builder = CandidateBuilder(make_bundle(family, prog_twos), prec=256)
     brute, cand = minima_bruteforce(builder, q), minima_candidates(builder, q)
     assert all(b <= c for b, c in zip(brute.L, cand.L))
     assert all(b <= c for b, c in zip(brute.Lstar, cand.Lstar))
-
-
-@pytest.mark.parametrize("builder, qs", [("cb_bl", (13.0, 15.0, 17.0)), ("cb_roy", (14.75,))])
-def test_bruteforce_same_with_window_scan(request, monkeypatch, builder, qs):
-    """Brute-force samples are identical with the box-scanning kernels and
-    with the window scan they replaced."""
-    from sturmlab import kernels
-    from test_kernels import WINDOW_SCAN
-    cb = request.getfixturevalue(builder)
-    boxed = [minima_bruteforce(cb, mpmath.mpf(q)) for q in qs]
-    for name, scan in WINDOW_SCAN.items():
-        monkeypatch.setattr(kernels, name, scan)
-    assert [minima_bruteforce(cb, mpmath.mpf(q)) for q in qs] == boxed
-
-
-def test_duality_same_with_window_scan(cb_roy, monkeypatch):
-    from sturmlab import kernels
-    from test_kernels import WINDOW_SCAN
-    boxed = duality_check(cb_roy, [2.0, 6.0, 10.0])
-    for name, scan in WINDOW_SCAN.items():
-        monkeypatch.setattr(kernels, name, scan)
-    assert duality_check(cb_roy, [2.0, 6.0, 10.0]) == boxed
 
 
 @pytest.mark.parametrize("builder, qs", [("cb_bl", (1.5, 6.0, 11.0, 25.0)),
@@ -670,23 +702,20 @@ def test_round_div_is_round_of_fraction():
 
 
 def test_bruteforce_ranks_by_exact_keys(cb_roy, monkeypatch):
-    """The kernels' float lambda only filters the points: with every lambda
-    tied, or with the lambdas reversed against their points, brute force
-    picks the same minima."""
-    import numpy as np
+    """The keys each kernel returns, by which brute force ranks its points,
+    are the exact keys of `_size_keys` of those points."""
     from sturmlab import kernels
-
-    q = mpmath.mpf(7)
-    want = minima_bruteforce(cb_roy, q)
-    for garble in (lambda pts, lam: (pts, np.zeros_like(lam)),
-                   lambda pts, lam: (pts, lam[::-1])):
-        for name in ("collect_primal", "collect_dual"):
-            monkeypatch.setattr(kernels, name,
-                                lambda *a, f=getattr(kernels, name), g=garble: g(*f(*a)))
-        got = minima_bruteforce(cb_roy, q)
-        monkeypatch.undo()
-        assert (got.points, got.dual_points) == (want.points, want.dual_points)
-        assert (got.L, got.Lstar) == (want.L, want.Lstar)
+    q, calls = mpmath.mpf(7), []
+    for name in ("collect_primal", "collect_dual"):
+        monkeypatch.setattr(kernels, name, lambda *a, f=getattr(kernels, name):
+                            calls.append(f(*a)) or calls[-1])
+    minima_bruteforce(cb_roy, q)
+    p = cb_roy.prec_for(q)
+    with mpmath.workprec(p):
+        bodies = paramgeo._size_keys(cb_roy.u(p), q, p)
+    assert len(calls) == 2
+    for (pts, keys), (key, _) in zip(calls, bodies):
+        assert len(pts) > 3 and keys == [key(x) for x in pts]
 
 
 def test_breakpoint_samples_share_abscissas(bl12, monkeypatch):
