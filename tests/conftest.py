@@ -1,8 +1,14 @@
+import pathlib
+import sys
+
 import pytest
 
 from sturmlab.sturm import SturmianProgram
 from sturmlab.matseq import roy_family, bl_family
 from sturmlab.approx import make_bundle
+
+# the golden corpus's generator, whose grids the tests share
+sys.path.insert(0, str(pathlib.Path(__file__).with_name("golden")))
 
 
 @pytest.fixture(scope="session")

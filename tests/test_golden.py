@@ -4,7 +4,6 @@ recorded `_mpf_` exactly, and each point must equal the recorded one up to
 sign or have the same exact key of `_size_keys` (a tie)."""
 import json
 import pathlib
-import sys
 
 import mpmath
 import pytest
@@ -12,9 +11,9 @@ import pytest
 from sturmlab import paramgeo
 from sturmlab.exactlin import SymVec
 
+from make_bruteforce import FAMILIES, hex_mpf
+
 GOLDEN = pathlib.Path(__file__).with_name("golden")
-sys.path.insert(0, str(GOLDEN))
-from make_bruteforce import FAMILIES, hex_mpf  # noqa: E402
 
 RECORDS = json.loads((GOLDEN / "bruteforce.json").read_text())
 

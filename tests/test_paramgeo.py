@@ -438,6 +438,30 @@ def test_bruteforce_survives_float_cancellation(prog_twos, family, q):
     assert all(b <= c for b, c in zip(brute.Lstar, cand.Lstar))
 
 
+# q where the pure-Python window scan of a whole body takes under 0.2 s (on
+# bl(1,2) at q = 13 it takes 0.7 s); the golden corpus pins the deeper samples
+@pytest.mark.parametrize("builder, qs", [("cb_bl", (8.0, 8.75, 9.5)), ("cb_roy", (12.75,))])
+def test_bruteforce_same_with_window_scan(request, monkeypatch, builder, qs):
+    """Brute-force samples are identical with the reduced kernels and with
+    the exact window scan of tests/test_kernels.py, which reduces nothing."""
+    from sturmlab import kernels
+    from test_kernels import WINDOW_SCAN
+    cb = request.getfixturevalue(builder)
+    walked = [minima_bruteforce(cb, mpmath.mpf(q)) for q in qs]
+    for name, scan in WINDOW_SCAN.items():
+        monkeypatch.setattr(kernels, name, scan)
+    assert [minima_bruteforce(cb, mpmath.mpf(q)) for q in qs] == walked
+
+
+def test_duality_same_with_window_scan(cb_roy, monkeypatch):
+    from sturmlab import kernels
+    from test_kernels import WINDOW_SCAN
+    walked = duality_check(cb_roy, [2.0, 6.0, 10.0])
+    for name, scan in WINDOW_SCAN.items():
+        monkeypatch.setattr(kernels, name, scan)
+    assert duality_check(cb_roy, [2.0, 6.0, 10.0]) == walked
+
+
 @pytest.mark.parametrize("builder, qs", [("cb_bl", (1.5, 6.0, 11.0, 25.0)),
                                          ("cb_roy", (2.5, 8.0))])
 def test_candidate_minima_are_own_trajectories(request, builder, qs):
