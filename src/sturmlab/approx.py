@@ -57,9 +57,7 @@ class YSeq:
         return self._det[i]
 
     def wedge(self, i: int, j: int) -> SymVec:
-        """y_i ^ y_j, formed once per unordered pair."""
-        if (j, i) in self._wedge:
-            return -self._wedge[j, i]
+        """y_i ^ y_j for i < j, formed once per pair."""
         if (i, j) not in self._wedge:
             self._wedge[i, j] = self.at(i).wedge(self.at(j))
         return self._wedge[i, j]
@@ -159,8 +157,8 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
 
     Each big object is formed once: the w products come from the power ladder
     of `MatrixSequence`, det y_i from `YSeq.det`, and the y wedges of the z
-    numerators, z recurrences, det3 triples and y wedge powers from
-    `YSeq.wedge`.  Each coprimality gcd is first taken against det w0 det w1.
+    numerators and det3 triples from `YSeq.wedge`.  Each coprimality gcd is
+    first taken against det w0 det w1.
 
     Not checked, as they cannot fail or repeat another instance:
     - commutation w_{k-1} w_k N_{k+1} = w_k w_{k-1} N_k: `MatrixSeed` requires
@@ -168,7 +166,21 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
       w_{k+1} = w_k^s w_{k-1} gives k + 1 from k;
     - the trace recurrence of the power ladder: it is Cayley-Hamilton;
     - the y recurrence across a block boundary: the block's last instance;
-    - ladder coprimality at k = 1: the coprimality hypothesis itself."""
+    - ladder coprimality at k = 1: the coprimality hypothesis itself.
+    Nor are three families that follow from y recurrence instances (k, l) with
+    t_k + l + 1 <= i_max, which are all checked.  Here d_k = det w_k, ^ is the
+    exact cross product (bilinear, antisymmetric), and for j in block k the
+    z numerator is n(j) = y_a ^ y_j with a = psi(t_{k+1}):
+    - y wedge powers y_i ^ y_{i+1} = d_k^{l+1} y_psi(t_k) ^ y_{t_k}, i = t_k + l:
+      y_i ^ (recurrence (k, l)) is y_i ^ y_{i+1} = d_k y_psi(i) ^ y_i, the claim
+      at l = 0; at l >= 1, psi(i) = i - 1 and (k, l - 1) gives the rest;
+    - the z recurrence inside block k, n(i + 1) = tr(w_k) n(i) - d_k y_a ^ y_psi(i)
+      for i, i + 1 in block k: y_a ^ (recurrence (k, l)), term by term;
+    - the z recurrence across a boundary, d_{k-1} n(t_{k+1}) = d_{k+1} (tr(w_{k-1})
+      n(j) - d_{k-1} y_psi(t_k) ^ y_psi(j)), j = t_k - 1: by the wedge powers of
+      block k, n(t_{k+1}) = y_{t_{k+1}-1} ^ y_{t_{k+1}} = d_k^{s_{k+1}} y_psi(t_k) ^ y_{t_k};
+      y_psi(t_k) ^ (recurrence (k - 1, s_k - 1)) turns y_psi(t_k) ^ y_{t_k} into
+      the bracket, and w_{k+1} = w_k^{s_{k+1}} w_{k-1} has det d_k^{s_{k+1}} d_{k-1}."""
     prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
     seed = bundle.seed
     checks = {}
@@ -200,29 +212,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
                    ys.at(i + 1),
                    tk * ys.at(i) - dk * ys.at(prog.psi(i)))
 
-    # (b) z recurrences, multiplied through by the denominators:
-    # z_{i+1} = t_k z_i - y_{psi(t_{k+1})} ^ y_{psi(i)} inside block k (all z
-    # over det w_k), z_{t_{k+1}} = t_{k-1} z_{t_k - 1} - y_{psi(t_k)} ^ y_{psi(t_k - 1)}
-    for k in range(1, k_hi + 1):
-        lead = prog.psi(prog.t(k + 1))
-        tk, dk = seq.tr(k), seq.det(k)
-        for l in range(prog.s(k + 1) - 1):
-            i = prog.t(k) + l
-            if i + 1 > i_max:
-                break
-            record("z_recurrence_block", (k, l),
-                   zs.num(i + 1),
-                   tk * zs.num(i) - dk * ys.wedge(lead, prog.psi(i)))
-    for k in range(2, k_hi + 1):
-        i, j = prog.t(k + 1), prog.t(k) - 1
-        if i <= i_max:
-            di, dj = zs.den(i), zs.den(j)
-            record("z_recurrence_boundary", (k,),
-                   dj * zs.num(i),
-                   di * (seq.tr(k - 1) * zs.num(j)
-                         - dj * ys.wedge(prog.psi(prog.t(k)), prog.psi(j))))
-
-    # (c) determinant of consecutive triples at block starts: k >= 0
+    # (b) determinant of consecutive triples at block starts: k >= 0
     for k in range(0, k_hi + 1):
         i = prog.t(k)
         if i + 1 > i_max:
@@ -231,7 +221,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
                ys.at(i - 1).dot(ys.wedge(i, i + 1)),
                -seq.det(k) * ys.det(i) * seed.N_parity(k + 1).tr_J())
 
-    # (d) dual wedge identity z_{t_{k+1}} ^ z_i = det N Tr(J N_{k+1}) y_i,
+    # (c) dual wedge identity z_{t_{k+1}} ^ z_i = det N Tr(J N_{k+1}) y_i,
     # multiplied through by det w_{k+1} det w_k: k >= 0, 0 <= l < s_{k+1}
     for k in range(0, k_hi + 1):
         j = prog.t(k + 1)
@@ -241,17 +231,6 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
             if i > i_max or j > i_max + 1:
                 break
             record("z_wedge", (k, l), zs.num(j).wedge(zs.num(i)), c * ys.at(i))
-
-    # (e) consecutive y wedge powers: k >= 1, 0 <= l < s_{k+1}
-    for k in range(1, k_hi + 1):
-        base = ys.wedge(prog.psi(prog.t(k)), prog.t(k))
-        for l in range(prog.s(k + 1)):
-            i = prog.t(k) + l
-            if i + 1 > i_max:
-                break
-            record("y_wedge_power", (k, l),
-                   ys.wedge(i, i + 1),
-                   seq.det(k) ** (l + 1) * base)
 
     # coprimality package (only when its hypotheses hold)
     def ladder_trace(k, l):

@@ -181,11 +181,12 @@ def cmd_verify(args, cfg):
           f"|det N|={abs(bundle.seed.det_N)}: {crep.y_divides_detN}; "
           f"z integral: {crep.z_integral}, bounded: {crep.z_divides_bound}")
     (lo_n, lo_d), (hi_n, hi_d) = grep.ratio_min, grep.ratio_max
-    # int true division is correctly rounded, so it needs no reduction first
-    print(f"multiplicative growth ratios in [{lo_n / lo_d}, {hi_n / hi_d}]"
-          f" shape_ok={grep.shape_ok}")
     # the entrywise shape certificate only applies to the roy seeds
-    growth_ok = grep.shape_ok if bundle.seed.family == "roy" else lo_n >= lo_d
+    roy = bundle.seed.family == "roy"
+    shape = f" shape_ok={grep.shape_ok}" if roy else ""
+    # int true division is correctly rounded, so it needs no reduction first
+    print(f"multiplicative growth ratios in [{lo_n / lo_d}, {hi_n / hi_d}]{shape}")
+    growth_ok = grep.shape_ok if roy else lo_n >= lo_d
     ok = rep.ok and c_ok and growth_ok
     if not ok:
         for f in rep.failures[:5]:

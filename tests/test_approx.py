@@ -16,8 +16,8 @@ from sturmlab.matseq import (
 from sturmlab.sturm import SturmianProgram
 
 EXPECTED_CHECKS = {
-    "square_step", "y_recurrence_block", "y_wedge_power", "z_recurrence_boundary",
-    "z_wedge", "det3_triple", "ladder_coprime", "coprimality_hypothesis",
+    "square_step", "y_recurrence_block", "z_wedge", "det3_triple", "ladder_coprime",
+    "coprimality_hypothesis",
 }
 
 
@@ -47,12 +47,12 @@ def test_corrupted_y_fails(prog_twos, bump):
 
 
 @pytest.mark.parametrize("bundle_name, failing", [
-    ("roy212", {"z_recurrence_boundary", "z_wedge"}),
-    ("roy212_p2", {"z_recurrence_block", "z_recurrence_boundary", "z_wedge"}),
+    ("roy212", {"z_wedge"}),
+    ("roy212_p2", {"z_wedge"}),
 ])
 def test_corrupted_z_fails(request, bundle_name, failing):
     """Adding (1, 0, 0) to one z numerator, at a block start, is caught by the
-    z identities (and on Fibonacci by the gray fan's wedge check)."""
+    z wedge identity (and on Fibonacci by the gray fan's wedge check)."""
     prog = request.getfixturevalue(bundle_name).prog
     bundle = make_bundle(roy_family(2, 1, 2), prog)
     j = prog.t(6 if prog.is_fibonacci else 4)
@@ -187,30 +187,24 @@ def test_failure_reporting():
 PERTURBED_Y_FAILURES = {
     (1, 3): [("square_step", [(2,), (3,), (5,)]),
              ("y_recurrence_block", [(3, 0), (4, 0), (6, 0)]),
-             ("z_recurrence_boundary", [(3,), (4,), (5,), (6,), (7,)]),
              ("det3_triple", [(3,), (4,), (5,)]),
              ("z_wedge", [(3, 0), (4, 0), (5, 0)]),
-             ("y_wedge_power", [(3, 0), (4, 0), (6, 0)])],
+    ],
     (1, 6): [("square_step", [(5,), (6,)]),
              ("y_recurrence_block", [(6, 0), (7, 0)]),
-             ("z_recurrence_boundary", [(6,), (7,), (8,)]),
              ("det3_triple", [(6,), (7,), (8,)]),
              ("z_wedge", [(6, 0), (7, 0), (8, 0)]),
-             ("y_wedge_power", [(6, 0), (7, 0)])],
+    ],
     (2, 3): [("square_step", [(2,), (3,), (6,)]),
              ("y_recurrence_block", [(2, 0), (2, 1), (4, 0)]),
-             ("z_recurrence_block", [(2, 0), (4, 0)]),
-             ("z_recurrence_boundary", [(2,), (3,), (4,)]),
              ("det3_triple", [(2,), (3,)]),
              ("z_wedge", [(2, 0), (2, 1), (3, 0), (3, 1)]),
-             ("y_wedge_power", [(2, 0), (2, 1), (4, 0), (4, 1)])],
+    ],
     (2, 6): [("square_step", [(5,), (6,), (7,)]),
              ("y_recurrence_block", [(3, 1), (4, 0), (4, 1)]),
-             ("z_recurrence_block", [(4, 0)]),
-             ("z_recurrence_boundary", [(3,), (5,)]),
              ("det3_triple", [(4,)]),
              ("z_wedge", [(3, 0), (3, 1), (4, 0)]),
-             ("y_wedge_power", [(3, 1), (4, 0), (4, 1)])],
+    ],
 }
 
 
@@ -253,6 +247,85 @@ def test_direct_sides_match_unperturbed(roy212_p2):
     for k in range(1, 6):
         lhs, rhs = _direct_sides(roy212_p2, "det3_triple", (k,))
         assert lhs == rhs
+
+
+def _implied_instances(bundle, i_max):
+    """(name, index, lhs, rhs) of every instance, up to i_max, of the three
+    families that `verify_identities` proves from `y_recurrence_block` instead
+    of checking, each wedge formed directly."""
+    prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
+
+    def wedge(i, j):
+        return ys.at(i).wedge(ys.at(j))
+
+    k_hi = prog.block_of(i_max)[0]
+    out = []
+    for k in range(1, k_hi + 1):
+        base = wedge(prog.psi(prog.t(k)), prog.t(k))
+        for l in range(prog.s(k + 1)):
+            i = prog.t(k) + l
+            if i + 1 <= i_max:
+                out.append(("y_wedge_power", (k, l), wedge(i, i + 1),
+                            seq.det(k) ** (l + 1) * base))
+    for k in range(1, k_hi + 1):
+        lead = prog.psi(prog.t(k + 1))
+        for l in range(prog.s(k + 1) - 1):
+            i = prog.t(k) + l
+            if i + 1 <= i_max:
+                out.append(("z_recurrence_block", (k, l), zs.num(i + 1),
+                            seq.tr(k) * zs.num(i) - seq.det(k) * wedge(lead, prog.psi(i))))
+    for k in range(2, k_hi + 1):
+        i, j = prog.t(k + 1), prog.t(k) - 1
+        if i <= i_max:
+            di, dj = zs.den(i), zs.den(j)
+            out.append(("z_recurrence_boundary", (k,), dj * zs.num(i),
+                        di * (seq.tr(k - 1) * zs.num(j)
+                              - dj * wedge(prog.psi(prog.t(k)), prog.psi(j)))))
+    return out
+
+
+PROOF_SEEDS = [bl_family(1, 2), roy_family(2, 1, 2), roy_family(2, 7, 8), bl_family(2, 3, 2)]
+PROOF_PERIODS = [[1], [2], [1, 2], [3], [2, 1, 3]]
+
+
+@pytest.mark.parametrize("period", PROOF_PERIODS, ids=str)
+@pytest.mark.parametrize("seed", PROOF_SEEDS, ids=lambda s: f"{s.family}{s.params}")
+def test_implied_families_hold(seed, period):
+    prog = SturmianProgram([-1, 1], period)
+    bundle = make_bundle(seed, prog)
+    instances = _implied_instances(bundle, prog.t(10))
+    assert [(name, idx) for name, idx, lhs, rhs in instances if lhs != rhs] == []
+    names = {"y_wedge_power", "z_recurrence_boundary"} | (
+        set() if prog.is_fibonacci else {"z_recurrence_block"})
+    assert {name for name, *_ in instances} == names
+
+
+def test_implied_failures_have_a_failing_recurrence():
+    """On every perturbed-y case, each failing instance of an implied family
+    has a failing `y_recurrence_block` instance among those its proof uses."""
+    seen = set()
+    for seed in (roy_family(2, 1, 2), bl_family(1, 2)):
+        for period, i in sorted(PERTURBED_Y_FAILURES):
+            prog = SturmianProgram([-1, 1], [period])
+            bundle = make_bundle(seed, prog)
+            m = bundle.ys.mat(i)
+            bundle.ys._memo[i] = IntMat2(m.a, m.b + 1, m.c + 1, m.d)
+            i_max = prog.t(9)
+            bad = {f[1] for f in verify_identities(bundle, i_max).failures
+                   if f[0] == "y_recurrence_block"}
+            for name, idx, lhs, rhs in _implied_instances(bundle, i_max):
+                if lhs == rhs:
+                    continue
+                seen.add(name)
+                k = idx[0]
+                if name == "y_wedge_power":
+                    used = {(k, l) for l in range(idx[1] + 1)}
+                elif name == "z_recurrence_block":
+                    used = {idx}
+                else:
+                    used = {(k, l) for l in range(prog.s(k + 1))} | {(k - 1, prog.s(k) - 1)}
+                assert used & bad, (seed.family, period, i, name, idx)
+    assert seen == {"y_wedge_power", "z_recurrence_block", "z_recurrence_boundary"}
 
 
 ROY_SEEDS = [(2, 1, 2), (3, 1, 3), (2, 7, 8), (5, 2, 4)]

@@ -33,7 +33,7 @@ def test_verify_ok(capsys):
 
 def test_readme_lists_the_verified_families(capsys, tmp_path):
     """The families the README lists under `verify` are the `checks` keys of
-    `verify --json`; `z_recurrence_block` has instances only when some s_k >= 2."""
+    `verify --json`, the same on the Fibonacci and period-2 programs."""
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("`verify --up-to k` checks each identity family", 1)[1]
     listed = set(re.findall(r"^- `(\w+)`", section.split("\n\n")[1], re.M))
@@ -45,8 +45,24 @@ def test_readme_lists_the_verified_families(capsys, tmp_path):
         assert main(argv) == 0
         keys[period] = set(json.loads((run_dir / "verify.json").read_text())["data"]["checks"])
     capsys.readouterr()
-    assert keys["2"] == listed
-    assert keys["1"] == listed - {"z_recurrence_block"}
+    assert keys["1"] == keys["2"] == listed
+
+
+@pytest.mark.parametrize("flags, shape", [
+    (["--family", "bl", "--ab", "1,2"], None),
+    (["--family", "roy", "--abc", "2,1,2"], "shape_ok=True"),
+])
+def test_verify_prints_the_shape_certificate_only_for_roy(capsys, flags, shape):
+    """The entrywise shape certificate applies only to roy seeds; bl seeds pass
+    the growth check on the ratio bound alone."""
+    code, out, _ = run(capsys, *flags, "verify", "--up-to", "8")
+    assert code == 0
+    growth = [line for line in out.splitlines() if line.startswith("multiplicative growth")]
+    assert len(growth) == 1
+    if shape is None:
+        assert "shape_ok" not in out
+    else:
+        assert growth[0].endswith(shape)
 
 
 def test_verify_json_deterministic(capsys, tmp_path):
