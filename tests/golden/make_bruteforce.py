@@ -6,17 +6,27 @@ the deep Mahler-duality grid of acceptance criterion 8.
 Each record holds q, L and L* as hex `_mpf_` (see `hex_mpf`) and the primal
 and dual points.  Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/make_bruteforce.py
+    PYTHONPATH=src python tests/golden/make_bruteforce.py           # rewrite
+    PYTHONPATH=src python tests/golden/make_bruteforce.py --check   # compare
+
+`--check` recomputes every record, writes nothing, prints each record that
+moved (seed, q, which of L, L* and the points moved, the largest |Δ|) and
+exits 1 if any did.  Points compare as in tests/test_golden.py: up to sign,
+or as a tie of equal exact keys.  Regeneration rule: a change that moves a record lists it
+in CHANGES.md, with the reason and the bound it moves within; a change that
+claims bit-identity regenerates nothing.
 """
 from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import mpmath
 
 from sturmlab import paramgeo
 from sturmlab.approx import make_bundle
+from sturmlab.exactlin import SymVec
 from sturmlab.matseq import bl_family, roy_family
 from sturmlab.sturm import SturmianProgram
 
@@ -36,6 +46,13 @@ def hex_mpf(x) -> str:
     return f"{sign}:{man:x}:{exp:x}:{bc:x}"
 
 
+def unhex_mpf(text: str):
+    """The mpf that `hex_mpf` wrote, with all its bits."""
+    sign, man, exp, bc = (int(part, 16) for part in text.split(":"))
+    with mpmath.workprec(max(bc, 53)):
+        return mpmath.mpf((sign, man, exp, bc))
+
+
 def grid(seed):
     return sorted(set(ORACLE_GRID[seed] + DUALITY_GRID + DEEP_GRID))
 
@@ -47,15 +64,77 @@ def record(seed, s):
             "dual_points": [list(p.as_tuple()) for p in s.dual_points]}
 
 
-def main():
-    records = []
-    for seed, family in FAMILIES.items():
-        cb = paramgeo.CandidateBuilder(make_bundle(family, SturmianProgram.all_ones()), prec=256)
+def builder(seed):
+    """The candidate builder of the records of `seed`, one per seed."""
+    if seed not in _BUILDERS:
+        bundle = make_bundle(FAMILIES[seed], SturmianProgram.all_ones())
+        _BUILDERS[seed] = paramgeo.CandidateBuilder(bundle, prec=256)
+    return _BUILDERS[seed]
+
+
+_BUILDERS = {}
+
+
+def records():
+    out = []
+    for seed in FAMILIES:
+        cb = builder(seed)
         for q in grid(seed):
-            records.append(dict(record(seed, paramgeo.minima_bruteforce(cb, mpmath.mpf(q))),
-                                q_float=q))
-    OUT.write_text(json.dumps(records, indent=0) + "\n")
+            out.append(dict(record(seed, paramgeo.minima_bruteforce(cb, mpmath.mpf(q))),
+                            q_float=q))
+    return out
+
+
+def same_points(r, name, got) -> bool:
+    """Whether the points `got` match the recorded r[name] ("points" or
+    "dual_points"): each equal up to sign, or of the same exact key of
+    `_size_keys` (a tie, which either point may win)."""
+    cb, q = builder(r["seed"]), unhex_mpf(r["q"])
+    p = cb.prec_for(q)
+    with mpmath.workprec(p):
+        key = paramgeo._size_keys(cb.u(p), q, p)[name == "dual_points"][0]
+    want = [SymVec(*w) for w in r[name]]
+    got = [SymVec(*x) for x in got]
+    return len(got) == len(want) and all(x in (w, -w) or key(x) == key(w)
+                                         for x, w in zip(got, want))
+
+
+def _logs(r):
+    return [r["q"], *r["L"], *r["Lstar"]]
+
+
+def moved(old, new, same=None) -> list:
+    """One line for each record of `new` that differs from its namesake in
+    `old` (records pair up by position): its seed, q, the fields that moved
+    and the largest |Δ| over q, L and L*.  `same(r, name, points)`, if
+    given, forgives points that differ from the recorded ones."""
+    lines = [] if len(old) == len(new) else [f"{len(old)} records recorded, {len(new)} computed"]
+    for r, s in zip(old, new):
+        fields = [name for name in r if r[name] != s.get(name)
+                  and not (same and name.endswith("points") and same(r, name, s[name]))]
+        if not fields:
+            continue
+        delta = max(abs(unhex_mpf(a) - unhex_mpf(b)) for a, b in zip(_logs(r), _logs(s)))
+        q = r["q_float"] if "q_float" in r else mpmath.nstr(unhex_mpf(r["q"]), 8)
+        tag = f" kinds={r['kinds']}" if "kinds" in r else ""
+        lines.append(f"{r['seed']} q={q}{tag}: moved {', '.join(fields)}; "
+                     f"largest |Δ| = {mpmath.nstr(delta, 3)}")
+    return lines
+
+
+def main(path=OUT, make=records, same=same_points, argv=None):
+    """Rewrite `path` with `make()`, or with `--check` compare without writing."""
+    argv = sys.argv[1:] if argv is None else argv
+    new = make()
+    if argv == ["--check"]:
+        lines = moved(json.loads(path.read_text()), new, same)
+        print("\n".join(lines) or f"{path.name}: all {len(new)} records unchanged")
+        return 1 if lines else 0
+    if argv:
+        raise SystemExit(f"usage: {pathlib.Path(sys.argv[0]).name} [--check]")
+    path.write_text(json.dumps(new, indent=0) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

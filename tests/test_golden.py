@@ -1,7 +1,11 @@
-"""The brute-force minima against the records of tests/golden/bruteforce.json
-(written by tests/golden/make_bruteforce.py): L and L* must equal the
-recorded `_mpf_` exactly, and each point must equal the recorded one up to
-sign or have the same exact key of `_size_keys` (a tie)."""
+"""The golden corpus of tests/golden (see its generators make_bruteforce.py and
+make_candidates.py, whose `--check` prints what moved).
+
+Brute-force minima: L and L* must equal the recorded `_mpf_` exactly, and
+each point must equal the recorded one up to sign or have the same exact key
+of `_size_keys` (a tie).  Candidate minima and breakpoint samples must equal
+their records exactly, points included.  The README examples that score
+candidates must reproduce their stdout and emitted files byte for byte."""
 import json
 import pathlib
 
@@ -9,9 +13,9 @@ import mpmath
 import pytest
 
 from sturmlab import paramgeo
-from sturmlab.exactlin import SymVec
 
-from make_bruteforce import FAMILIES, hex_mpf
+import make_candidates
+from make_bruteforce import FAMILIES, hex_mpf, moved, same_points
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -29,9 +33,20 @@ def test_bruteforce_matches_golden(request, seed):
         assert hex_mpf(s.q) == r["q"], label
         assert [hex_mpf(v) for v in s.L] == r["L"], label
         assert [hex_mpf(v) for v in s.Lstar] == r["Lstar"], label
-        p = cb.prec_for(s.q)
-        with mpmath.workprec(p):
-            keys = [key for key, _ in paramgeo._size_keys(cb.u(p), s.q, p)]
-        for key, got, want in ((keys[0], s.points, r["points"]), (keys[1], s.dual_points, r["dual_points"])):
-            for x, w in zip(got, (SymVec(*w) for w in want)):
-                assert x in (w, -w) or key(x) == key(w), (label, x, w)
+        for name, got in (("points", s.points), ("dual_points", s.dual_points)):
+            assert same_points(r, name, [x.as_tuple() for x in got]), (label, name, got, r[name])
+
+
+def test_candidates_match_golden():
+    """Candidate minima at every q of bruteforce.json and the breakpoint
+    samples of bl(1,2) (k 3:12) and of its period-2 program (k 3:7)."""
+    golden = json.loads(make_candidates.OUT.read_text())
+    assert len(golden) > 100
+    assert moved(golden, make_candidates.records()) == []
+
+
+@pytest.mark.parametrize("name", sorted(make_candidates.CLI_EXAMPLES))
+def test_cli_example_matches_golden(name):
+    golden = json.loads(make_candidates.CLI_OUT.read_text())[name]
+    assert golden["code"] == 0 and golden["files"]
+    assert make_candidates.run_cli(make_candidates.CLI_EXAMPLES[name]) == golden
