@@ -488,10 +488,16 @@ class MinimaSample:
 
 
 def _greedy_triple(pts, keys):
-    """Indices of the three linearly independent points of smallest key."""
+    """Indices of the three linearly independent points of smallest key.
+    An entry (key, x_c, v1, da, v2, db) of `CandidateBuilder._completions`
+    is built into its point x_c + da v1 + db v2, in `pts`, when first read."""
     chosen, span = [], None      # the first point, then the normal of the first two
     for idx in sorted(range(len(keys)), key=keys.__getitem__):
         p = pts[idx]
+        if type(p) is tuple:
+            _, xc, v1, da, v2, db = p
+            p = pts[idx] = SymVec(xc.x0 + da * v1.x0 + db * v2.x0, xc.x1 + da * v1.x1 + db * v2.x1,
+                                  xc.x2 + da * v1.x2 + db * v2.x2)
         if len(chosen) == 1:
             p = span.wedge(p)
             if p.is_zero():
@@ -507,7 +513,7 @@ def _greedy_triple(pts, keys):
 
 # plane completions: the (2 COMPLETION_WINDOW + 1)^2 grid points of a layer
 # around its least-squares centre, of which only those that can still enter
-# the triple are built
+# the triple are kept, and only those the selection reads are built
 COMPLETION_WINDOW = 4
 
 
@@ -560,8 +566,11 @@ class CandidateBuilder:
         selection.
 
         Only the completion points whose key is at most that of the current
-        third point are built, and the selection is the one that the full
-        grids would give.  `_greedy_triple` sorts stably by (key, index), and
+        third point are kept, and the selection is the one that the full
+        grids would give.  A kept point is built only when the selection
+        reads it, and exactly: its key is the six-pair expansion's exact key,
+        and the point built is the same x_c + da v1 + db v2.
+        `_greedy_triple` sorts stably by (key, index), and
         new points get larger indices, so the prefix that ends at the current
         third point already has rank 3 and greedy picks all three points
         inside it: a point with a larger key is never picked.  The second
@@ -572,9 +581,9 @@ class CandidateBuilder:
         for _ in range(2):
             bound = keys[triple[2]]
             for i, j in ((triple[0], triple[1]), (triple[0], triple[2]), (triple[1], triple[2])):
-                for comp, k in self._completions(pts[i], pts[j], terms, bound):
-                    pts.append(comp)
-                    keys.append(k)
+                entries = self._completions(pts[i], pts[j], terms, bound)
+                pts += entries
+                keys += [entry[0] for entry in entries]
             new = _greedy_triple(pts, keys)
             if new == triple:
                 break
@@ -582,12 +591,15 @@ class CandidateBuilder:
         return triple
 
     def _completions(self, v1: SymVec, v2: SymVec, terms, bound):
-        """(point, key) for the points x_c + da v1 + db v2, |da|, |db| <=
-        COMPLETION_WINDOW, rows of da first, whose key (the larger of the
-        two terms) is at most `bound`; x_c is the rounded centre of `_centre`.  Each term T is a symmetric
-        bilinear form, so T(x, x) = T(x_c, x_c) + 2 da T(x_c, v1) +
-        2 db T(x_c, v2) + da^2 T(v1, v1) + 2 da db T(v1, v2) + db^2 T(v2, v2),
-        and the exact key of every grid point follows from the six pairs."""
+        """An entry (key, x_c, v1, da, v2, db) for each point x_c + da v1 +
+        db v2, |da|, |db| <= COMPLETION_WINDOW, rows of da first, whose key
+        (the larger of the two terms) is at most `bound`; x_c is the rounded
+        centre of `_centre`.  Each term T is a symmetric bilinear form, so
+        T(x, x) = T(x_c, x_c) + 2 da T(x_c, v1) + 2 db T(x_c, v2) +
+        da^2 T(v1, v1) + 2 da db T(v1, v2) + db^2 T(v2, v2), and the exact
+        key of every grid point follows from the six pairs.  No point is
+        built here: `_greedy_triple` builds the same x_c + da v1 + db v2
+        from an entry when it reads it, so the key is exactly that point's."""
         xc, six = _centre(v1, v2, terms)
         out = []
         for da in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1):
@@ -595,13 +607,12 @@ class CandidateBuilder:
             (a0, b0, c0), (a1, b1, c1) = [
                 (xx + da * (2 * x1 + da * s11), 2 * (x2 + da * s12), s22)
                 for xx, x1, x2, s11, s12, s22 in zip(*six)]
-            xa = xc + da * v1
             for db in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1):
                 k0 = a0 + db * (b0 + db * c0)
                 if k0 <= bound:
                     k1 = a1 + db * (b1 + db * c1)
                     if k1 <= bound:
-                        out.append((xa + db * v2, max(k0, k1)))
+                        out.append((max(k0, k1), xc, v1, da, v2, db))
         return out
 
 

@@ -18,6 +18,7 @@ claims bit-identity regenerates nothing.
 """
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import sys
@@ -64,15 +65,11 @@ def record(seed, s):
             "dual_points": [list(p.as_tuple()) for p in s.dual_points]}
 
 
+@functools.cache
 def builder(seed):
     """The candidate builder of the records of `seed`, one per seed."""
-    if seed not in _BUILDERS:
-        bundle = make_bundle(FAMILIES[seed], SturmianProgram.all_ones())
-        _BUILDERS[seed] = paramgeo.CandidateBuilder(bundle, prec=256)
-    return _BUILDERS[seed]
-
-
-_BUILDERS = {}
+    bundle = make_bundle(FAMILIES[seed], SturmianProgram.all_ones())
+    return paramgeo.CandidateBuilder(bundle, prec=256)
 
 
 def records():
@@ -122,9 +119,9 @@ def moved(old, new, same=None) -> list:
     return lines
 
 
-def main(path=OUT, make=records, same=same_points, argv=None):
+def main(path=OUT, make=records, same=same_points):
     """Rewrite `path` with `make()`, or with `--check` compare without writing."""
-    argv = sys.argv[1:] if argv is None else argv
+    argv = sys.argv[1:]
     new = make()
     if argv == ["--check"]:
         lines = moved(json.loads(path.read_text()), new, same)

@@ -666,9 +666,10 @@ def _full_grid_candidates(cb, q):
     ("roy_p12", 300), ("roy_p12", 741),
     ("roy278", 3.0), ("roy278", 9.0), ("roy278", ("q_t", 7))])
 def test_pruned_completions_match_full_grid(request, monkeypatch, seed, q):
-    """Plane completions that build only the points that can still enter the
+    """Plane completions that keep only the points that can still enter the
     triple give bit-identical candidate minima to the full grids, and the key
-    of every built point, from the quadratic expansion, is its exact key."""
+    of every kept entry, from the quadratic expansion, is the exact key of
+    the point x_c + da v1 + db v2 that it stands for."""
     cb = request.getfixturevalue("cb_" + seed)
     q = _at(cb, q)
     built = []
@@ -676,7 +677,7 @@ def test_pruned_completions_match_full_grid(request, monkeypatch, seed, q):
 
     def recorded(builder, v1, v2, terms, bound):
         out = completions(builder, v1, v2, terms, bound)
-        built.extend((terms, x, k) for x, k in out)
+        built.extend((terms, xc + da * v1 + db * v2, k) for k, xc, v1, da, v2, db in out)
         return out
 
     monkeypatch.setattr(CandidateBuilder, "_completions", recorded)
@@ -688,6 +689,38 @@ def test_pruned_completions_match_full_grid(request, monkeypatch, seed, q):
     assert [x.as_tuple() for x in s.dual_points] == [x.as_tuple() for x in dual_points]
     assert [x._mpf_ for x in s.L] == [x._mpf_ for x in L]
     assert [x._mpf_ for x in s.Lstar] == [x._mpf_ for x in Lstar]
+
+
+def test_greedy_triple_builds_entries_only_where_it_reads():
+    """On a list that mixes points with unbuilt completion entries (key, x_c,
+    v1, da, v2, db), `_greedy_triple` picks the indices it picks on the built
+    list, builds every entry up to the last sorted position it reads, and
+    builds none past it."""
+    rng = random.Random(24)
+
+    def vec():
+        return SymVec(*(rng.randint(-2, 2) for _ in range(3)))
+
+    for _ in range(400):
+        keys, mixed, full, n = [], [], [], rng.randint(3, 12)
+        while len(keys) < n:
+            k = rng.randint(0, 5)
+            if rng.random() < 0.5:
+                entry = (k, vec(), vec(), rng.randint(-4, 4), vec(), rng.randint(-4, 4))
+                x = entry[1] + entry[3] * entry[2] + entry[5] * entry[4]
+            else:
+                entry = x = vec()
+            if not x.is_zero():
+                keys.append(k)
+                mixed.append(entry)
+                full.append(x)
+        pts = list(mixed)
+        want = paramgeo._greedy_triple(list(full), keys)
+        assert paramgeo._greedy_triple(pts, keys) == want
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        read = len(order) if want is None else order.index(want[-1]) + 1
+        assert [pts[i] for i in order[:read]] == [full[i] for i in order[:read]]
+        assert [pts[i] for i in order[read:]] == [mixed[i] for i in order[read:]]
 
 
 @pytest.mark.parametrize("period", [[1], [2], [1, 2]], ids=str)
