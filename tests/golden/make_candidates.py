@@ -8,8 +8,9 @@ q, L and L* as hex `_mpf_` (see `make_bruteforce.hex_mpf`), the points and
 dual points; a breakpoint record lists the [kind, k] of every sample it
 holds (samples at one abscissa are one scoring).
 
-cli.json holds, for the two README examples that score candidates, the exit
-code, stdout and every emitted file, byte for byte.
+cli.json holds, for every example of `CLI_EXAMPLES` (each README CLI example,
+plus `verify` on more seed/program pairs), the exit code, stdout and every
+emitted file, byte for byte.
 
 Run from the repository root:
 
@@ -49,12 +50,30 @@ CLI_OUT = pathlib.Path(__file__).with_name("cli.json")
 BREAKPOINT_SYSTEMS = (("bl12", SturmianProgram.all_ones(), (3, 12)),
                       ("bl12_p2", SturmianProgram([-1, 1], [2]), (3, 7)))
 
-# the README examples that score candidates, each run with --out-dir
+
+def _verify(seed_flags, period):
+    """`verify --up-to 14` on a seed and a program of the given period."""
+    program = [] if period == "1" else ["--program", f"prefix=[-1,1];period=[{period}]"]
+    return seed_flags + program + ["--json", "verify", "--up-to", "14"]
+
+
+BL12, ROY212 = ["--family", "bl", "--ab", "1,2"], ["--family", "roy", "--abc", "2,1,2"]
+
+# the README examples and `verify` to t_14 on five seed/program pairs, each run
+# with --json and a fresh --out-dir
 CLI_EXAMPLES = {
-    "three-system": ["--family", "bl", "--ab", "1,2", "--csv", "--svg", "--json",
-                     "three-system", "--k", "3:12", "--samples", "40"],
-    "exponents": ["--family", "bl", "--ab", "1,2", "--json",
-                  "exponents", "--empirical", "--k", "6:12"],
+    "three-system": BL12 + ["--csv", "--svg", "--json",
+                            "three-system", "--k", "3:12", "--samples", "40"],
+    "exponents": BL12 + ["--json", "exponents", "--empirical", "--k", "6:12"],
+    "xi": BL12 + ["--json", "xi", "--digits", "60"],
+    "gray": ROY212 + ["--json", "gray", "--i", "5"],
+    "spectrum-endpoints": ["--json", "spectrum", "--endpoints"],
+    "spectrum": ["--json", "spectrum"],
+    "verify-bl12-1": _verify(BL12, "1"),
+    "verify-bl12-2": _verify(BL12, "2"),
+    "verify-roy212-1": _verify(ROY212, "1"),
+    "verify-roy212-2": _verify(ROY212, "2"),
+    "verify-roy278-1,2": _verify(["--family", "roy", "--abc", "2,7,8"], "1,2"),
 }
 
 

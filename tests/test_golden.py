@@ -4,8 +4,9 @@ make_candidates.py, whose `--check` prints what moved).
 Brute-force minima: L and L* must equal the recorded `_mpf_` exactly, and
 each point must equal the recorded one up to sign or have the same exact key
 of `_size_keys` (a tie).  Candidate minima and breakpoint samples must equal
-their records exactly, points included.  The README examples that score
-candidates must reproduce their stdout and emitted files byte for byte."""
+their records exactly, points included.  The CLI examples (every README
+example, and `verify` on five seed/program pairs) must reproduce their exit
+code, stdout and emitted files byte for byte."""
 import json
 import pathlib
 
