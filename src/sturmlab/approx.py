@@ -28,7 +28,7 @@ class YSeq:
         self.prog = seq.prog
         self.seed = seq.seed
         self._memo = {}
-        self._det, self._wedge = {}, {}
+        self._wedge = {}
         self._det_primes = abs(self.seed.w0.det() * self.seed.w1.det() * self.seed.det_N)
 
     def mat(self, i: int) -> IntMat2:
@@ -50,11 +50,6 @@ class YSeq:
 
     def at(self, i: int) -> SymVec:
         return self.mat(i).sym_vec()
-
-    def det(self, i: int) -> int:
-        if i not in self._det:
-            self._det[i] = self.mat(i).det()
-        return self._det[i]
 
     def wedge(self, i: int, j: int) -> SymVec:
         """y_i ^ y_j for i < j, formed once per pair."""
@@ -151,26 +146,48 @@ class IdentityReport:
         return "\n".join(lines)
 
 
+# the identity families that `verify_identities` proves instead of checking
+PROVED = ("commutation", "ladder_trace_recurrence", "y_recurrence_block", "square_step",
+          "y_wedge_power", "z_recurrence_block", "z_recurrence_boundary")
+
+
 def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
-    """Exact verification of the recurrence, wedge, determinant and
-    coprimality identities for all indices up to i_max.
+    """Exact verification of the determinant, dual wedge and coprimality
+    identities for all indices up to i_max.
 
     Each big object is formed once: the w products come from the power ladder
-    of `MatrixSequence`, det y_i from `YSeq.det`, and the y wedges of the z
-    numerators and det3 triples from `YSeq.wedge`.  Each coprimality gcd is
-    first taken against det w0 det w1.
+    of `MatrixSequence`, and the y wedges of the z numerators and det3 triples
+    from `YSeq.wedge`.  Each coprimality gcd is first taken against det w0 det w1.
 
-    Not checked, as they cannot fail or repeat another instance:
+    Not formed, as they cannot fail (the families of `PROVED`) or repeat
+    another instance.  Here d_k = det w_k, N_k = N for even k and N^T for odd k,
+    ^ is the exact cross product (bilinear, antisymmetric), and i = t_k + l
+    with k >= 1, 0 <= l < s_{k+1}:
     - commutation w_{k-1} w_k N_{k+1} = w_k w_{k-1} N_k: `MatrixSeed` requires
       w1 N, w0 N^T and w1 w0 N^T symmetric, which gives k = 1, and
       w_{k+1} = w_k^s w_{k-1} gives k + 1 from k;
     - the trace recurrence of the power ladder: it is Cayley-Hamilton;
-    - the y recurrence across a block boundary: the block's last instance;
     - ladder coprimality at k = 1: the coprimality hypothesis itself.
-    Nor are three families that follow from y recurrence instances (k, l) with
-    t_k + l + 1 <= i_max, which are all checked.  Here d_k = det w_k, ^ is the
-    exact cross product (bilinear, antisymmetric), and for j in block k the
-    z numerator is n(j) = y_a ^ y_j with a = psi(t_{k+1}):
+    `YSeq` builds y_i = w_k^{l+1} w_{k-1} N_k from the power ladder, which gives
+    two matrix identities:
+    - (A) y_{i+1} = w_k y_i: for l + 1 < s_{k+1} both sides are the ladder
+      product w_k^{l+2} w_{k-1} N_k; at l + 1 = s_{k+1}, commutation gives
+      y_{t_{k+1}} = w_{k+1} w_k N_{k+1} = w_k w_{k+1} N_k, and
+      w_{k+1} = w_k^{s_{k+1}} w_{k-1};
+    - (B) y_i = w_k y_psi(i): for l >= 1, psi(i) = i - 1 and this is (A) at
+      l - 1; for l = 0, y_psi(t_k) = y_{t_{k-1}-1} is w_{k-1} N_k (for k >= 3 the
+      last y of block k - 2, w_{k-2}^{s_{k-1}} w_{k-3} N_{k-2}; y_{-2} = w0 N^T
+      and y_{-1} = w1 N at k = 1, 2), so y_{t_k} = w_k w_{k-1} N_k is w_k y_psi(t_k).
+    Hence:
+    - the y recurrence (k, l), y_{i+1} = tr(w_k) y_i - d_k y_psi(i): by (A)
+      and (B), y_{i+1} = w_k^2 y_psi(i), and Cayley-Hamilton gives
+      w_k^2 = tr(w_k) w_k - d_k I;
+    - the square step det(y_psi(j)) y_{j+1} = y_j adj(y_psi(j)) y_j, j >= 0:
+      by (B), y_j adj(y_psi(j)) = w_k y_psi(j) adj(y_psi(j)) = det(y_psi(j)) w_k,
+      and by (A), det(y_psi(j)) w_k y_j = det(y_psi(j)) y_{j+1}.
+    Three more families follow from the y recurrence (k, l), which therefore
+    holds at every (k, l).  For j in block k the z numerator is n(j) = y_a ^ y_j
+    with a = psi(t_{k+1}):
     - y wedge powers y_i ^ y_{i+1} = d_k^{l+1} y_psi(t_k) ^ y_{t_k}, i = t_k + l:
       y_i ^ (recurrence (k, l)) is y_i ^ y_{i+1} = d_k y_psi(i) ^ y_i, the claim
       at l = 0; at l >= 1, psi(i) = i - 1 and (k, l - 1) gives the rest;
@@ -193,35 +210,16 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
 
     k_hi = prog.block_of(i_max)[0] if i_max >= 0 else 0
 
-    # palindromic square step: det(y_psi(j)) y_{j+1} = y_j adj(y_psi(j)) y_j, whose
-    # right side is tr(Y adj P) Y - det(Y) P for any 2x2 Y, P: X + adj(X) = tr(X) I
-    # with X = adj(P) Y gives adj(P) Y = tr(X) I - adj(Y) P, and Y adj(Y) = det(Y) I
-    for j in range(0, i_max):
-        y, yp = ys.mat(j), ys.mat(prog.psi(j))
-        tr = y.a * yp.d - y.b * yp.c - y.c * yp.b + y.d * yp.a
-        record("square_step", (j,), ys.det(prog.psi(j)) * ys.mat(j + 1), tr * y - ys.det(j) * yp)
-
-    # (a) three-term recurrence inside a block: k >= 1, 0 <= l < s_{k+1}
-    for k in range(1, k_hi + 1):
-        tk, dk = seq.tr(k), seq.det(k)
-        for l in range(prog.s(k + 1)):
-            i = prog.t(k) + l
-            if i + 1 > i_max:
-                break
-            record("y_recurrence_block", (k, l),
-                   ys.at(i + 1),
-                   tk * ys.at(i) - dk * ys.at(prog.psi(i)))
-
-    # (b) determinant of consecutive triples at block starts: k >= 0
+    # determinant of consecutive triples at block starts: k >= 0
     for k in range(0, k_hi + 1):
         i = prog.t(k)
         if i + 1 > i_max:
             break
         record("det3_triple", (k,),
                ys.at(i - 1).dot(ys.wedge(i, i + 1)),
-               -seq.det(k) * ys.det(i) * seed.N_parity(k + 1).tr_J())
+               -seq.det(k) * ys.mat(i).det() * seed.N_parity(k + 1).tr_J())
 
-    # (c) dual wedge identity z_{t_{k+1}} ^ z_i = det N Tr(J N_{k+1}) y_i,
+    # dual wedge identity z_{t_{k+1}} ^ z_i = det N Tr(J N_{k+1}) y_i,
     # multiplied through by det w_{k+1} det w_k: k >= 0, 0 <= l < s_{k+1}
     for k in range(0, k_hi + 1):
         j = prog.t(k + 1)
@@ -290,7 +288,7 @@ def contents_report(bundle: Bundle, i_max: int) -> ContentsReport:
             z_integral = False
             continue
         c = v.content()
-        if bound == 0 or bound % c != 0:
+        if bound % c != 0:
             z_div = False
     return ContentsReport(
         y_contents=y_contents,

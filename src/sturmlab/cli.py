@@ -25,7 +25,7 @@ from .sturm import BadSequence, SturmianProgram, quantities, spectrum_endpoints
 from .matseq import BadRoyTriple, DegenerateGrowth, DegenerateSeed, EqualLetters, \
     roy_family, bl_family, check_mult_growth, resolve_delta
 from .approx import make_bundle, verify_identities, contents_report, gray_fan, \
-    BadIndex, FibonacciOnly
+    BadIndex, FibonacciOnly, PROVED
 from .xi import xi_value, bl_xi_oracle, properness_check
 from . import paramgeo, exponents
 
@@ -176,6 +176,7 @@ def cmd_verify(args, cfg):
     crep = contents_report(bundle, i_max)
     grep = check_mult_growth(bundle.seq, min(args.up_to, 18))
     print(rep.summary())
+    print("proved, not checked:", ", ".join(PROVED))
     c_ok = crep.y_divides_detN and crep.z_integral and crep.z_divides_bound
     print(f"contents: max content(y)={max(crep.y_contents.values())} divides "
           f"|det N|={abs(bundle.seed.det_N)}: {crep.y_divides_detN}; "
@@ -192,6 +193,7 @@ def cmd_verify(args, cfg):
         for f in rep.failures[:5]:
             print("witness:", f)
     return (0 if ok else 1), {"identities_ok": rep.ok, "checks": rep.checks,
+                              "proved": list(PROVED),
                               "contents_ok": c_ok, "growth_ok": growth_ok}
 
 

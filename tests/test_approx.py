@@ -15,10 +15,7 @@ from sturmlab.matseq import (
 )
 from sturmlab.sturm import SturmianProgram
 
-EXPECTED_CHECKS = {
-    "square_step", "y_recurrence_block", "z_wedge", "det3_triple", "ladder_coprime",
-    "coprimality_hypothesis",
-}
+EXPECTED_CHECKS = {"z_wedge", "det3_triple", "ladder_coprime", "coprimality_hypothesis"}
 
 
 def test_identity_suite_roy(roy212):
@@ -31,8 +28,9 @@ def test_identity_suite_roy(roy212):
 
 @pytest.mark.parametrize("bump", [IntMat2(1, 0, 0, 0), IntMat2(0, 1, 1, 0), IntMat2(0, 0, 0, -1)])
 def test_corrupted_y_fails(prog_twos, bump):
-    """Replacing any one y_i of a block by a nearby symmetric matrix is caught,
-    at the block start and inside the block."""
+    """Replacing any one y_i of a block by a nearby symmetric matrix is caught
+    by both the det3 triples and the z wedge identity, at the block start and
+    inside the block."""
     k = 3
     prog = prog_twos
     block = range(prog.t(k), prog.t(k + 1))
@@ -43,7 +41,7 @@ def test_corrupted_y_fails(prog_twos, bump):
         assert bundle.ys.mat(i).is_symmetric()
         rep = verify_identities(bundle, prog.t(k + 2))
         assert not rep.ok, i
-        assert any(f[0] == "square_step" for f in rep.failures), i
+        assert {"det3_triple", "z_wedge"} <= {f[0] for f in rep.failures}, i
 
 
 @pytest.mark.parametrize("bundle_name, failing", [
@@ -185,23 +183,19 @@ def test_failure_reporting():
 # the verifier that formed every product, wedge and gcd directly, and the same
 # for roy(2,1,2) and bl(1,2)
 PERTURBED_Y_FAILURES = {
-    (1, 3): [("square_step", [(2,), (3,), (5,)]),
-             ("y_recurrence_block", [(3, 0), (4, 0), (6, 0)]),
+    (1, 3): [
              ("det3_triple", [(3,), (4,), (5,)]),
              ("z_wedge", [(3, 0), (4, 0), (5, 0)]),
     ],
-    (1, 6): [("square_step", [(5,), (6,)]),
-             ("y_recurrence_block", [(6, 0), (7, 0)]),
+    (1, 6): [
              ("det3_triple", [(6,), (7,), (8,)]),
              ("z_wedge", [(6, 0), (7, 0), (8, 0)]),
     ],
-    (2, 3): [("square_step", [(2,), (3,), (6,)]),
-             ("y_recurrence_block", [(2, 0), (2, 1), (4, 0)]),
+    (2, 3): [
              ("det3_triple", [(2,), (3,)]),
              ("z_wedge", [(2, 0), (2, 1), (3, 0), (3, 1)]),
     ],
-    (2, 6): [("square_step", [(5,), (6,), (7,)]),
-             ("y_recurrence_block", [(3, 1), (4, 0), (4, 1)]),
+    (2, 6): [
              ("det3_triple", [(4,)]),
              ("z_wedge", [(3, 0), (3, 1), (4, 0)]),
     ],
@@ -234,7 +228,7 @@ def test_perturbed_y_failures_unchanged(seed, period, i):
     assert [f[:2] for f in rep.failures] == [
         (name, idx) for name, idxs in PERTURBED_Y_FAILURES[period, i] for idx in idxs]
     for name, idx, lhs, rhs in rep.failures:
-        if name in ("square_step", "det3_triple"):
+        if name == "det3_triple":
             assert (lhs, rhs) == _direct_sides(bundle, name, idx), (name, idx)
 
 
@@ -250,9 +244,11 @@ def test_direct_sides_match_unperturbed(roy212_p2):
 
 
 def _implied_instances(bundle, i_max):
-    """(name, index, lhs, rhs) of every instance, up to i_max, of the three
-    families that `verify_identities` proves from `y_recurrence_block` instead
-    of checking, each wedge formed directly."""
+    """(name, index, lhs, rhs) of every instance, up to i_max, of the five
+    families that `verify_identities` proves from the y ladder instead of
+    checking: the y recurrence, the square step with each product formed in
+    full, and the three families that follow from the y recurrence, each wedge
+    formed directly."""
     prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
 
     def wedge(i, j):
@@ -260,6 +256,14 @@ def _implied_instances(bundle, i_max):
 
     k_hi = prog.block_of(i_max)[0]
     out = []
+    for k in range(1, k_hi + 1):
+        for l in range(prog.s(k + 1)):
+            i = prog.t(k) + l
+            if i + 1 <= i_max:
+                out.append(("y_recurrence_block", (k, l), ys.at(i + 1),
+                            seq.tr(k) * ys.at(i) - seq.det(k) * ys.at(prog.psi(i))))
+    out += [("square_step", (j,), *_direct_sides(bundle, "square_step", (j,)))
+            for j in range(0, i_max)]
     for k in range(1, k_hi + 1):
         base = wedge(prog.psi(prog.t(k)), prog.t(k))
         for l in range(prog.s(k + 1)):
@@ -295,14 +299,31 @@ def test_implied_families_hold(seed, period):
     bundle = make_bundle(seed, prog)
     instances = _implied_instances(bundle, prog.t(10))
     assert [(name, idx) for name, idx, lhs, rhs in instances if lhs != rhs] == []
-    names = {"y_wedge_power", "z_recurrence_boundary"} | (
+    names = {"y_recurrence_block", "square_step", "y_wedge_power", "z_recurrence_boundary"} | (
         set() if prog.is_fibonacci else {"z_recurrence_block"})
     assert {name for name, *_ in instances} == names
 
 
+@pytest.mark.parametrize("period", PROOF_PERIODS, ids=str)
+@pytest.mark.parametrize("seed", PROOF_SEEDS, ids=lambda s: f"{s.family}{s.params}")
+def test_ladder_premises_hold(seed, period):
+    """(A) y_{i+1} = w_k y_i and (B) y_i = w_k y_psi(i) for i = t_k + l,
+    1 <= k <= 7, 0 <= l < s_{k+1}: the matrix identities from which
+    `verify_identities` proves the y recurrence and the square step."""
+    prog = SturmianProgram([-1, 1], period)
+    bundle = make_bundle(seed, prog)
+    seq, ys = bundle.seq, bundle.ys
+    for k in range(1, 8):
+        for l in range(prog.s(k + 1)):
+            i = prog.t(k) + l
+            assert ys.mat(i + 1) == seq.w(k) @ ys.mat(i), ("A", k, l)
+            assert ys.mat(i) == seq.w(k) @ ys.mat(prog.psi(i)), ("B", k, l)
+
+
 def test_implied_failures_have_a_failing_recurrence():
-    """On every perturbed-y case, each failing instance of an implied family
-    has a failing `y_recurrence_block` instance among those its proof uses."""
+    """On every perturbed-y case, each failing instance of a family that
+    follows from the y recurrence has a failing y recurrence instance among
+    those its proof uses, both formed by `_implied_instances`."""
     seen = set()
     for seed in (roy_family(2, 1, 2), bl_family(1, 2)):
         for period, i in sorted(PERTURBED_Y_FAILURES):
@@ -310,11 +331,11 @@ def test_implied_failures_have_a_failing_recurrence():
             bundle = make_bundle(seed, prog)
             m = bundle.ys.mat(i)
             bundle.ys._memo[i] = IntMat2(m.a, m.b + 1, m.c + 1, m.d)
-            i_max = prog.t(9)
-            bad = {f[1] for f in verify_identities(bundle, i_max).failures
-                   if f[0] == "y_recurrence_block"}
-            for name, idx, lhs, rhs in _implied_instances(bundle, i_max):
-                if lhs == rhs:
+            instances = _implied_instances(bundle, prog.t(9))
+            bad = {idx for name, idx, lhs, rhs in instances
+                   if name == "y_recurrence_block" and lhs != rhs}
+            for name, idx, lhs, rhs in instances:
+                if lhs == rhs or name in ("y_recurrence_block", "square_step"):
                     continue
                 seen.add(name)
                 k = idx[0]

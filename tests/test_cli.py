@@ -9,12 +9,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sturmlab.approx import make_bundle
+from sturmlab.approx import PROVED, make_bundle
 from sturmlab.cli import main
 from sturmlab.matseq import roy_family
 from sturmlab.paramgeo import predicted_system
 from sturmlab.sturm import SturmianProgram
 from sturmlab.xi import xi_value
+
+from make_candidates import CLI_EXAMPLES
 
 
 def run(capsys, *argv):
@@ -31,21 +33,61 @@ def test_verify_ok(capsys):
     assert "FAIL" not in out
 
 
+README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
 def test_readme_lists_the_verified_families(capsys, tmp_path):
-    """The families the README lists under `verify` are the `checks` keys of
-    `verify --json`, the same on the Fibonacci and period-2 programs."""
-    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("`verify --up-to k` checks each identity family", 1)[1]
-    listed = set(re.findall(r"^- `(\w+)`", section.split("\n\n")[1], re.M))
+    """The families the README lists under `verify` as checked are the `checks`
+    keys of `verify --json`, the same on the Fibonacci and period-2 programs;
+    those it lists as proved are `approx.PROVED`, in order, which `verify.json`
+    holds under `proved`."""
+    section = README.split("`verify --up-to k` checks each identity family", 1)[1]
+    paragraphs = section.split("\n\n")
+    listed = set(re.findall(r"^- `(\w+)`", paragraphs[1], re.M))
+    assert re.findall(r"^- `(\w+)`", paragraphs[3], re.M) == list(PROVED)
     keys = {}
     for period in ("1", "2"):
         run_dir = tmp_path / period
         argv = ["--family", "roy", "--abc", "2,1,2", "--program", f"prefix=[-1,1];period=[{period}]",
                 "--json", "--out-dir", str(run_dir), "verify", "--up-to", "8"]
         assert main(argv) == 0
-        keys[period] = set(json.loads((run_dir / "verify.json").read_text())["data"]["checks"])
-    capsys.readouterr()
+        data = json.loads((run_dir / "verify.json").read_text())["data"]
+        keys[period] = set(data["checks"])
+        assert data["proved"] == list(PROVED)
+    out = capsys.readouterr().out
     assert keys["1"] == keys["2"] == listed
+    assert out.count("proved, not checked: " + ", ".join(PROVED) + "\n") == 2
+
+
+def _without_json_and_out_dir(argv):
+    out = list(argv)
+    if "--out-dir" in out:
+        i = out.index("--out-dir")
+        del out[i:i + 2]
+    return [a for a in out if a != "--json"]
+
+
+def test_readme_examples_are_golden_records():
+    """Every `sturmlab ...` line of the README's CLI block, with its `\\`
+    continuations joined, is the argv of a golden CLI record once `--json`
+    and `--out-dir X` are dropped from both."""
+    block = README.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("sturmlab ")]
+    assert len(lines) == 7
+    golden = [_without_json_and_out_dir(argv) for argv in CLI_EXAMPLES.values()]
+    for line in lines:
+        assert _without_json_and_out_dir(line[1:]) in golden, line
+
+
+@pytest.mark.parametrize("abc", ["2,1,1", "3,2,2"])
+def test_verify_passes_on_tr_jn_zero_seeds(capsys, abc):
+    """Every integer divides the zero content bound of a Tr(JN) = 0 seed."""
+    code, out, _ = run(capsys, "--family", "roy", "--abc", abc, "verify", "--up-to", "10")
+    assert code == 0
+    assert out.startswith("warning: not proper-capable (Tr(JN)=0)")
+    assert "bounded: True" in out
+    assert "witness" not in out
 
 
 @pytest.mark.parametrize("flags, shape", [
