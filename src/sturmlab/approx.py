@@ -28,7 +28,6 @@ class YSeq:
         self.prog = seq.prog
         self.seed = seq.seed
         self._memo = {}
-        self._wedge = {}
         self._det_primes = abs(self.seed.w0.det() * self.seed.w1.det() * self.seed.det_N)
 
     def mat(self, i: int) -> IntMat2:
@@ -50,12 +49,6 @@ class YSeq:
 
     def at(self, i: int) -> SymVec:
         return self.mat(i).sym_vec()
-
-    def wedge(self, i: int, j: int) -> SymVec:
-        """y_i ^ y_j for i < j, formed once per pair."""
-        if (i, j) not in self._wedge:
-            self._wedge[i, j] = self.at(i).wedge(self.at(j))
-        return self._wedge[i, j]
 
     def content(self, i: int) -> int:
         # a content c > 1 has c^2 | det y_i = det(w_k)^{l+1} det(w_{k-1}) det N, so it
@@ -83,7 +76,8 @@ class ZSeq:
 
     def num(self, j: int) -> SymVec:
         if j not in self._memo:
-            self._memo[j] = self.ys.wedge(self.prog.psi(self.prog.t(self._block(j) + 1)), j)
+            lead = self.prog.psi(self.prog.t(self._block(j) + 1))
+            self._memo[j] = self.ys.at(lead).wedge(self.ys.at(j))
         return self._memo[j]
 
     def den(self, j: int) -> int:
@@ -132,6 +126,7 @@ class IdentityReport:
     checks: dict          # name -> number of instances verified
     failures: list        # (name, index-tuple, lhs, rhs)
     i_max: int
+    hypothesis_holds: bool  # the coprimality hypothesis, under which ladder_coprime is checked
 
     @property
     def ok(self) -> bool:
@@ -142,22 +137,23 @@ class IdentityReport:
         for name in sorted(self.checks):
             bad = [f for f in self.failures if f[0] == name]
             status = "ok" if not bad else f"FAIL ({len(bad)})"
+            if name == "coprimality_hypothesis" and not self.hypothesis_holds:
+                status = "does not hold; ladder_coprime not checked"
             lines.append(f"{name:<28} {self.checks[name]:>6} instances  {status}")
         return "\n".join(lines)
 
 
 # the identity families that `verify_identities` proves instead of checking
 PROVED = ("commutation", "ladder_trace_recurrence", "y_recurrence_block", "square_step",
-          "y_wedge_power", "z_recurrence_block", "z_recurrence_boundary")
+          "y_wedge_power", "z_recurrence_block", "z_recurrence_boundary", "det3_triple",
+          "z_wedge")
 
 
 def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
-    """Exact verification of the determinant, dual wedge and coprimality
-    identities for all indices up to i_max.
+    """Exact check of the coprimality hypothesis and, where it holds, of the
+    coprimality of every ladder rung up to i_max.
 
-    Each big object is formed once: the w products come from the power ladder
-    of `MatrixSequence`, and the y wedges of the z numerators and det3 triples
-    from `YSeq.wedge`.  Each coprimality gcd is first taken against det w0 det w1.
+    Each gcd is first taken against det w0 det w1.
 
     Not formed, as they cannot fail (the families of `PROVED`) or repeat
     another instance.  Here d_k = det w_k, N_k = N for even k and N^T for odd k,
@@ -169,7 +165,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
     - the trace recurrence of the power ladder: it is Cayley-Hamilton;
     - ladder coprimality at k = 1: the coprimality hypothesis itself.
     `YSeq` builds y_i = w_k^{l+1} w_{k-1} N_k from the power ladder, which gives
-    two matrix identities:
+    three matrix identities:
     - (A) y_{i+1} = w_k y_i: for l + 1 < s_{k+1} both sides are the ladder
       product w_k^{l+2} w_{k-1} N_k; at l + 1 = s_{k+1}, commutation gives
       y_{t_{k+1}} = w_{k+1} w_k N_{k+1} = w_k w_{k+1} N_k, and
@@ -177,7 +173,11 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
     - (B) y_i = w_k y_psi(i): for l >= 1, psi(i) = i - 1 and this is (A) at
       l - 1; for l = 0, y_psi(t_k) = y_{t_{k-1}-1} is w_{k-1} N_k (for k >= 3 the
       last y of block k - 2, w_{k-2}^{s_{k-1}} w_{k-3} N_{k-2}; y_{-2} = w0 N^T
-      and y_{-1} = w1 N at k = 1, 2), so y_{t_k} = w_k w_{k-1} N_k is w_k y_psi(t_k).
+      and y_{-1} = w1 N at k = 1, 2), so y_{t_k} = w_k w_{k-1} N_k is w_k y_psi(t_k);
+    - (C) y_{t_k - 1} adj(N_{k+1}) y_psi(t_k) = det(N) y_{t_k}: y_{t_k - 1} is
+      w_k N_{k+1} (for k >= 2 the last y of block k - 1, w_{k-1}^{s_k} w_{k-2} N_{k-1}
+      with N_{k-1} = N_{k+1}; y_{-1} = w1 N at k = 1), y_psi(t_k) = w_{k-1} N_k as
+      in (B), and N_{k+1} adj(N_{k+1}) = det(N) I.
     Hence:
     - the y recurrence (k, l), y_{i+1} = tr(w_k) y_i - d_k y_psi(i): by (A)
       and (B), y_{i+1} = w_k^2 y_psi(i), and Cayley-Hamilton gives
@@ -187,7 +187,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
       and by (A), det(y_psi(j)) w_k y_j = det(y_psi(j)) y_{j+1}.
     Three more families follow from the y recurrence (k, l), which therefore
     holds at every (k, l).  For j in block k the z numerator is n(j) = y_a ^ y_j
-    with a = psi(t_{k+1}):
+    with a = psi(t_{k+1}) = t_k - 1:
     - y wedge powers y_i ^ y_{i+1} = d_k^{l+1} y_psi(t_k) ^ y_{t_k}, i = t_k + l:
       y_i ^ (recurrence (k, l)) is y_i ^ y_{i+1} = d_k y_psi(i) ^ y_i, the claim
       at l = 0; at l >= 1, psi(i) = i - 1 and (k, l - 1) gives the rest;
@@ -197,9 +197,36 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
       n(j) - d_{k-1} y_psi(t_k) ^ y_psi(j)), j = t_k - 1: by the wedge powers of
       block k, n(t_{k+1}) = y_{t_{k+1}-1} ^ y_{t_{k+1}} = d_k^{s_{k+1}} y_psi(t_k) ^ y_{t_k};
       y_psi(t_k) ^ (recurrence (k - 1, s_k - 1)) turns y_psi(t_k) ^ y_{t_k} into
-      the bracket, and w_{k+1} = w_k^{s_{k+1}} w_{k-1} has det d_k^{s_{k+1}} d_{k-1}."""
-    prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
-    seed = bundle.seed
+      the bracket, and w_{k+1} = w_k^{s_{k+1}} w_{k-1} has det d_k^{s_{k+1}} d_{k-1}.
+    The last two families rest on a 2x2 lemma.  Write tr_J(Q) = Tr(J Q).  For
+    symmetric X and Y and any Q with Z = Y Q X symmetric,
+    det3(Y, Z, X) = -tr_J(Q) det(X) det(Y): det3 is the trilinear form
+    Tr(J x J y J z) (see `exactlin`), and M J M = det(M) J for symmetric M, so
+    J Y J Y = -det(Y) I and det3(Y, Z, X) = -det(Y) Tr(Q X J X) = -det(X) det(Y) Tr(Q J).
+    The lemma on (C), with Y = y_{t_k - 1}, X = y_psi(t_k), Q = adj(N_{k+1}),
+    tr_J(adj(N)) = -tr_J(N), det y_{t_k - 1} = d_k det N, det y_psi(t_k) = d_{k-1} det N
+    and det y_{t_k} = d_k d_{k-1} det N, gives after dividing by det N != 0
+    (`MatrixSeed` refuses a singular N)
+    - (D) det3(y_{t_k - 1}, y_{t_k}, y_psi(t_k)) = det(y_{t_k}) tr_J(N_{k+1}), k >= 1.
+    With it, for every k >= 0:
+    - the det3 triple det3(y_{t_k - 1}, y_{t_k}, y_{t_k + 1}) =
+      -d_k det(y_{t_k}) tr_J(N_{k+1}): for k >= 1 the y recurrence (k, 0) puts
+      tr(w_k) y_{t_k} - d_k y_psi(t_k) in the last slot, and (D) gives the rest;
+      for k = 0 the triple det3(y_{-2}, y_{-1}, y_0) is (D) at k = 1 permuted
+      cyclically, det(y_0) tr_J(N) = d_1 d_0 det N tr_J(N), which is
+      -d_0 det(y_{-1}) tr_J(N_1) as tr_J(N^T) = -tr_J(N);
+    - the z wedge n(t_{k+1}) ^ n(i) = det N tr_J(N_{k+1}) d_{k+1} d_k y_i for
+      i = t_k + l, 0 <= l < s_{k+1}, which is z_{t_{k+1}} ^ z_i = det N tr_J(N_{k+1}) y_i:
+      with a = y_{t_{k+1}-1}, b = y_{t_{k+1}} and c = y_{t_k - 1},
+      n(t_{k+1}) ^ n(i) = (a ^ b) ^ (c ^ y_i) = det(a, b, y_i) c - det(a, b, c) y_i.
+      For k >= 1, a, b and y_i lie in the span of y_psi(t_k) and y_{t_k} by the
+      y recurrence of block k, so det(a, b, y_i) = 0; the wedge power at
+      l = s_{k+1} - 1 gives a ^ b = d_k^{s_{k+1}} y_psi(t_k) ^ y_{t_k}, so by (D)
+      det(a, b, c) = -d_k^{s_{k+1}} d_k d_{k-1} det N tr_J(N_{k+1}), and
+      d_k^{s_{k+1}} d_{k-1} = d_{k+1}.  For k = 0, i = -1 = t_1 - 1, so a = y_i
+      and det(a, b, y_i) = 0, and det(a, b, c) = det3(y_{-1}, y_0, y_{-2}) is (D)
+      at k = 1, d_1 d_0 det N tr_J(N) = -d_1 d_0 det N tr_J(N_1)."""
+    prog, seq = bundle.prog, bundle.seq
     checks = {}
     failures = []
 
@@ -210,27 +237,6 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
 
     k_hi = prog.block_of(i_max)[0] if i_max >= 0 else 0
 
-    # determinant of consecutive triples at block starts: k >= 0
-    for k in range(0, k_hi + 1):
-        i = prog.t(k)
-        if i + 1 > i_max:
-            break
-        record("det3_triple", (k,),
-               ys.at(i - 1).dot(ys.wedge(i, i + 1)),
-               -seq.det(k) * ys.mat(i).det() * seed.N_parity(k + 1).tr_J())
-
-    # dual wedge identity z_{t_{k+1}} ^ z_i = det N Tr(J N_{k+1}) y_i,
-    # multiplied through by det w_{k+1} det w_k: k >= 0, 0 <= l < s_{k+1}
-    for k in range(0, k_hi + 1):
-        j = prog.t(k + 1)
-        c = seed.det_N * seed.N_parity(k + 1).tr_J() * seq.det(k + 1) * seq.det(k)
-        for l in range(prog.s(k + 1)):
-            i = prog.t(k) + l
-            if i > i_max or j > i_max + 1:
-                break
-            record("z_wedge", (k, l), zs.num(j).wedge(zs.num(i)), c * ys.at(i))
-
-    # coprimality package (only when its hypotheses hold)
     def ladder_trace(k, l):
         if l <= prog.s(k + 1):
             return seq.ladder(k, l).trace()
@@ -256,7 +262,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
             for l in range(prog.s(k + 1) + 2):
                 # the content divides gcd(tr, det), so coprime ladders are primitive
                 record("ladder_coprime", (k, l), ladder_gcd(k, l), 1)
-    return IdentityReport(checks=checks, failures=failures, i_max=i_max)
+    return IdentityReport(checks=checks, failures=failures, i_max=i_max, hypothesis_holds=hyp)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def _k_system(text, bundle, prec, delta=None):
 def cmd_verify(args, cfg):
     bundle = build_bundle(cfg)
     if bundle.seed.tr_JN == 0:
-        print("warning: not proper-capable (Tr(JN)=0); identities still checked")
+        print("warning: not proper-capable (Tr(JN)=0); det3_triple and z_wedge hold with both sides 0")
     i_max = bundle.prog.t(args.up_to)
     rep = verify_identities(bundle, i_max)
     crep = contents_report(bundle, i_max)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import mpmath
 
-from .exactlin import DEFAULT_PRECISION, IntMat2, J, SymVec, det3, log_real
+from .exactlin import DEFAULT_PRECISION, IntMat2, SymVec, det3, log_real
 from .sturm import SturmianProgram
 
 
@@ -68,7 +68,7 @@ class MatrixSeed:
 
     @property
     def tr_JN(self) -> int:
-        return (J @ self.N).trace()
+        return self.N.tr_J()
 
     def N_parity(self, k: int) -> IntMat2:
         """N_k = N for even k, N^T for odd k."""

@@ -1,5 +1,6 @@
-"""Acceptance gate: twelve numbered criteria, criterion 8 again at depth, and
-the sweep criterion, fourteen in all.
+"""Acceptance gate: twelve numbered criteria, criterion 1 again on the proved
+identity families, criterion 8 again at depth, and the sweep criterion,
+fifteen in all.
 
 Each test prints a single `criterion N: PASS/FAIL` line before asserting, so a
 plain `pytest -v -s` run doubles as the checklist.  Every criterion asserts a
@@ -16,10 +17,12 @@ import pytest
 
 from sturmlab import exponents as expo
 from sturmlab import paramgeo
-from sturmlab.approx import contents_report, gray_fan, verify_identities
+from sturmlab.approx import PROVED, contents_report, gray_fan, verify_identities
 from sturmlab.matseq import delta_estimate
 from sturmlab.sturm import quantities, spectrum_endpoints
 from sturmlab.xi import bl_xi_oracle, xi_value
+
+from test_approx import _implied_instances
 
 
 def report(n, ok, detail=""):
@@ -44,6 +47,19 @@ def test_criterion_1_exact_identities(all_seeds):
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 60
     assert report(1, ok, f"4 seeds to t_14 in {elapsed:.1f}s"), (bad, elapsed)
+
+
+def test_criterion_1_proved_families(all_seeds):
+    """Beside criterion 1: every instance to t_14 of the nine families that
+    `verify_identities` proves instead of checking, by the test-side formulas."""
+    bad, names = [], set()
+    for name, bundle in all_seeds:
+        for family, idx, lhs, rhs in _implied_instances(bundle, bundle.prog.t(14)):
+            names.add(family)
+            if lhs != rhs:
+                bad.append((name, family, idx))
+    ok = not bad and names == set(PROVED)
+    assert report("1 (proved families)", ok, f"{len(PROVED)} families, 4 seeds to t_14"), bad
 
 
 def test_criterion_2_contents(all_seeds):

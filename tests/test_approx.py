@@ -6,16 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sturmlab.approx import (
-    BadIndex, FibonacciOnly, contents_report, gray_fan, make_bundle,
+    PROVED, BadIndex, FibonacciOnly, contents_report, gray_fan, make_bundle,
     verify_identities,
 )
-from sturmlab.exactlin import IntMat2, SymVec, det3
+from sturmlab.exactlin import J, IntMat2, SymVec, det3
 from sturmlab.matseq import (
     DegenerateSeed, MatrixSeed, SingularN, bl_family, roy_family, solve_admissibility,
 )
 from sturmlab.sturm import SturmianProgram
 
-EXPECTED_CHECKS = {"z_wedge", "det3_triple", "ladder_coprime", "coprimality_hypothesis"}
+EXPECTED_CHECKS = {"ladder_coprime", "coprimality_hypothesis"}
 
 
 def test_identity_suite_roy(roy212):
@@ -29,8 +29,8 @@ def test_identity_suite_roy(roy212):
 @pytest.mark.parametrize("bump", [IntMat2(1, 0, 0, 0), IntMat2(0, 1, 1, 0), IntMat2(0, 0, 0, -1)])
 def test_corrupted_y_fails(prog_twos, bump):
     """Replacing any one y_i of a block by a nearby symmetric matrix is caught
-    by both the det3 triples and the z wedge identity, at the block start and
-    inside the block."""
+    by both the test-side det3 triples and z wedge identity, at the block start
+    and inside the block, and makes some det(w_2) z_j non-integral."""
     k = 3
     prog = prog_twos
     block = range(prog.t(k), prog.t(k + 1))
@@ -39,24 +39,28 @@ def test_corrupted_y_fails(prog_twos, bump):
         bundle = make_bundle(roy_family(2, 1, 2), prog)
         bundle.ys._memo[i] = bundle.ys.mat(i) + bump
         assert bundle.ys.mat(i).is_symmetric()
-        rep = verify_identities(bundle, prog.t(k + 2))
-        assert not rep.ok, i
-        assert {"det3_triple", "z_wedge"} <= {f[0] for f in rep.failures}, i
+        instances = _implied_instances(bundle, prog.t(k + 2))
+        assert {"det3_triple", "z_wedge"} <= {name for name, idx, lhs, rhs in instances
+                                               if lhs != rhs}, i
+        assert not contents_report(bundle, prog.t(k + 2)).z_integral, i
 
 
 @pytest.mark.parametrize("bundle_name, failing", [
-    ("roy212", {"z_wedge"}),
-    ("roy212_p2", {"z_wedge"}),
+    ("roy212", {"z_wedge", "z_recurrence_boundary"}),
+    ("roy212_p2", {"z_wedge", "z_recurrence_block", "z_recurrence_boundary"}),
 ])
 def test_corrupted_z_fails(request, bundle_name, failing):
     """Adding (1, 0, 0) to one z numerator, at a block start, is caught by the
-    z wedge identity (and on Fibonacci by the gray fan's wedge check)."""
+    test-side z wedge identity and z recurrences, by the integrality of
+    det(w_2) z_j, and on Fibonacci by the gray fan's wedge check."""
     prog = request.getfixturevalue(bundle_name).prog
     bundle = make_bundle(roy_family(2, 1, 2), prog)
     j = prog.t(6 if prog.is_fibonacci else 4)
     bundle.zs._memo[j] = bundle.zs.num(j) + SymVec(1, 0, 0)
-    rep = verify_identities(bundle, prog.t(8 if prog.is_fibonacci else 6))
-    assert {f[0] for f in rep.failures} == failing
+    i_max = prog.t(8 if prog.is_fibonacci else 6)
+    instances = _implied_instances(bundle, i_max)
+    assert {name for name, idx, lhs, rhs in instances if lhs != rhs} == failing
+    assert not contents_report(bundle, i_max).z_integral
     if prog.is_fibonacci:
         assert not gray_fan(bundle, j - 1).wedge_ok
 
@@ -178,10 +182,10 @@ def test_failure_reporting():
     assert rep.i_max == bundle.prog.t(6)
 
 
-# (period, i) -> the (name, index) of every failure, in order, when y_i is
-# replaced by IntMat2(a, b + 1, c + 1, d) before verifying to t_9; recorded on
-# the verifier that formed every product, wedge and gcd directly, and the same
-# for roy(2,1,2) and bl(1,2)
+# (period, i) -> the (name, index) of every failing det3 triple and z wedge, in
+# order, when y_i is replaced by IntMat2(a, b + 1, c + 1, d), on instances to t_9;
+# recorded on the verifier that formed every product, wedge and gcd directly,
+# and the same for roy(2,1,2) and bl(1,2)
 PERTURBED_Y_FAILURES = {
     (1, 3): [
              ("det3_triple", [(3,), (4,), (5,)]),
@@ -224,12 +228,10 @@ def test_perturbed_y_failures_unchanged(seed, period, i):
     bundle = make_bundle(seed, prog)
     m = bundle.ys.mat(i)
     bundle.ys._memo[i] = IntMat2(m.a, m.b + 1, m.c + 1, m.d)
-    rep = verify_identities(bundle, prog.t(9))
-    assert [f[:2] for f in rep.failures] == [
+    failing = [(name, idx) for name, idx, lhs, rhs in _implied_instances(bundle, prog.t(9))
+               if name in ("det3_triple", "z_wedge") and lhs != rhs]
+    assert failing == [
         (name, idx) for name, idxs in PERTURBED_Y_FAILURES[period, i] for idx in idxs]
-    for name, idx, lhs, rhs in rep.failures:
-        if name == "det3_triple":
-            assert (lhs, rhs) == _direct_sides(bundle, name, idx), (name, idx)
 
 
 def test_direct_sides_match_unperturbed(roy212_p2):
@@ -244,18 +246,26 @@ def test_direct_sides_match_unperturbed(roy212_p2):
 
 
 def _implied_instances(bundle, i_max):
-    """(name, index, lhs, rhs) of every instance, up to i_max, of the five
-    families that `verify_identities` proves from the y ladder instead of
-    checking: the y recurrence, the square step with each product formed in
-    full, and the three families that follow from the y recurrence, each wedge
-    formed directly."""
-    prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
+    """(name, index, lhs, rhs) of every instance, up to i_max, of the nine
+    families of `PROVED`, which `verify_identities` proves instead of checking:
+    commutation with w_{k-1} w_k formed in full, the trace recurrence of the
+    power ladder, the y recurrence, the square step and the det3 triples with
+    each product formed in full, the three families that follow from the y
+    recurrence with each wedge formed directly, and the z wedge identity on the
+    z numerators, multiplied through by det w_{k+1} det w_k."""
+    prog, seq, ys, zs, seed = bundle.prog, bundle.seq, bundle.ys, bundle.zs, bundle.seed
 
     def wedge(i, j):
         return ys.at(i).wedge(ys.at(j))
 
     k_hi = prog.block_of(i_max)[0]
-    out = []
+    out = [("commutation", (k,), seq.w(k - 1) @ seq.w(k) @ seed.N_parity(k + 1),
+            seq.ladder(k, 1) @ seed.N_parity(k)) for k in range(1, k_hi + 1)]
+    for k in range(1, k_hi + 1):
+        traces = [seq.ladder(k, l).trace() for l in range(prog.s(k + 1) + 2)]
+        out += [("ladder_trace_recurrence", (k, l), traces[l],
+                 seq.tr(k) * traces[l - 1] - seq.det(k) * traces[l - 2])
+                for l in range(2, prog.s(k + 1) + 2)]
     for k in range(1, k_hi + 1):
         for l in range(prog.s(k + 1)):
             i = prog.t(k) + l
@@ -285,6 +295,15 @@ def _implied_instances(bundle, i_max):
             out.append(("z_recurrence_boundary", (k,), dj * zs.num(i),
                         di * (seq.tr(k - 1) * zs.num(j)
                               - dj * wedge(prog.psi(prog.t(k)), prog.psi(j)))))
+    out += [("det3_triple", (k,), *_direct_sides(bundle, "det3_triple", (k,)))
+            for k in range(0, k_hi + 1) if prog.t(k) + 1 <= i_max]
+    for k in range(0, k_hi + 1):
+        j = prog.t(k + 1)
+        c = seed.det_N * seed.N_parity(k + 1).tr_J() * seq.det(k + 1) * seq.det(k)
+        for l in range(prog.s(k + 1)):
+            i = prog.t(k) + l
+            if i <= i_max and j <= i_max + 1:
+                out.append(("z_wedge", (k, l), zs.num(j).wedge(zs.num(i)), c * ys.at(i)))
     return out
 
 
@@ -299,17 +318,18 @@ def test_implied_families_hold(seed, period):
     bundle = make_bundle(seed, prog)
     instances = _implied_instances(bundle, prog.t(10))
     assert [(name, idx) for name, idx, lhs, rhs in instances if lhs != rhs] == []
-    names = {"y_recurrence_block", "square_step", "y_wedge_power", "z_recurrence_boundary"} | (
-        set() if prog.is_fibonacci else {"z_recurrence_block"})
+    names = set(PROVED) - ({"z_recurrence_block"} if prog.is_fibonacci else set())
     assert {name for name, *_ in instances} == names
 
 
 @pytest.mark.parametrize("period", PROOF_PERIODS, ids=str)
 @pytest.mark.parametrize("seed", PROOF_SEEDS, ids=lambda s: f"{s.family}{s.params}")
 def test_ladder_premises_hold(seed, period):
-    """(A) y_{i+1} = w_k y_i and (B) y_i = w_k y_psi(i) for i = t_k + l,
-    1 <= k <= 7, 0 <= l < s_{k+1}: the matrix identities from which
-    `verify_identities` proves the y recurrence and the square step."""
+    """(A) y_{i+1} = w_k y_i and (B) y_i = w_k y_psi(i) for i = t_k + l, and
+    (C) y_{t_k - 1} adj(N_{k+1}) y_psi(t_k) = det N y_{t_k}, 1 <= k <= 7,
+    0 <= l < s_{k+1}: the matrix identities from which `verify_identities`
+    proves the y recurrence, the square step, the det3 triples and the z wedge
+    identity."""
     prog = SturmianProgram([-1, 1], period)
     bundle = make_bundle(seed, prog)
     seq, ys = bundle.seq, bundle.ys
@@ -318,6 +338,34 @@ def test_ladder_premises_hold(seed, period):
             i = prog.t(k) + l
             assert ys.mat(i + 1) == seq.w(k) @ ys.mat(i), ("A", k, l)
             assert ys.mat(i) == seq.w(k) @ ys.mat(prog.psi(i)), ("B", k, l)
+        n = seed.N_parity(k + 1)
+        adj_n = IntMat2(n.d, -n.b, -n.c, n.a)
+        t = prog.t(k)
+        assert (ys.mat(t - 1) @ adj_n @ ys.mat(prog.psi(t))
+                == seed.det_N * ys.mat(t)), ("C", k)
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+SYMMETRIC = st.builds(lambda a, b, d: IntMat2(a, b, b, d), *[SMALL_FRACTIONS] * 3)
+
+
+def _inverse(m):
+    return IntMat2(m.d, -m.b, -m.c, m.a) * Fraction(1, m.det())
+
+
+@settings(max_examples=50, deadline=None)
+@given(SYMMETRIC, SYMMETRIC, SYMMETRIC)
+def test_det3_lemma(x, y, z):
+    """For symmetric X, Y and Z = Y Q X with Z symmetric,
+    det3(Y, Z, X) = Tr(J Y J Z J X) = -tr_J(Q) det X det Y, in exact rationals
+    (`IntMat2` and `SymVec` hold Fractions here): the lemma from which
+    `verify_identities` proves the det3 triples and the z wedge identity."""
+    assume(x.det() != 0 and y.det() != 0)
+    q = _inverse(y) @ z @ _inverse(x)
+    assert y @ q @ x == z
+    d = det3(y.sym_vec(), z.sym_vec(), x.sym_vec())
+    assert d == (J @ y @ J @ z @ J @ x).trace()
+    assert d == -q.tr_J() * x.det() * y.det()
 
 
 def test_implied_failures_have_a_failing_recurrence():
@@ -335,7 +383,8 @@ def test_implied_failures_have_a_failing_recurrence():
             bad = {idx for name, idx, lhs, rhs in instances
                    if name == "y_recurrence_block" and lhs != rhs}
             for name, idx, lhs, rhs in instances:
-                if lhs == rhs or name in ("y_recurrence_block", "square_step"):
+                if lhs == rhs or name not in (
+                        "y_wedge_power", "z_recurrence_block", "z_recurrence_boundary"):
                     continue
                 seen.add(name)
                 k = idx[0]
@@ -441,10 +490,14 @@ def test_ladder_coprime_unchanged(abc, period, rungs):
     (IntMat2(0, 2, 2, 1), False),
 ])
 def test_ladder_coprime_on_the_full_gcd_path(w1, hyp):
+    """`ladder_coprime` counts and fails as the direct gcds do, and the summary
+    says when the hypothesis does not hold and `ladder_coprime` was not checked."""
     bundle = _custom_bundle(IntMat2(0, 1, 1, 0), w1)
     i_max = bundle.prog.t(6)
     rep = verify_identities(bundle, i_max)
     got_hyp, count, bad = _ladder_coprime_direct(bundle, i_max)
-    assert got_hyp == hyp == ("ladder_coprime" in rep.checks)
+    assert got_hyp == hyp == ("ladder_coprime" in rep.checks) == rep.hypothesis_holds
     assert rep.checks.get("ladder_coprime", 0) == count
     assert [(f[1], f[2]) for f in rep.failures if f[0] == "ladder_coprime"] == bad
+    status = "ok" if hyp else "does not hold; ladder_coprime not checked"
+    assert rep.summary().splitlines()[0].endswith(" 1 instances  " + status)
