@@ -316,45 +316,49 @@ class GrayFan:
     quotients: list         # partial quotients of tr(w_{i+1}) / det(w_{i+1})
     points: list            # x_m as SymVec, m = -1 .. r
     contents: list          # content(x_m)
-    endpoints_ok: bool      # x_{-1} = y_i and x_r = y_{i+1}
-    recurrence_ok: bool
-    wedge_ok: bool          # x_m wedge x_{m+1} = +- d_i z_{i+1}
     content_pairs_ok: bool  # c_m c_{m+1} | d_i, the literal statement; informational
     # only: it fails for roy(2,1,2) at i = 3 (contents [1, 2, 1, 1, 16, 1], d_3 = 8)
-    content_pairs_relaxed_ok: bool  # c_m c_{m+1} | content(d_i z_{i+1}) (what the
-    # wedge identity actually gives: content(x_m ^ x_{m+1}) = content(d_i z_{i+1}),
-    # which exceeds |d_i| when z_{i+1} is not primitive); implied by wedge_ok
-    content_gcd_ok: bool    # gcd(c_m, c_{m+1}) | content(y_i)
-    decomposition_ok: bool  # d_{i+2} x_m = alpha_m y_i + beta_m y_{i+1}
-
-    @property
-    def ok(self) -> bool:
-        """All proved properties hold; the literal `content_pairs_ok` is not one."""
-        return (self.endpoints_ok and self.recurrence_ok and self.wedge_ok
-                and self.content_pairs_relaxed_ok and self.content_gcd_ok
-                and self.decomposition_ok)
 
 
 def gray_fan(bundle: Bundle, i: int) -> GrayFan:
     """The fan of lattice points between y_i and y_{i+1} obtained from the
-    continued fraction of tr(w_{i+1}) / det(w_{i+1}); only meaningful when the
-    program is all-ones (t_k = k - 1, three-term recurrence with step -2)."""
-    prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
+    continued fraction [a_0; a_1, ..., a_r] of t / d, t = tr(w_{i+1}) and
+    d = det(w_{i+1}) > 0; only meaningful when the program is all-ones
+    (t_k = k - 1, three-term recurrence with step -2).
+
+    With the convergents p_m / q_m, m = -1 .. r (p_{-1} / q_{-1} = 1 / 0), the
+    points are x_m = p_m y_i - q_m y_{i-2}, with contents c_m.  Nothing about
+    them is checked at run time.  Write d_j = det w_j; the y recurrence of
+    `PROVED` at (k, l) = (i + 1, 0) is y_{i+1} = t y_i - d y_{i-2}, and
+    w_{i+2} = w_{i+1} w_i gives d_{i+2} = d d_i.  They prove:
+    - the recurrence x_0 = a_0 x_{-1} - y_{i-2}, x_{m+1} = a_{m+1} x_m + x_{m-1}:
+      the points are linear in (p_m, q_m), which obey it with p_{-2} / q_{-2} = 0 / 1;
+    - the endpoints x_{-1} = y_i and, when gcd(t, d) = 1, x_r = y_{i+1}: the
+      last convergent is t / d in lowest terms, so x_r = y_{i+1} / gcd(t, d);
+    - the decomposition d_{i+2} x_m = alpha_m y_i + beta_m y_{i+1} with
+      alpha_m = d_i (d p_m - t q_m) and beta_m = d_i q_m: put the y recurrence in;
+    - the wedge den(i + 1) (x_m ^ x_{m+1}) = +-d_i num(i + 1) (of `ZSeq`):
+      p_m q_{m+1} - q_m p_{m+1} = +-1 gives x_m ^ x_{m+1} = +-y_{i-2} ^ y_i, the
+      recurrence gives num(i + 1) = y_i ^ y_{i+1} = d y_{i-2} ^ y_i, and
+      den(i + 1) = d_{i+2} = d d_i;
+    - the relaxed divisibility c_m c_{m+1} | content(d_i z_{i+1}): the wedge is
+      bilinear, so c_m c_{m+1} divides the content of x_m ^ x_{m+1} =
+      +-y_{i-2} ^ y_i = +-d_i z_{i+1};
+    - gcd(c_m, c_{m+1}) | content(y_i): each step (x_{m-1}, x_m) -> (x_m, x_{m+1})
+      is unimodular, so x_m and x_{m+1} generate x_{-1} = y_i over Z.
+    The literal c_m c_{m+1} | d_i is not among them; it is only reported."""
+    prog, seq, ys = bundle.prog, bundle.seq, bundle.ys
     if not prog.is_fibonacci:
         raise FibonacciOnly("fans require the all-ones program")
     if i < 2:
         raise BadIndex(f"fan needs i >= 2, got {i}")
-    t_next, d_next = seq.tr(i + 1), seq.det(i + 1)
-    d_i = seq.det(i)
-    if d_next <= 0:
-        raise BadIndex(f"det w_{i + 1} = {d_next} must be positive for the fan")
-    # continued fraction of t_next / d_next
+    num, den = seq.tr(i + 1), seq.det(i + 1)
+    if den <= 0:
+        raise BadIndex(f"det w_{i + 1} = {den} must be positive for the fan")
     quotients = []
-    num, den = t_next, d_next
     while den:
         quotients.append(num // den)
-        num, den = den, num - (num // den) * den
-    reduced = gcd(t_next, d_next) == 1
+        num, den = den, num % den
     # convergents p_m / q_m, m = -1 .. r
     conv = [(1, 0)]
     p_prev, q_prev = 0, 1
@@ -362,49 +366,11 @@ def gray_fan(bundle: Bundle, i: int) -> GrayFan:
         p, q = conv[-1]
         conv.append((a * p + p_prev, a * q + q_prev))
         p_prev, q_prev = p, q
-    yi, yi1 = ys.at(i), ys.at(i + 1)
-    yim2 = ys.at(i - 2)
+    yi, yim2 = ys.at(i), ys.at(i - 2)
     points = [p * yi - q * yim2 for p, q in conv]
-    endpoints_ok = points[0] == yi and (not reduced or points[-1] == yi1)
-    # x_0 = a_0 x_{-1} - y_{i-2}, then x_{m+1} = a_{m+1} x_m + x_{m-1}
-    recurrence_ok = points[1] == quotients[0] * points[0] - yim2 and all(
-        points[m] == quotients[m - 1] * points[m - 1] + points[m - 2]
-        for m in range(2, len(points)))
-    # wedge invariant: x_m wedge x_{m+1} = +- d_i z_{i+1}, times den(i + 1)
-    z_next, z_den = d_i * zs.num(i + 1), zs.den(i + 1)
-    wedge_ok = True
-    for m in range(len(points) - 1):
-        w = z_den * points[m].wedge(points[m + 1])
-        if not (w == z_next or w == -z_next):
-            wedge_ok = False
     contents = [v.content() for v in points]
-    cy = ys.content(i)
+    d_i = seq.det(i)
     content_pairs_ok = all(abs(d_i) % (contents[m] * contents[m + 1]) == 0
                            for m in range(len(contents) - 1))
-    # x_{-1} ^ x_0 = y_{i-2} ^ y_i, so wedge_ok makes every x_m ^ x_{m+1} equal
-    # +-d_i z_{i+1}; the content of a ^ b is a multiple of content(a) content(b),
-    # so the relaxed divisibility follows from wedge_ok
-    content_pairs_relaxed_ok = wedge_ok
-    content_gcd_ok = all(cy % gcd(contents[m], contents[m + 1]) == 0
-                         for m in range(len(contents) - 1))
-    # integer decomposition over (y_i, y_{i+1}):
-    # d_{i+2} x_m = alpha_m y_i + beta_m y_{i+1},
-    # alpha_m = d_i (d_{i+1} p_m - t_{i+1} q_m), beta_m = d_i q_m
-    d_i2 = d_next * d_i
-    decomposition_ok = all(
-        d_i2 * x == d_i * (d_next * p - t_next * q) * yi + d_i * q * yi1
-        for (p, q), x in zip(conv, points))
-    return GrayFan(
-        i=i,
-        quotients=quotients,
-        points=points,
-        contents=contents,
-        endpoints_ok=endpoints_ok,
-        recurrence_ok=recurrence_ok,
-        wedge_ok=wedge_ok,
-        content_pairs_ok=content_pairs_ok,
-        content_pairs_relaxed_ok=content_pairs_relaxed_ok,
-        content_gcd_ok=content_gcd_ok,
-        decomposition_ok=decomposition_ok,
-    )
-
+    return GrayFan(i=i, quotients=quotients, points=points, contents=contents,
+                   content_pairs_ok=content_pairs_ok)

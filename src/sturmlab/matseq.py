@@ -211,32 +211,44 @@ def lemma_shape_ok(m: IntMat2) -> bool:
     return 1 <= m.a <= min(m.b, m.c) <= max(m.b, m.c) <= m.d
 
 
+def mirror_shape_ok(m: IntMat2) -> bool:
+    """The mirror image of `lemma_shape_ok`: 0 <= d <= min(b, c) <= max(b, c) <= a."""
+    return 0 <= m.d <= min(m.b, m.c) <= max(m.b, m.c) <= m.a
+
+
 @dataclass
 class GrowthReport:
-    ratio_min: tuple        # (num, den), unreduced
-    ratio_max: tuple
-    shape_ok: bool          # both w0, w1 pass the entrywise shape test
+    ratio_min: float        # num / den, correctly rounded; informational
+    ratio_max: float
+    shape_ok: bool          # w0 and w1 both have Roy's shape, or both its mirror image
     k_max: int
 
 
 def check_mult_growth(seq: MatrixSequence, k_max: int) -> GrowthReport:
-    """Ratios ||w_k^l w_{k-1}|| / (||w_k|| ||w_k^{l-1} w_{k-1}||) for
-    k = 1..k_max, 1 <= l <= s_{k+1} + 1 (sup norms): the smallest and the
-    largest, exact, as (num, den) pairs compared by cross-multiplication."""
-    lo = hi = None
-    for k in range(1, k_max + 1):
-        nk = seq.norm(k)
-        for l in range(1, seq.prog.s(k + 1) + 2):
-            num = seq.ladder(k, l).sup_norm()
-            den = nk * seq.ladder(k, l - 1).sup_norm()
-            if lo is None or num * lo[1] < lo[0] * den:
-                lo = (num, den)
-            if hi is None or num * hi[1] > hi[0] * den:
-                hi = (num, den)
-    if lo is None:
+    """The ratios num / den = ||w_k^l w_{k-1}|| / (||w_k|| ||w_k^{l-1} w_{k-1}||)
+    for k = 1..k_max, 1 <= l <= s_{k+1} + 1 (sup norms), for information: the
+    smallest and the largest of the floats num / den.  Integer true division is
+    correctly rounded and monotone, so they are the rounded exact extremes.
+
+    `shape_ok` proves num >= den at every k and l.  Roy's shape
+    1 <= a <= min(b, c) <= max(b, c) <= d (`lemma_shape_ok`, every roy seed) is
+    kept by products: for M, M' of that shape, MM' = [[A, B], [C, D]] with
+    A = aa' + bc', B = ab' + bd', C = ca' + dc', D = cb' + dd', and termwise
+    1 <= aa' <= ab', ca' and bc' <= bd', dc'; likewise B, C <= D.  Its sup norm is
+    d, and D >= dd', so ||MM'|| >= ||M|| ||M'||.  Its mirror image
+    0 <= d <= min(b, c) <= max(b, c) <= a (`mirror_shape_ok`, every bl seed, as
+    it holds for every product of the [[x, 1], [1, 0]], x >= 1) is kept the same way
+    with the inequalities reversed; its sup norm is a, and A >= aa'.  Every rung
+    w_k^l w_{k-1} is a product of w0 and w1, and the rung at l is w_k times the
+    rung at l - 1."""
+    ratios = [seq.ladder(k, l).sup_norm() / (seq.norm(k) * seq.ladder(k, l - 1).sup_norm())
+              for k in range(1, k_max + 1) for l in range(1, seq.prog.s(k + 1) + 2)]
+    if not ratios:
         raise DegenerateGrowth(f"no growth ratio for k_max = {k_max} < 1")
-    return GrowthReport(ratio_min=lo, ratio_max=hi,
-                        shape_ok=lemma_shape_ok(seq.w(0)) and lemma_shape_ok(seq.w(1)),
+    w0, w1 = seq.w(0), seq.w(1)
+    return GrowthReport(ratio_min=min(ratios), ratio_max=max(ratios),
+                        shape_ok=any(shape(w0) and shape(w1)
+                                     for shape in (lemma_shape_ok, mirror_shape_ok)),
                         k_max=k_max)
 
 

@@ -1,6 +1,6 @@
 """Acceptance gate: twelve numbered criteria, criterion 1 again on the proved
-identity families, criterion 8 again at depth, and the sweep criterion,
-fifteen in all.
+identity families, criterion 8 again at depth, criterion 11 again on three
+proper roy seeds, and the sweep criterion, sixteen in all.
 
 Each test prints a single `criterion N: PASS/FAIL` line before asserting, so a
 plain `pytest -v -s` run doubles as the checklist.  Every criterion asserts a
@@ -17,12 +17,12 @@ import pytest
 
 from sturmlab import exponents as expo
 from sturmlab import paramgeo
-from sturmlab.approx import PROVED, contents_report, gray_fan, verify_identities
-from sturmlab.matseq import delta_estimate
+from sturmlab.approx import PROVED, contents_report, gray_fan, make_bundle, verify_identities
+from sturmlab.matseq import delta_estimate, roy_family
 from sturmlab.sturm import quantities, spectrum_endpoints
 from sturmlab.xi import bl_xi_oracle, xi_value
 
-from test_approx import _implied_instances
+from test_approx import _fan_statements, _implied_instances
 
 
 def report(n, ok, detail=""):
@@ -240,9 +240,7 @@ def test_criterion_11_gray_areas(roy212):
     for i, fan in fans.items():
         # content(z_{i+1}) = content(d_i z_{i+1}) / |d_i|
         const = Fraction(roy212.zs.num(i + 1).content(), abs(roy212.zs.den(i + 1)))
-        proved = (fan.endpoints_ok and fan.recurrence_ok and fan.wedge_ok
-                  and fan.content_gcd_ok and fan.decomposition_ok
-                  and fan.content_pairs_relaxed_ok)
+        proved = all(_fan_statements(roy212, fan).values())
         if not (proved and const.denominator == 1 and bound % const.numerator == 0):
             bad.append((i, const))
     fan3 = fans[3]
@@ -252,6 +250,25 @@ def test_criterion_11_gray_areas(roy212):
     report(11, ok, f"proved for i=3..12: {not bad}; literal refuted at i=3: {refuted}")
     assert not bad, bad
     assert refuted, (fan3.contents, roy212.seq.det(3), fan3.content_pairs_ok)
+
+
+def test_criterion_11_literal_on_proper_seeds(prog_ones):
+    # The literal c_m c_{m+1} | d_i, refuted on roy(2,1,2) at i = 3, holds for
+    # i = 3..12 on the seeds roy(2,3,4), roy(2,7,8) and roy(4,15,16).  It is
+    # refuted on roy(2,3,4) at i = 2: contents [1, 1, 1, 8, 1], d_2 = 4.
+    bad = []
+    for abc in ((2, 3, 4), (2, 7, 8), (4, 15, 16)):
+        bundle = make_bundle(roy_family(*abc), prog_ones)
+        bad += [(abc, i) for i in range(3, 13) if not gray_fan(bundle, i).content_pairs_ok]
+    roy234 = make_bundle(roy_family(2, 3, 4), prog_ones)
+    fan2 = gray_fan(roy234, 2)
+    refuted = (fan2.contents == [1, 1, 1, 8, 1] and roy234.seq.det(2) == 4
+               and not fan2.content_pairs_ok)
+    ok = not bad and refuted
+    report("11-proper", ok,
+           f"literal for i=3..12: {not bad}; refuted on roy(2,3,4) at i=2: {refuted}")
+    assert not bad, bad
+    assert refuted, (fan2.contents, roy234.seq.det(2), fan2.content_pairs_ok)
 
 
 def test_criterion_12_oracle_agreement(all_seeds):

@@ -52,7 +52,7 @@ def test_corrupted_y_fails(prog_twos, bump):
 def test_corrupted_z_fails(request, bundle_name, failing):
     """Adding (1, 0, 0) to one z numerator, at a block start, is caught by the
     test-side z wedge identity and z recurrences, by the integrality of
-    det(w_2) z_j, and on Fibonacci by the gray fan's wedge check."""
+    det(w_2) z_j, and on Fibonacci by the test-side gray fan wedge."""
     prog = request.getfixturevalue(bundle_name).prog
     bundle = make_bundle(roy_family(2, 1, 2), prog)
     j = prog.t(6 if prog.is_fibonacci else 4)
@@ -62,7 +62,7 @@ def test_corrupted_z_fails(request, bundle_name, failing):
     assert {name for name, idx, lhs, rhs in instances if lhs != rhs} == failing
     assert not contents_report(bundle, i_max).z_integral
     if prog.is_fibonacci:
-        assert not gray_fan(bundle, j - 1).wedge_ok
+        assert not _fan_statements(bundle, gray_fan(bundle, j - 1))["wedge"]
 
 
 def test_identity_suite_all_seeds(roy313, bl12, roy212_p2):
@@ -143,16 +143,52 @@ def test_det3_of_consecutive_ys_nonzero(roy212):
         assert det3(ys.at(i - 1), ys.at(i), ys.at(i + 1)) != 0
 
 
+def _fan_statements(bundle, fan):
+    """The six statements that `gray_fan` proves instead of checking, each
+    formed from fan.points and fan.quotients: name -> whether it holds.  The
+    convergents p_m / q_m (m = -1 .. r) are rebuilt from the quotients, and the
+    wedge is compared with the z numerator num(i + 1) of `ZSeq`."""
+    seq, ys, zs, i = bundle.seq, bundle.ys, bundle.zs, fan.i
+    x, a = fan.points, fan.quotients
+    t, d, d_i = seq.tr(i + 1), seq.det(i + 1), seq.det(i)
+    yi, yim2, yi1 = ys.at(i), ys.at(i - 2), ys.at(i + 1)
+    conv = [(0, 1), (1, 0)]
+    for a_m in a:
+        conv.append((a_m * conv[-1][0] + conv[-2][0], a_m * conv[-1][1] + conv[-2][1]))
+    conv = conv[1:]
+    c = [v.content() for v in x]
+    pairs = range(len(x) - 1)
+    z_next, z_den = d_i * zs.num(i + 1), zs.den(i + 1)
+    return {
+        "endpoints": x[0] == yi and (math.gcd(t, d) != 1 or x[-1] == yi1),
+        "recurrence": len(x) == len(a) + 1 and x[1] == a[0] * x[0] - yim2
+                      and all(x[m] == a[m - 1] * x[m - 1] + x[m - 2] for m in range(2, len(x))),
+        "wedge": all(z_den * x[m].wedge(x[m + 1]) in (z_next, -z_next) for m in pairs),
+        # c_m c_{m+1} divides content(d_i z_{i+1}) = content(d_i num(i + 1)) / |den(i + 1)|
+        "content_pairs_relaxed": all(z_next.content() % (c[m] * c[m + 1] * abs(z_den)) == 0
+                                     for m in pairs),
+        "content_gcd": all(ys.content(i) % math.gcd(c[m], c[m + 1]) == 0 for m in pairs),
+        "decomposition": all(d * d_i * xm == d_i * (d * p - t * q) * yi + d_i * q * yi1
+                             for (p, q), xm in zip(conv, x)),
+    }
+
+
 def test_gray_fan_endpoints_and_wedge(roy212):
     for i in (3, 4, 5, 6):
         fan = gray_fan(roy212, i)
-        assert fan.endpoints_ok
-        assert fan.recurrence_ok
-        assert fan.wedge_ok
-        assert fan.content_gcd_ok
-        assert fan.decomposition_ok
-        assert fan.content_pairs_relaxed_ok
+        assert [name for name, ok in _fan_statements(roy212, fan).items() if not ok] == [], i
         assert len(fan.points) == len(fan.contents) >= 2
+        assert fan.contents == [v.content() for v in fan.points]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_corrupted_fan_point_fails(roy212, m):
+    """Adding (1, 0, 0) to one fan point breaks the test-side recurrence,
+    decomposition and wedge, so `_fan_statements` can fail."""
+    fan = gray_fan(roy212, 5)
+    fan.points[m] = fan.points[m] + SymVec(1, 0, 0)
+    failed = {name for name, ok in _fan_statements(roy212, fan).items() if not ok}
+    assert {"recurrence", "decomposition", "wedge"} <= failed
 
 
 def test_gray_fan_known_counterexample(roy212):
@@ -160,7 +196,7 @@ def test_gray_fan_known_counterexample(roy212):
     # relaxed divisibility through content(d_i z_{i+1}) still holds
     fan = gray_fan(roy212, 3)
     assert not fan.content_pairs_ok
-    assert fan.content_pairs_relaxed_ok
+    assert _fan_statements(roy212, fan)["content_pairs_relaxed"]
 
 
 def test_gray_fan_fibonacci_only(roy212_p2):

@@ -9,14 +9,17 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sturmlab.approx import PROVED, make_bundle
+from sturmlab import cli
+from sturmlab.approx import PROVED, gray_fan, make_bundle
 from sturmlab.cli import main
-from sturmlab.matseq import roy_family
+from sturmlab.exactlin import IntMat2
+from sturmlab.matseq import MatrixSeed, roy_family, solve_admissibility
 from sturmlab.paramgeo import predicted_system
 from sturmlab.sturm import SturmianProgram
 from sturmlab.xi import xi_value
 
 from make_candidates import CLI_EXAMPLES
+from test_approx import _fan_statements
 
 
 def run(capsys, *argv):
@@ -95,8 +98,8 @@ def test_verify_passes_on_tr_jn_zero_seeds(capsys, abc):
     (["--family", "roy", "--abc", "2,1,2"], "shape_ok=True"),
 ])
 def test_verify_prints_the_shape_certificate_only_for_roy(capsys, flags, shape):
-    """The entrywise shape certificate applies only to roy seeds; bl seeds pass
-    the growth check on the ratio bound alone."""
+    """Roy's entrywise shape is printed only for roy seeds; bl seeds pass the
+    growth check on its mirror image, which is not printed."""
     code, out, _ = run(capsys, *flags, "verify", "--up-to", "8")
     assert code == 0
     growth = [line for line in out.splitlines() if line.startswith("multiplicative growth")]
@@ -117,7 +120,23 @@ def test_verify_json_deterministic(capsys, tmp_path):
     doc = json.loads(first)
     assert doc["schema"] == "sturmlab/1"
     assert doc["data"]["identities_ok"] is True
+    assert doc["data"]["hypothesis_holds"] is True
     capsys.readouterr()
+
+
+def test_verify_json_says_when_the_hypothesis_fails(capsys, tmp_path, monkeypatch):
+    """On a seed whose coprimality hypothesis fails, verify.json says so, as
+    stdout does, and `ladder_coprime` is absent from `checks`.  No roy or bl
+    seed of the CLI is known to reach this, so the seed is swapped in."""
+    w0, w1 = IntMat2(0, 1, 1, 0), IntMat2(0, 2, 2, 1)
+    seed = MatrixSeed(w0, w1, solve_admissibility(w0, w1), family="custom", params=())
+    monkeypatch.setattr(cli, "build_seed", lambda cfg: seed)
+    main(["--out-dir", str(tmp_path), "--json", "verify", "--up-to", "6"])
+    out = capsys.readouterr().out
+    data = json.loads((tmp_path / "verify.json").read_text())["data"]
+    assert "does not hold; ladder_coprime not checked" in out
+    assert data["hypothesis_holds"] is False
+    assert data["checks"] == {"coprimality_hypothesis": 1}
 
 
 def test_verify_past_int_digit_limit(capsys):
@@ -212,20 +231,24 @@ def test_xi_cross_check(capsys):
 
 
 def test_gray(capsys):
+    """`gray` lists as proved exactly the statements that the tests form on
+    the fan (`_fan_statements`)."""
     code, out, _ = run(capsys, "--family", "roy", "--abc", "2,1,2",
                        "gray", "--i", "4")
     assert code == 0
-    assert "endpoints_ok=True" in out
+    bundle = make_bundle(roy_family(2, 1, 2), SturmianProgram.all_ones())
+    statements = _fan_statements(bundle, gray_fan(bundle, 4))
+    assert out.splitlines()[-1] == "proved, not checked: " + ", ".join(statements)
 
 
 def test_gray_literal_content_pairs_informational(capsys):
-    # at i = 3 the literal c_m c_{m+1} | d_i fails while every proved check
-    # holds, so the run succeeds and reports the literal check as False
+    # at i = 3 the literal c_m c_{m+1} | d_i fails while the relaxed form is
+    # proved, so the run succeeds and reports the literal check as False
     code, out, _ = run(capsys, "--family", "roy", "--abc", "2,1,2",
                        "gray", "--i", "3")
     assert code == 0
-    assert "content_pairs_ok=False" in out
-    assert "(relaxed: True)" in out
+    assert "contents=[1, 2, 1, 1, 16, 1] content_pairs_ok=False" in out
+    assert "content_pairs_relaxed" in out.splitlines()[-1]
 
 
 def test_gray_non_fibonacci_program(capsys):

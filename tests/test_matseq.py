@@ -1,14 +1,17 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmlab.exactlin import IntMat2
 from sturmlab.matseq import (
-    BadRoyTriple, DegenerateSeed, HatW, MatrixSequence,
+    BadRoyTriple, DegenerateSeed, HatW, MatrixSeed, MatrixSequence,
     DELTA_BITS, admissibility_checks, bl_family, check_mult_growth, delta_estimate,
-    lemma_shape_ok, resolve_delta, roy_family, solve_admissibility,
+    lemma_shape_ok, mirror_shape_ok, resolve_delta, roy_family, solve_admissibility,
 )
 from sturmlab.sturm import SturmianProgram
 
@@ -98,16 +101,106 @@ def test_log_norm():
             assert abs(seq.log_norm(k, 128) - mpmath.log(seq.norm(k))) < 1e-30
 
 
+def _growth_ratios(seq, k_max):
+    """(num, den) = (||w_k^l w_{k-1}||, ||w_k|| ||w_k^{l-1} w_{k-1}||) for
+    k = 1..k_max, 1 <= l <= s_{k+1} + 1, in exact integers."""
+    return [(seq.ladder(k, l).sup_norm(), seq.norm(k) * seq.ladder(k, l - 1).sup_norm())
+            for k in range(1, k_max + 1) for l in range(1, seq.prog.s(k + 1) + 2)]
+
+
 def test_mult_growth():
     for seed in (roy_family(2, 1, 2), roy_family(3, 1, 3), bl_family(1, 2)):
-        rep = check_mult_growth(_seq(seed), 10)
-        num, den = rep.ratio_min             # ||w_k^l w_{k-1}|| >= ||w_k|| ||w_k^{l-1} w_{k-1}||
-        assert num >= den
-    # the entrywise shape lemma is a roy feature
+        seq = _seq(seed)
+        rep = check_mult_growth(seq, 10)
+        ratios = _growth_ratios(seq, 10)
+        # ||w_k^l w_{k-1}|| >= ||w_k|| ||w_k^{l-1} w_{k-1}|| at every rung, exactly
+        assert all(num >= den for num, den in ratios)
+        assert rep.shape_ok
+        # the reported range is the exact extremes, correctly rounded
+        exact = [Fraction(num, den) for num, den in ratios]
+        assert (rep.ratio_min, rep.ratio_max) == (float(min(exact)), float(max(exact)))
+    # Roy's entrywise shape is a roy feature; bl seeds have its mirror image
     for seed in (roy_family(2, 1, 2), roy_family(3, 1, 3)):
-        assert check_mult_growth(_seq(seed), 8).shape_ok
         assert lemma_shape_ok(seed.w0) and lemma_shape_ok(seed.w1)
-    assert not check_mult_growth(_seq(bl_family(1, 2)), 8).shape_ok
+    bl = bl_family(1, 2)
+    assert not lemma_shape_ok(bl.w0) and mirror_shape_ok(bl.w0) and mirror_shape_ok(bl.w1)
+
+
+def test_mixed_shapes_are_not_a_growth_certificate():
+    """w0 of Roy's shape and w1 of its mirror image: the certificate fails, and
+    so does growth (a ratio below 1)."""
+    w0, w1 = IntMat2(1, 2, 2, 5), IntMat2(3, 1, 1, 0)
+    seq = _seq(MatrixSeed(w0, w1, solve_admissibility(w0, w1), family="custom", params=()))
+    assert not check_mult_growth(seq, 8).shape_ok
+    assert any(num < den for num, den in _growth_ratios(seq, 8))
+
+
+@st.composite
+def _shaped_pair(draw):
+    """Roy's shape or its mirror image, and two matrices of that shape with
+    entries up to 13, each inequality tight or loose."""
+    roy = draw(st.booleans())
+
+    def one():
+        e = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+        lo = e[0] + roy
+        b, c = lo + e[1], lo + e[2]
+        hi = max(b, c) + e[3]
+        return IntMat2(lo, b, c, hi) if roy else IntMat2(hi, b, c, lo)
+
+    return (lemma_shape_ok if roy else mirror_shape_ok), one(), one()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shaped_pair())
+def test_shapes_are_kept_by_products(shape_pair):
+    """The lemma of `check_mult_growth`'s docstring: a product of two matrices
+    of Roy's shape, or of two of its mirror image, has that shape, and its sup
+    norm is at least the product of theirs."""
+    shape, m, n = shape_pair
+    assert shape(m) and shape(n)
+    assert shape(m @ n)
+    assert (m @ n).sup_norm() >= m.sup_norm() * n.sup_norm()
+
+
+@pytest.mark.parametrize("shape, m", [
+    (lemma_shape_ok, IntMat2(0, 1, 1, 1)), (lemma_shape_ok, IntMat2(2, 1, 3, 4)),
+    (lemma_shape_ok, IntMat2(1, 2, 5, 4)), (mirror_shape_ok, IntMat2(3, 0, 2, 1)),
+    (mirror_shape_ok, IntMat2(2, 3, 1, 0)), (mirror_shape_ok, IntMat2(1, 1, 1, -1)),
+])
+def test_shapes_refuse_one_broken_inequality(shape, m):
+    assert not shape(m)
+
+
+@st.composite
+def _shaped_seeds(draw):
+    """A roy seed (a <= 5, 1 <= b <= c <= 6) with Roy's shape, or a bl seed
+    (a != b <= 5, s1' <= 3) with its mirror image."""
+    if draw(st.booleans()):
+        b = draw(st.integers(1, 6))
+        return roy_family(draw(st.integers(2, 5)), b, draw(st.integers(b, 6))), lemma_shape_ok
+    a, b = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+    return bl_family(a, b, draw(st.integers(1, 3))), mirror_shape_ok
+
+
+# up to two extra prefix terms, period entries <= 3, period length <= 3
+PROGRAMS = st.builds(lambda extra, period: SturmianProgram([-1, 1] + extra, period),
+                     st.lists(st.integers(1, 3), max_size=2),
+                     st.lists(st.integers(1, 3), min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shaped_seeds(), PROGRAMS)
+def test_growth_certificate(seed_and_shape, prog):
+    """What `check_mult_growth`'s docstring proves: every rung w_k^l w_{k-1},
+    k <= 7, keeps the seed's shape, and its growth ratio num / den is at least
+    1, exactly."""
+    seed, shape = seed_and_shape
+    seq = MatrixSequence(seed, prog)
+    assert check_mult_growth(seq, 7).shape_ok
+    for k in range(1, 8):
+        assert all(shape(seq.ladder(k, l)) for l in range(prog.s(k + 1) + 2)), k
+    assert all(num >= den for num, den in _growth_ratios(seq, 7))
 
 
 def test_delta_exact_zero_for_unimodular():
