@@ -28,20 +28,22 @@ class YSeq:
         self.prog = seq.prog
         self.seed = seq.seed
         self._memo = {}
-        self._det_primes = abs(self.seed.w0.det() * self.seed.w1.det() * self.seed.det_N)
+
+    def _product(self, i: int, ladder) -> IntMat2:
+        """y_i with the rung read from `ladder`, a power ladder of `self.seq`."""
+        if i < -2:
+            raise BadIndex(f"y_i defined for i >= -2, got {i}")
+        if i == -2:
+            return self.seed.w0 @ self.seed.N.transpose()
+        if i == -1:
+            return self.seed.w1 @ self.seed.N
+        k, l = self.prog.block_of(i)
+        return ladder(k, l + 1) @ self.seed.N_parity(k)
 
     def mat(self, i: int) -> IntMat2:
         if i in self._memo:
             return self._memo[i]
-        if i < -2:
-            raise BadIndex(f"y_i defined for i >= -2, got {i}")
-        if i == -2:
-            m = self.seed.w0 @ self.seed.N.transpose()
-        elif i == -1:
-            m = self.seed.w1 @ self.seed.N
-        else:
-            k, l = self.prog.block_of(i)
-            m = self.seq.ladder(k, l + 1) @ self.seed.N_parity(k)
+        m = self._product(i, self.seq.ladder)
         if not m.is_symmetric():
             raise BadIndex(f"y_{i} = {m} is not symmetric (inadmissible seed?)")
         self._memo[i] = m
@@ -52,14 +54,25 @@ class YSeq:
 
     def content(self, i: int) -> int:
         # a content c > 1 has c^2 | det y_i = det(w_k)^{l+1} det(w_{k-1}) det N, so it
-        # shares a prime with det w0 det w1 det N
-        return 1 if gcd(self._det_primes, *self.at(i).as_tuple()) == 1 else self.at(i).content()
+        # shares a prime with P = seq.modulus, and gcd(P, y_i mod P) = gcd(P, y_i)
+        r = self._product(i, self.seq.ladder_mod)
+        return 1 if gcd(self.seq.modulus, r.a, r.b, r.d) == 1 else self.at(i).content()
 
 
 class ZSeq:
-    """z_{t_k + l} = (y_{psi(t_{k+1})} wedge y_{t_k + l}) / det w_k for j >= -1
-    (k = 0 gives only j = t_0 = -1), held as the integer numerator `num(j)`
-    over the denominator `den(j)` = det w_k, never reduced."""
+    """z_j = (y_{t_k - 1} ^ y_j) / det w_k for j = t_k + l >= 0 (block k >= 1,
+    0 <= l < s_{k+1}), formed as a fixed linear image of y_psi(j):
+
+        z_j = (b p2 - d p1, d p0 + (c - b) p1 - a p2, a p1 - c p0),
+
+    with (a, b, c, d) = N_{k+1} and p = y_psi(j).  So z_j is an integer vector.
+    Proof: (C) and (B) of `verify_identities` give y_{t_k - 1} = w_k N_{k+1} and
+    y_j = w_k y_psi(j).  For symmetric X and Y, X ^ Y is read off X J Y as
+    (-[XJY]_11, [XJY]_01 + [XJY]_10, -[XJY]_00), and M^T J M = det(M) J for every
+    2x2 M.  With X = y_{t_k - 1} = X^T = N_{k+1}^T w_k^T this gives
+    X J y_j = N_{k+1}^T (w_k^T J w_k) y_psi(j) = d_k N_{k+1}^T J y_psi(j), whose
+    read-off is d_k times the vector above.  The map p -> z_j has determinant
+    (b - c)(ad - bc) = tr_J(N_{k+1}) det N, nonzero when Tr(JN) != 0."""
 
     def __init__(self, ys: YSeq):
         self.ys = ys
@@ -67,29 +80,19 @@ class ZSeq:
         self.prog = ys.prog
         self._memo = {}
 
-    def _block(self, j: int) -> int:
-        if j == -1:
-            return 0
-        if j < -1:
-            raise BadIndex(f"z_j defined for j >= -1, got {j}")
-        return self.prog.block_of(j)[0]
-
-    def num(self, j: int) -> SymVec:
+    def z(self, j: int) -> SymVec:
         if j not in self._memo:
-            lead = self.prog.psi(self.prog.t(self._block(j) + 1))
-            self._memo[j] = self.ys.at(lead).wedge(self.ys.at(j))
+            if j < 0:
+                raise BadIndex(f"z_j defined for j >= 0, got {j}")
+            n = self.ys.seed.N_parity(self.prog.block_of(j)[0] + 1)
+            p0, p1, p2 = self.ys.at(self.prog.psi(j)).as_tuple()
+            self._memo[j] = SymVec(n.b * p2 - n.d * p1, n.d * p0 + (n.c - n.b) * p1 - n.a * p2,
+                                   n.a * p1 - n.c * p0)
         return self._memo[j]
 
-    def den(self, j: int) -> int:
-        return self.seq.det(self._block(j))
-
     def integerized(self, j: int) -> SymVec:
-        """det(w_2) * z_j, which is an integer vector for admissible seeds."""
-        v, d = self.num(j) * self.seq.det(2), self.den(j)
-        (q0, r0), (q1, r1), (q2, r2) = (divmod(x, d) for x in v.as_tuple())
-        if r0 or r1 or r2:
-            raise BadIndex(f"det(w_2) z_{j} is not integral")
-        return SymVec(q0, q1, q2)
+        """det(w_2) * z_j."""
+        return self.z(j) * self.seq.det(2)
 
 
 @dataclass
@@ -153,7 +156,12 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
     """Exact check of the coprimality hypothesis and, where it holds, of the
     coprimality of every ladder rung up to i_max.
 
-    Each gcd is first taken against det w0 det w1.
+    Each gcd is first taken between d_0 d_1 (d_k = det w_k) and the trace of
+    the rung's residue mod P = |det w0 det w1 det N| (`MatrixSequence.ladder_mod`,
+    stepped by w_{k+1} = w_k^{s_{k+1}} w_{k-1} mod P).  As d_0 d_1 divides P, that
+    gcd is gcd(tr, d_0 d_1); every prime of the rung's determinant d_k^l d_{k-1}
+    divides d_0 d_1, since d_{k+1} = d_k^{s_{k+1}} d_{k-1}, so when it is 1 so is
+    gcd(tr, d_k^l d_{k-1}).  Only otherwise is the rung formed in full.
 
     Not formed, as they cannot fail (the families of `PROVED`) or repeat
     another instance.  Here d_k = det w_k, N_k = N for even k and N^T for odd k,
@@ -187,7 +195,7 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
       and by (A), det(y_psi(j)) w_k y_j = det(y_psi(j)) y_{j+1}.
     Three more families follow from the y recurrence (k, l), which therefore
     holds at every (k, l).  For j in block k the z numerator is n(j) = y_a ^ y_j
-    with a = psi(t_{k+1}) = t_k - 1:
+    = d_k z_j (`ZSeq`) with a = psi(t_{k+1}) = t_k - 1:
     - y wedge powers y_i ^ y_{i+1} = d_k^{l+1} y_psi(t_k) ^ y_{t_k}, i = t_k + l:
       y_i ^ (recurrence (k, l)) is y_i ^ y_{i+1} = d_k y_psi(i) ^ y_i, the claim
       at l = 0; at l >= 1, psi(i) = i - 1 and (k, l - 1) gives the rest;
@@ -236,23 +244,14 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
             failures.append((name, idx, lhs, rhs))
 
     k_hi = prog.block_of(i_max)[0] if i_max >= 0 else 0
-
-    def ladder_trace(k, l):
-        if l <= prog.s(k + 1):
-            return seq.ladder(k, l).trace()
-        # the top rung w_k^{s+1} w_{k-1} = w_k w_{k+1} has the trace of w_{k+1} w_k =
-        # ladder(k + 1, 1), built for the y of block k + 1 when k < k_hi
-        if k < k_hi:
-            return seq.ladder(k + 1, 1).trace()
-        a, b = seq.w(k), seq.w(k + 1)
-        return a.a * b.a + a.b * b.c + a.c * b.b + a.d * b.d
+    d01 = seq.det(0) * seq.det(1)
 
     def ladder_gcd(k, l):
-        # det(w_k^l w_{k-1}) = det(w_k)^l det(w_{k-1}), whose primes all divide det w0 det w1
-        tr = ladder_trace(k, l)
-        if gcd(tr, seq.det(0) * seq.det(1)) == 1:
+        # det(w_k^l w_{k-1}) = det(w_k)^l det(w_{k-1}), whose primes all divide d01,
+        # and d01 divides the ladder's modulus, so the residue's trace gives gcd(tr, d01)
+        if gcd(seq.ladder_mod(k, l).trace(), d01) == 1:
             return 1
-        return gcd(tr, abs(seq.det(k) ** l * seq.det(k - 1)))
+        return gcd(seq.ladder(k, l).trace(), abs(seq.det(k) ** l * seq.det(k - 1)))
 
     hyp = gcd(seq.tr(1), abs(seq.det(1))) == 1 and all(
         ladder_gcd(1, l) == 1 for l in range(prog.s(2) + 2))
@@ -273,33 +272,42 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
 class ContentsReport:
     y_contents: dict        # i -> content(y_i)
     y_divides_detN: bool
-    z_integral: bool        # det(w_2) z_j integral for all tested j
+    z_integral: bool        # det(w_2) z_j integral for all tested j: proved (`ZSeq`)
     z_divides_bound: bool   # contents divide det(w2)^2 det(N)^2 |Tr(JN)| (when nonzero)
     content_bound: int      # |det(w2)^2 det(N)^2 Tr(JN)|
     i_max: int
 
 
 def contents_report(bundle: Bundle, i_max: int) -> ContentsReport:
+    """The contents of y_i, -2 <= i <= i_max, and whether they divide det N;
+    whether Z_j = det(w_2) z_j, 0 <= j <= i_max, is integral and its content
+    divides the bound det(w_2)^2 det(N)^2 |Tr(JN)|.
+
+    Each y content is read first off the ladder residues mod
+    P = |det w0 det w1 det N| (`YSeq.content`).  Z_j is integral because z_j is
+    (`ZSeq`).  When Tr(JN) != 0 and every y content divides det N, the bound is
+    proved and no z is formed: the z wedge identity of `verify_identities`,
+    z_{t_{k+1}} ^ z_j = det N tr_J(N_{k+1}) y_j for j in block k, gives
+    Z_{t_{k+1}} ^ Z_j = det(w_2)^2 det N tr_J(N_{k+1}) y_j, with tr_J(N_{k+1}) =
+    +-Tr(JN).  The wedge is bilinear and both Z are integral, so
+    c(Z_{t_{k+1}}) c(Z_j) divides det(w_2)^2 |det N Tr(JN)| c(y_j), which divides
+    the bound as c(y_j) | det N.  The right side is not zero (det y_j != 0), so
+    no Z is zero.  Otherwise every Z_j is formed and its content is taken, so a
+    zero z raises `ZeroObject` as it did when z was divided out of the wedge."""
     seq, ys, zs, seed = bundle.seq, bundle.ys, bundle.zs, bundle.seed
     dN = abs(seed.det_N)
     y_contents = {i: ys.content(i) for i in range(-2, i_max + 1)}
     y_div = all(dN % c == 0 for c in y_contents.values())
     bound = seq.det(2) ** 2 * seed.det_N ** 2 * abs(seed.tr_JN)
-    z_integral = True
-    z_div = True
-    for j in range(0, i_max + 1):
-        try:
-            v = zs.integerized(j)
-        except BadIndex:
-            z_integral = False
-            continue
-        c = v.content()
-        if bound % c != 0:
-            z_div = False
+    if seed.tr_JN != 0 and y_div:
+        z_div = True
+    else:
+        z_contents = [zs.integerized(j).content() for j in range(0, i_max + 1)]
+        z_div = all(bound % c == 0 for c in z_contents)
     return ContentsReport(
         y_contents=y_contents,
         y_divides_detN=y_div,
-        z_integral=z_integral,
+        z_integral=True,
         z_divides_bound=z_div,
         content_bound=abs(bound),
         i_max=i_max,
@@ -337,10 +345,10 @@ def gray_fan(bundle: Bundle, i: int) -> GrayFan:
       last convergent is t / d in lowest terms, so x_r = y_{i+1} / gcd(t, d);
     - the decomposition d_{i+2} x_m = alpha_m y_i + beta_m y_{i+1} with
       alpha_m = d_i (d p_m - t q_m) and beta_m = d_i q_m: put the y recurrence in;
-    - the wedge den(i + 1) (x_m ^ x_{m+1}) = +-d_i num(i + 1) (of `ZSeq`):
-      p_m q_{m+1} - q_m p_{m+1} = +-1 gives x_m ^ x_{m+1} = +-y_{i-2} ^ y_i, the
-      recurrence gives num(i + 1) = y_i ^ y_{i+1} = d y_{i-2} ^ y_i, and
-      den(i + 1) = d_{i+2} = d d_i;
+    - the wedge x_m ^ x_{m+1} = +-d_i z_{i+1} (of `ZSeq`):
+      p_m q_{m+1} - q_m p_{m+1} = +-1 gives x_m ^ x_{m+1} = +-y_{i-2} ^ y_i; i + 1
+      is t_{i+2}, so z_{i+1} = (y_i ^ y_{i+1}) / d_{i+2}, the recurrence gives
+      y_i ^ y_{i+1} = d y_{i-2} ^ y_i, and d_{i+2} = d d_i;
     - the relaxed divisibility c_m c_{m+1} | content(d_i z_{i+1}): the wedge is
       bilinear, so c_m c_{m+1} divides the content of x_m ^ x_{m+1} =
       +-y_{i-2} ^ y_i = +-d_i z_{i+1};

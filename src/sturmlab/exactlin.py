@@ -67,6 +67,9 @@ class IntMat2:
 
     __rmul__ = __mul__
 
+    def __mod__(self, m: int) -> "IntMat2":
+        return IntMat2(self.a % m, self.b % m, self.c % m, self.d % m)
+
     def __add__(self, other: "IntMat2") -> "IntMat2":
         return IntMat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 

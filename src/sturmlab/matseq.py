@@ -151,15 +151,22 @@ def bl_family(a: int, b: int, s1_prime: int = 1) -> MatrixSeed:
 
 class MatrixSequence:
     """w_{k+1} = w_k^{s_{k+1}} w_{k-1}, with a memoized power ladder
-    w_k^l w_{k-1} for 0 <= l <= s_{k+1} + 1 (k >= 1) and memoized
-    determinants."""
+    w_k^l w_{k-1} for 0 <= l <= s_{k+1} + 1 (k >= 1), the same ladder mod
+    `modulus` = |det w0 det w1 det N|, and memoized determinants.
+
+    Every prime of det w_k, of a rung's det(w_k)^l det(w_{k-1}) and of
+    det y_i = (rung det) det N divides `modulus`, so a gcd with one of these
+    determinants can be read first off the residues."""
 
     def __init__(self, seed: MatrixSeed, prog: SturmianProgram):
         self.seed = seed
         self.prog = prog
         self._w = [seed.w0, seed.w1]
         self._ladder = {}
-        self._det = {}
+        self._det = [seed.w0.det(), seed.w1.det()]
+        self.modulus = abs(self._det[0] * self._det[1] * seed.det_N)
+        self._w_mod = [seed.w0 % self.modulus, seed.w1 % self.modulus]
+        self._ladder_mod = {}
 
     def w(self, k: int) -> IntMat2:
         if k < 0:
@@ -169,14 +176,17 @@ class MatrixSequence:
             self._w.append(self.ladder(j, self.prog.s(j + 1)))
         return self._w[k]
 
-    def ladder(self, k: int, l: int) -> IntMat2:
-        """w_k^l w_{k-1} for k >= 1, 0 <= l <= s_{k+1} + 1."""
+    def _check_rung(self, k: int, l: int):
         if k < 1:
             raise ValueError("power ladder defined for k >= 1")
         if not (0 <= l <= self.prog.s(k + 1) + 1):
             raise ValueError(f"l = {l} out of range for k = {k} (s_{k+1} = {self.prog.s(k + 1)})")
+
+    def ladder(self, k: int, l: int) -> IntMat2:
+        """w_k^l w_{k-1} for k >= 1, 0 <= l <= s_{k+1} + 1."""
         key = (k, l)
         if key not in self._ladder:
+            self._check_rung(k, l)
             if l == 0:
                 val = self.w(k - 1)
             else:
@@ -184,12 +194,38 @@ class MatrixSequence:
             self._ladder[key] = val
         return self._ladder[key]
 
+    def w_mod(self, k: int) -> IntMat2:
+        """w_k mod `modulus`."""
+        if k < 0:
+            raise ValueError("w_k defined for k >= 0")
+        while len(self._w_mod) <= k:
+            j = len(self._w_mod) - 1
+            self._w_mod.append(self.ladder_mod(j, self.prog.s(j + 1)))
+        return self._w_mod[k]
+
+    def ladder_mod(self, k: int, l: int) -> IntMat2:
+        """`ladder(k, l)` mod `modulus`: the same steps, each product reduced."""
+        key = (k, l)
+        if key not in self._ladder_mod:
+            self._check_rung(k, l)
+            if l == 0:
+                val = self.w_mod(k - 1)
+            else:
+                val = (self.w_mod(k) @ self.ladder_mod(k, l - 1)) % self.modulus
+            self._ladder_mod[key] = val
+        return self._ladder_mod[key]
+
     def tr(self, k: int) -> int:
         return self.w(k).trace()
 
     def det(self, k: int) -> int:
-        if k not in self._det:
-            self._det[k] = self.w(k).det()
+        """d_k = det w_k, by d_{k+1} = d_k^{s_{k+1}} d_{k-1}, the determinant of
+        w_{k+1} = w_k^{s_{k+1}} w_{k-1}."""
+        if k < 0:
+            raise ValueError("w_k defined for k >= 0")
+        while len(self._det) <= k:
+            j = len(self._det) - 1
+            self._det.append(self._det[j] ** self.prog.s(j + 1) * self._det[j - 1])
         return self._det[k]
 
     def norm(self, k: int) -> int:

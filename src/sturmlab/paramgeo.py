@@ -553,7 +553,7 @@ class CandidateBuilder:
         i_max = self.i_max_for(q)
         pts = [SymVec(1, 0, 0), SymVec(0, 1, 0), SymVec(0, 0, 1)]
         pts += [self.bundle.ys.at(i).primitive() for i in range(-2, i_max + 1)]
-        pts += [self.bundle.zs.num(j).primitive() for j in range(0, i_max + 1)]
+        pts += [self.bundle.zs.z(j).primitive() for j in range(0, i_max + 1)]
         keys = {}
         for p in pts:
             positive = p.x0 > 0 or (p.x0 == 0 and (p.x1, p.x2) > (0, 0))

@@ -22,7 +22,7 @@ from sturmlab.matseq import delta_estimate, roy_family
 from sturmlab.sturm import quantities, spectrum_endpoints
 from sturmlab.xi import bl_xi_oracle, xi_value
 
-from test_approx import _fan_statements, _implied_instances
+from test_approx import WedgeZ, _fan_statements, _implied_instances
 
 
 def report(n, ok, detail=""):
@@ -236,10 +236,12 @@ def test_criterion_11_gray_areas(roy212):
     # c_m c_{m+1} | d_i is refuted at i = 3: contents [1, 2, 1, 1, 16, 1], d_3 = 8.
     bound = contents_report(roy212, 13).content_bound
     fans = {i: gray_fan(roy212, i) for i in range(3, 13)}
+    zs = WedgeZ(roy212)
     bad = []
     for i, fan in fans.items():
-        # content(z_{i+1}) = content(d_i z_{i+1}) / |d_i|
-        const = Fraction(roy212.zs.num(i + 1).content(), abs(roy212.zs.den(i + 1)))
+        # content(z_{i+1}) = content(y_i ^ y_{i+1}) / |d_{i+2}|, the wedge
+        # reference's num(i + 1) over den(i + 1)
+        const = Fraction(zs.num(i + 1).content(), abs(zs.den(i + 1)))
         proved = all(_fan_statements(roy212, fan).values())
         if not (proved and const.denominator == 1 and bound % const.numerator == 0):
             bad.append((i, const))

@@ -6,16 +6,71 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sturmlab.approx import (
-    PROVED, BadIndex, FibonacciOnly, contents_report, gray_fan, make_bundle,
+    PROVED, BadIndex, ContentsReport, FibonacciOnly, contents_report, gray_fan, make_bundle,
     verify_identities,
 )
-from sturmlab.exactlin import J, IntMat2, SymVec, det3
+from sturmlab.exactlin import J, IntMat2, SymVec, ZeroObject, det3
 from sturmlab.matseq import (
     DegenerateSeed, MatrixSeed, SingularN, bl_family, roy_family, solve_admissibility,
 )
 from sturmlab.sturm import SturmianProgram
 
 EXPECTED_CHECKS = {"ladder_coprime", "coprimality_hypothesis"}
+
+
+class WedgeZ:
+    """The reference z: the numerator num(j) = y_{t_k - 1} ^ y_j of z_j over
+    den(j) = det w_k, for j = t_k + l >= -1 (k = 0 gives only j = t_0 = -1),
+    with the wedge formed from the y matrices and det w_k as ad - bc of w_k.
+    `_memo` holds the numerators, so a test can corrupt one."""
+
+    def __init__(self, bundle):
+        self.bundle = bundle
+        self._memo = {}
+
+    def _block(self, j):
+        if j < -1:
+            raise BadIndex(f"z_j defined for j >= -1, got {j}")
+        return 0 if j == -1 else self.bundle.prog.block_of(j)[0]
+
+    def num(self, j):
+        if j not in self._memo:
+            ys = self.bundle.ys
+            self._memo[j] = ys.at(self.bundle.prog.t(self._block(j)) - 1).wedge(ys.at(j))
+        return self._memo[j]
+
+    def den(self, j):
+        return self.bundle.seq.w(self._block(j)).det()
+
+    def integerized(self, j):
+        """det(w_2) num(j) / den(j) by `divmod`; BadIndex when not integral."""
+        v, d = self.num(j) * self.bundle.seq.w(2).det(), self.den(j)
+        (q0, r0), (q1, r1), (q2, r2) = (divmod(x, d) for x in v.as_tuple())
+        if r0 or r1 or r2:
+            raise BadIndex(f"det(w_2) z_{j} is not integral")
+        return SymVec(q0, q1, q2)
+
+
+def _contents_direct(bundle, i_max, zs=None):
+    """`contents_report` formed directly: each y content as the gcd of y_i's
+    entries, and each det(w_2) z_j of the wedge reference `zs` (a new
+    `WedgeZ` by default) by `divmod`, its content checked against the bound."""
+    zs = zs or WedgeZ(bundle)
+    seed = bundle.seed
+    y_contents = {i: math.gcd(*bundle.ys.at(i).as_tuple()) for i in range(-2, i_max + 1)}
+    bound = bundle.seq.w(2).det() ** 2 * seed.det_N ** 2 * abs(seed.tr_JN)
+    z_integral = z_div = True
+    for j in range(0, i_max + 1):
+        try:
+            v = zs.integerized(j)
+        except BadIndex:
+            z_integral = False
+            continue
+        z_div = z_div and bound % v.content() == 0
+    return ContentsReport(y_contents=y_contents,
+                          y_divides_detN=all(seed.det_N % c == 0 for c in y_contents.values()),
+                          z_integral=z_integral, z_divides_bound=z_div,
+                          content_bound=abs(bound), i_max=i_max)
 
 
 def test_identity_suite_roy(roy212):
@@ -30,7 +85,8 @@ def test_identity_suite_roy(roy212):
 def test_corrupted_y_fails(prog_twos, bump):
     """Replacing any one y_i of a block by a nearby symmetric matrix is caught
     by both the test-side det3 triples and z wedge identity, at the block start
-    and inside the block, and makes some det(w_2) z_j non-integral."""
+    and inside the block, and makes some det(w_2) z_j of the wedge reference
+    non-integral."""
     k = 3
     prog = prog_twos
     block = range(prog.t(k), prog.t(k + 1))
@@ -42,7 +98,7 @@ def test_corrupted_y_fails(prog_twos, bump):
         instances = _implied_instances(bundle, prog.t(k + 2))
         assert {"det3_triple", "z_wedge"} <= {name for name, idx, lhs, rhs in instances
                                                if lhs != rhs}, i
-        assert not contents_report(bundle, prog.t(k + 2)).z_integral, i
+        assert not _contents_direct(bundle, prog.t(k + 2)).z_integral, i
 
 
 @pytest.mark.parametrize("bundle_name, failing", [
@@ -50,19 +106,23 @@ def test_corrupted_y_fails(prog_twos, bump):
     ("roy212_p2", {"z_wedge", "z_recurrence_block", "z_recurrence_boundary"}),
 ])
 def test_corrupted_z_fails(request, bundle_name, failing):
-    """Adding (1, 0, 0) to one z numerator, at a block start, is caught by the
-    test-side z wedge identity and z recurrences, by the integrality of
-    det(w_2) z_j, and on Fibonacci by the test-side gray fan wedge."""
+    """Adding (1, 0, 0) to one z numerator of the wedge reference, at a block
+    start, is caught by the test-side z wedge identity and z recurrences, by the
+    integrality of det(w_2) z_j, and on Fibonacci by the test-side gray fan
+    wedge; adding it to the same z of `ZSeq` is caught by the reference."""
     prog = request.getfixturevalue(bundle_name).prog
     bundle = make_bundle(roy_family(2, 1, 2), prog)
     j = prog.t(6 if prog.is_fibonacci else 4)
-    bundle.zs._memo[j] = bundle.zs.num(j) + SymVec(1, 0, 0)
+    zs = WedgeZ(bundle)
+    zs._memo[j] = zs.num(j) + SymVec(1, 0, 0)
     i_max = prog.t(8 if prog.is_fibonacci else 6)
-    instances = _implied_instances(bundle, i_max)
+    instances = _implied_instances(bundle, i_max, zs)
     assert {name for name, idx, lhs, rhs in instances if lhs != rhs} == failing
-    assert not contents_report(bundle, i_max).z_integral
+    assert not _contents_direct(bundle, i_max, zs).z_integral
     if prog.is_fibonacci:
-        assert not _fan_statements(bundle, gray_fan(bundle, j - 1))["wedge"]
+        assert not _fan_statements(bundle, gray_fan(bundle, j - 1), zs)["wedge"]
+    bundle.zs._memo[j] = bundle.zs.z(j) + SymVec(1, 0, 0)
+    assert _linear_z_mismatches(bundle, i_max) == [j]
 
 
 def test_identity_suite_all_seeds(roy313, bl12, roy212_p2):
@@ -92,9 +152,12 @@ def test_z_integerized(roy212):
     for j in range(0, 15):
         v = roy212.zs.integerized(j)
         assert not v.is_zero()
-    assert roy212.zs.den(-1) == roy212.seq.det(0)
+        assert v == WedgeZ(roy212).integerized(j)
+    assert WedgeZ(roy212).den(-1) == roy212.seq.det(0)
     with pytest.raises(BadIndex):
-        roy212.zs.num(-2)
+        WedgeZ(roy212).num(-2)
+    with pytest.raises(BadIndex):
+        roy212.zs.z(-1)
 
 
 def test_z_orthogonal_to_leading_y(bl12):
@@ -103,8 +166,8 @@ def test_z_orthogonal_to_leading_y(bl12):
     for j in range(0, 12):
         k, _ = prog.block_of(j)
         lead = bl12.ys.at(prog.psi(prog.t(k + 1)))
-        z = bl12.zs.num(j)
-        assert bl12.zs.den(j) == bl12.seq.det(k)
+        z = bl12.zs.z(j)
+        assert WedgeZ(bl12).den(j) == bl12.seq.det(k)
         assert z.dot(lead) == 0
         assert z.dot(bl12.ys.at(j)) == 0
 
@@ -123,7 +186,7 @@ def z_dot_y_identity(bundle, i: int) -> tuple:
     for i = t_k + l; returns (lhs, rhs) as Fractions."""
     prog, seq, ys, zs = bundle.prog, bundle.seq, bundle.ys, bundle.zs
     k, _ = prog.block_of(i)
-    lhs = Fraction(abs(zs.num(i).dot(ys.at(i + 1))), abs(zs.den(i)))
+    lhs = Fraction(abs(zs.z(i).dot(ys.at(i + 1))))
     rhs = Fraction(abs(det3(ys.at(prog.t(k) - 1), ys.at(i), ys.at(i + 1))), abs(seq.det(k)))
     return lhs, rhs
 
@@ -143,12 +206,14 @@ def test_det3_of_consecutive_ys_nonzero(roy212):
         assert det3(ys.at(i - 1), ys.at(i), ys.at(i + 1)) != 0
 
 
-def _fan_statements(bundle, fan):
+def _fan_statements(bundle, fan, zs=None):
     """The six statements that `gray_fan` proves instead of checking, each
     formed from fan.points and fan.quotients: name -> whether it holds.  The
     convergents p_m / q_m (m = -1 .. r) are rebuilt from the quotients, and the
-    wedge is compared with the z numerator num(i + 1) of `ZSeq`."""
-    seq, ys, zs, i = bundle.seq, bundle.ys, bundle.zs, fan.i
+    wedge is compared with the z numerator num(i + 1) of the wedge reference
+    `zs` (a new `WedgeZ` by default)."""
+    zs = zs or WedgeZ(bundle)
+    seq, ys, i = bundle.seq, bundle.ys, fan.i
     x, a = fan.points, fan.quotients
     t, d, d_i = seq.tr(i + 1), seq.det(i + 1), seq.det(i)
     yi, yim2, yi1 = ys.at(i), ys.at(i - 2), ys.at(i + 1)
@@ -281,15 +346,17 @@ def test_direct_sides_match_unperturbed(roy212_p2):
         assert lhs == rhs
 
 
-def _implied_instances(bundle, i_max):
+def _implied_instances(bundle, i_max, zs=None):
     """(name, index, lhs, rhs) of every instance, up to i_max, of the nine
     families of `PROVED`, which `verify_identities` proves instead of checking:
     commutation with w_{k-1} w_k formed in full, the trace recurrence of the
     power ladder, the y recurrence, the square step and the det3 triples with
     each product formed in full, the three families that follow from the y
     recurrence with each wedge formed directly, and the z wedge identity on the
-    z numerators, multiplied through by det w_{k+1} det w_k."""
-    prog, seq, ys, zs, seed = bundle.prog, bundle.seq, bundle.ys, bundle.zs, bundle.seed
+    z numerators, multiplied through by det w_{k+1} det w_k.  The z numerators
+    are those of the wedge reference `zs`, a new `WedgeZ` by default."""
+    zs = zs or WedgeZ(bundle)
+    prog, seq, ys, seed = bundle.prog, bundle.seq, bundle.ys, bundle.seed
 
     def wedge(i, j):
         return ys.at(i).wedge(ys.at(j))
@@ -381,6 +448,52 @@ def test_ladder_premises_hold(seed, period):
                 == seed.det_N * ys.mat(t)), ("C", k)
 
 
+def _linear_z_mismatches(bundle, i_max):
+    """The j <= i_max at which det(w_k) z_j of `ZSeq` is not the numerator
+    num(j) of the wedge reference."""
+    ref = WedgeZ(bundle)
+    return [j for j in range(0, i_max + 1) if ref.den(j) * bundle.zs.z(j) != ref.num(j)]
+
+
+@pytest.mark.parametrize("period", PROOF_PERIODS, ids=str)
+@pytest.mark.parametrize("seed", PROOF_SEEDS, ids=lambda s: f"{s.family}{s.params}")
+def test_linear_z_equals_the_wedge(seed, period):
+    """z_j, the linear image of y_psi(j) that `ZSeq` forms, is
+    (y_{t_k - 1} ^ y_j) / det w_k, j <= t_10."""
+    bundle = make_bundle(seed, SturmianProgram([-1, 1], period))
+    assert _linear_z_mismatches(bundle, bundle.prog.t(10)) == []
+
+
+@pytest.mark.parametrize("period", PROOF_PERIODS[:3], ids=str)
+@pytest.mark.parametrize("seed", PROOF_SEEDS, ids=lambda s: f"{s.family}{s.params}")
+def test_det_recurrence_and_residue_ladder(seed, period):
+    """det w_k by d_{k+1} = d_k^{s_{k+1}} d_{k-1} is ad - bc of w_k, and the
+    residue ladder is the power ladder mod |det w0 det w1 det N|."""
+    seq = make_bundle(seed, SturmianProgram([-1, 1], period)).seq
+    assert seq.modulus == abs(seed.w0.det() * seed.w1.det() * seed.det_N)
+    for k in range(0, 11):
+        assert seq.det(k) == seq.w(k).det(), k
+        assert seq.w_mod(k) == seq.w(k) % seq.modulus, k
+    for k in range(1, 10):
+        for l in range(seq.prog.s(k + 1) + 2):
+            assert seq.ladder_mod(k, l) == seq.ladder(k, l) % seq.modulus, (k, l)
+
+
+@pytest.mark.parametrize("seed", [bl_family(1, 2), roy_family(2, 1, 2)], ids=["bl12", "roy212"])
+def test_deep_reports_form_no_full_size_matrix(seed):
+    """At depth 40, `verify_identities` and `contents_report` read residues and
+    proved forms only: no y, z, w_k past w_1 or ladder rung is formed in full."""
+    bundle = make_bundle(seed, SturmianProgram.all_ones())
+    i_max = bundle.prog.t(40)
+    rep = verify_identities(bundle, i_max)
+    assert rep.ok and rep.checks["ladder_coprime"] == 117
+    crep = contents_report(bundle, i_max)
+    assert crep.y_divides_detN and crep.z_integral and crep.z_divides_bound
+    assert set(crep.y_contents.values()) == {1}
+    seq = bundle.seq
+    assert (bundle.ys._memo, bundle.zs._memo, seq._ladder, len(seq._w)) == ({}, {}, {}, 2)
+
+
 SMALL_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 SYMMETRIC = st.builds(lambda a, b, d: IntMat2(a, b, b, d), *[SMALL_FRACTIONS] * 3)
 
@@ -462,6 +575,57 @@ def test_commutation_follows_from_admissibility(w0, w1):
                     == seq.w(k) @ seq.w(k - 1) @ seed.N_parity(k)), (period, k)
 
 
+def _outcome(f, *args):
+    """f(*args), or the ZeroObject it raises."""
+    try:
+        return f(*args)
+    except ZeroObject as e:
+        return repr(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SMALL_MATRICES, SMALL_MATRICES)
+def test_linear_z_and_contents_on_admissible_seeds(w0, w1):
+    """On random admissible seeds, z_j of `ZSeq` is the wedge reference's
+    num(j) / den(j), and `contents_report` equals `_contents_direct` (or both
+    raise on a zero z), on three programs to t_6."""
+    try:
+        seed = MatrixSeed(w0, w1, solve_admissibility(w0, w1), family="custom", params=())
+    except (DegenerateSeed, SingularN):
+        assume(False)
+    for period in ([1], [2], [1, 2]):
+        bundle = make_bundle(seed, SturmianProgram([-1, 1], period))
+        i_max = bundle.prog.t(6)
+        assert _linear_z_mismatches(bundle, i_max) == [], period
+        assert (_outcome(contents_report, bundle, i_max)
+                == _outcome(_contents_direct, bundle, i_max)), period
+
+
+def _contents_bundles():
+    """(name, bundle, whether `contents_report` forms the z) on each path."""
+    for abc in ROY_SEEDS:
+        for period in (1, 2):
+            yield f"roy{abc}/{period}", make_bundle(
+                roy_family(*abc), SturmianProgram([-1, 1], [period])), False
+    yield "bl(1,2)", make_bundle(bl_family(1, 2), SturmianProgram.all_ones()), False
+    # y contents 2, 4, 8, 16: each is formed in full, and divides det N = 16
+    yield "custom w1=[[0,2],[1,3]]", _custom_bundle(IntMat2(0, 1, 1, 0), IntMat2(0, 2, 1, 3)), False
+    # Tr(JN) = 0
+    yield "roy(2,1,1)", make_bundle(roy_family(2, 1, 1), SturmianProgram.all_ones()), True
+    # y contents do not divide det N = -2
+    yield "custom w1=[[0,1],[2,0]]", _custom_bundle(IntMat2(0, 1, 1, 0), IntMat2(0, 1, 2, 0)), True
+
+
+def test_contents_report_matches_direct():
+    """`contents_report` equals its direct computation (full y contents,
+    wedges and `divmod`) on the proved path and on the path that forms z."""
+    for name, bundle, forms_z in _contents_bundles():
+        i_max = bundle.prog.t(9)
+        rep = contents_report(bundle, i_max)
+        assert rep == _contents_direct(bundle, i_max), name
+        assert bool(bundle.zs._memo) == forms_z, name
+
+
 @pytest.mark.parametrize("period", [1, 2])
 @pytest.mark.parametrize("abc", ROY_SEEDS)
 def test_content_equals_full_gcd(abc, period):
@@ -472,11 +636,14 @@ def test_content_equals_full_gcd(abc, period):
 
 def test_content_full_gcd_when_the_quick_test_fails():
     bundle = make_bundle(roy_family(2, 1, 2), SturmianProgram.all_ones())
-    seed = bundle.seed
-    assert abs(seed.w0.det() * seed.w1.det() * seed.det_N) == 8
+    seed, seq = bundle.seed, bundle.seq
+    assert abs(seed.w0.det() * seed.w1.det() * seed.det_N) == 8 == seq.modulus
+    # y_5 and the residue of the rung it is built from, both times 6
+    k, l = bundle.prog.block_of(5)
     bundle.ys._memo[5] = 6 * bundle.ys.mat(5)
+    seq._ladder_mod[k, l + 1] = 6 * seq.ladder_mod(k, l + 1) % seq.modulus
     assert bundle.ys.content(5) == 6
-    # det w0 det w1 det N = 2 here and y_i has content 2, 4, 8, 16, ...
+    # |det w0 det w1 det N| = 32 here and y_i has content 1, 2, 2, 4, 8, 16, 16, ...
     custom = _custom_bundle(IntMat2(0, 1, 1, 0), IntMat2(0, 2, 1, 3))
     contents = [custom.ys.content(i) for i in range(-2, 12)]
     assert contents == [math.gcd(*custom.ys.at(i).as_tuple()) for i in range(-2, 12)]

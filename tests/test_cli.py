@@ -149,6 +149,19 @@ def test_verify_past_int_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("flags", [["--family", "bl", "--ab", "1,2"],
+                                   ["--family", "roy", "--abc", "2,1,2"]])
+def test_verify_at_depth_40(capsys, tmp_path, flags):
+    """Past the growth scan's k <= 18, verify reads only ladder residues and
+    proved forms, so depth 40 passes on the Fibonacci program."""
+    code, out, _ = run(capsys, *flags, "--out-dir", str(tmp_path), "--json",
+                       "verify", "--up-to", "40")
+    data = json.loads((tmp_path / "verify.json").read_text())["data"]
+    assert code == 0
+    assert (data["identities_ok"], data["contents_ok"], data["growth_ok"]) == (True, True, True)
+    assert data["checks"] == {"coprimality_hypothesis": 1, "ladder_coprime": 117}
+
+
 def test_xi_json_past_int_digit_limit(capsys, tmp_path):
     limit = sys.get_int_max_str_digits()
     code, _, _ = run(capsys, "--family", "roy", "--abc", "2,1,2", "--out-dir", str(tmp_path),

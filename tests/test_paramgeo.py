@@ -22,6 +22,8 @@ from sturmlab.paramgeo import (
     svg_plot, validate_3system,
 )
 
+from test_approx import WedgeZ
+
 
 def traj_eval(x, u, q, prec: int = 256):
     """(L_x(q), L*_x(q)) of a nonzero integer point at `prec` bits."""
@@ -726,11 +728,12 @@ def test_greedy_triple_builds_entries_only_where_it_reads():
 @pytest.mark.parametrize("period", [[1], [2], [1, 2]], ids=str)
 @pytest.mark.parametrize("family,params", [("bl", (1, 2)), ("roy", (2, 1, 2)), ("roy", (2, 7, 8))])
 def test_base_points_match_integerized_zhat(family, params, period):
-    """The z-hat candidates are the primitive z numerators: scaling by
-    det w_2 / det w_k changes at most the sign, which base_points fixes."""
+    """The z-hat candidates are the primitive z_j: det(w_2) z_j of the wedge
+    reference, formed by `divmod`, differs at most in sign and content, and
+    base_points fixes the sign."""
     seed = (bl_family if family == "bl" else roy_family)(*params)
     cb = CandidateBuilder(make_bundle(seed, SturmianProgram([-1, 1], period)), prec=256)
-    ys, zs = cb.bundle.ys, cb.bundle.zs
+    ys, zs = cb.bundle.ys, WedgeZ(cb.bundle)
     for q in (1, 4, 9, 16):
         i_max = cb.i_max_for(q)
         pts = [SymVec(1, 0, 0), SymVec(0, 1, 0), SymVec(0, 0, 1)]
