@@ -260,11 +260,57 @@ class GrowthReport:
     k_max: int
 
 
+# the first precision of the growth scan's enclosures, in bits; doubled on a rescan
+_GROWTH_BITS = 96
+
+
+def _rung_enclosures(seq: MatrixSequence, k_max: int, p: Optional[int]):
+    """Yield (k, l, w_k, rung) for k = 1..k_max, 0 <= l <= s_{k+1} + 1, where
+    w_k and rung = w_k^l w_{k-1} are enclosures (e, lo, hi) with
+    2^e lo <= . <= 2^e hi entrywise.  A product multiplies lo by lo and hi by
+    hi, then shifts both right by the s that leaves max(hi) p bits, floor for
+    lo and ceiling for hi; p = None keeps s = 0, so lo = hi = the exact rung."""
+    def mul(x, y):
+        e, lo, hi = x[0] + y[0], x[1] @ y[1], x[2] @ y[2]
+        s = 0 if p is None else max(0, hi.sup_norm().bit_length() - p)
+        if s:
+            lo = IntMat2(lo.a >> s, lo.b >> s, lo.c >> s, lo.d >> s)
+            hi = IntMat2(-(-hi.a >> s), -(-hi.b >> s), -(-hi.c >> s), -(-hi.d >> s))
+        return e + s, lo, hi
+
+    prev, cur = ((0, m, m) for m in (seq.w(0), seq.w(1)))
+    for k in range(1, k_max + 1):
+        s = seq.prog.s(k + 1)
+        rung = prev
+        yield k, 0, cur, rung
+        for l in range(1, s + 2):
+            rung = mul(cur, rung)
+            yield k, l, cur, rung
+            if l == s:
+                nxt = rung
+        prev, cur = cur, nxt
+
+
 def check_mult_growth(seq: MatrixSequence, k_max: int) -> GrowthReport:
     """The ratios num / den = ||w_k^l w_{k-1}|| / (||w_k|| ||w_k^{l-1} w_{k-1}||)
     for k = 1..k_max, 1 <= l <= s_{k+1} + 1 (sup norms), for information: the
-    smallest and the largest of the floats num / den.  Integer true division is
-    correctly rounded and monotone, so they are the rounded exact extremes.
+    smallest and the largest of the floats num / den, correctly rounded.
+
+    They are read from p-bit enclosures of the rungs (`_rung_enclosures`), not
+    from the rungs themselves.  Every entry of w0 and w1 of a roy or bl seed is
+    >= 0, so every rung's entries are >= 0, and on nonnegative matrices
+    products and sup norms are monotone entrywise: 2^e lo <= M <= 2^e hi gives
+    2^e ||lo|| <= ||M|| <= 2^e ||hi||, and lo lo' <= M M' <= hi hi' (floor
+    keeps lo >= 0).  So num / den lies between num_lo 2^D / den_hi and
+    num_hi 2^D / den_lo, D the difference of the exponents.  CPython's int /
+    int true division is correctly rounded and monotone, so when those two
+    floats are equal, that float is the correctly rounded num / den.  If a
+    ratio is undecided, or a lower bound is 0, the scan doubles p and starts
+    again.  This ends: once p is at least the bit length of every entry, every
+    shift is 0 and lo = hi = the exact rung.  A seed with a negative entry
+    (custom seeds only) is scanned with no shift at all, so its ratios are the
+    exact ones.  As rounding is monotone, the smallest and largest floats are
+    the rounded exact extremes.
 
     `shape_ok` proves num >= den at every k and l.  Roy's shape
     1 <= a <= min(b, c) <= max(b, c) <= d (`lemma_shape_ok`, every roy seed) is
@@ -277,11 +323,28 @@ def check_mult_growth(seq: MatrixSequence, k_max: int) -> GrowthReport:
     with the inequalities reversed; its sup norm is a, and A >= aa'.  Every rung
     w_k^l w_{k-1} is a product of w0 and w1, and the rung at l is w_k times the
     rung at l - 1."""
-    ratios = [seq.ladder(k, l).sup_norm() / (seq.norm(k) * seq.ladder(k, l - 1).sup_norm())
-              for k in range(1, k_max + 1) for l in range(1, seq.prog.s(k + 1) + 2)]
-    if not ratios:
+    if k_max < 1:
         raise DegenerateGrowth(f"no growth ratio for k_max = {k_max} < 1")
     w0, w1 = seq.w(0), seq.w(1)
+    p = _GROWTH_BITS if min(w0.a, w0.b, w0.c, w0.d, w1.a, w1.b, w1.c, w1.d) >= 0 else None
+    while True:
+        ratios = []
+        for k, l, (e_a, a_lo, a_hi), rung in _rung_enclosures(seq, k_max, p):
+            if l:
+                (e_n, n_lo, n_hi), (e_b, b_lo, b_hi) = rung, last
+                shift = e_n - e_a - e_b
+                num_lo, num_hi = n_lo.sup_norm() << shift, n_hi.sup_norm() << shift
+                den_lo = a_lo.sup_norm() * b_lo.sup_norm()
+                if not (num_lo and den_lo):
+                    break
+                lo = num_lo / (a_hi.sup_norm() * b_hi.sup_norm())
+                if lo != num_hi / den_lo:
+                    break
+                ratios.append(lo)
+            last = rung
+        else:
+            break
+        p *= 2
     return GrowthReport(ratio_min=min(ratios), ratio_max=max(ratios),
                         shape_ok=any(shape(w0) and shape(w1)
                                      for shape in (lemma_shape_ok, mirror_shape_ok)),

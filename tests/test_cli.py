@@ -140,7 +140,9 @@ def test_verify_json_says_when_the_hypothesis_fails(capsys, tmp_path, monkeypatc
 
 
 def test_verify_past_int_digit_limit(capsys):
-    # the growth ratios at this depth have more than 4300 decimal digits
+    # at depth 18 the rungs of the w ladder have more than 4300 decimal digits;
+    # the growth scan reads only their enclosures, and no verify step may touch
+    # the interpreter's limit on int-to-decimal conversion
     limit = sys.get_int_max_str_digits()
     code, out, _ = run(capsys, "--family", "roy", "--abc", "2,1,2",
                        "verify", "--up-to", "18")
@@ -160,6 +162,26 @@ def test_verify_at_depth_40(capsys, tmp_path, flags):
     assert code == 0
     assert (data["identities_ok"], data["contents_ok"], data["growth_ok"]) == (True, True, True)
     assert data["checks"] == {"coprimality_hypothesis": 1, "ladder_coprime": 117}
+
+
+def test_verify_growth_range_at_depth_24_on_period_2(capsys, tmp_path):
+    """The growth scan reads p-bit enclosures of the rungs, so depth 24 on the
+    period-2 program passes, and its range (k <= 18) is the one printed at
+    depth 12."""
+    flags = ("--family", "roy", "--abc", "2,1,2", "--program", "prefix=[-1,1];period=[2]")
+
+    def growth_line(out):
+        return next(line for line in out.splitlines()
+                    if line.startswith("multiplicative growth ratios"))
+
+    code, out, _ = run(capsys, *flags, "--out-dir", str(tmp_path), "--json",
+                       "verify", "--up-to", "24")
+    data = json.loads((tmp_path / "verify.json").read_text())["data"]
+    assert code == 0
+    assert (data["identities_ok"], data["contents_ok"], data["growth_ok"]) == (True, True, True)
+    code12, out12, _ = run(capsys, *flags, "verify", "--up-to", "12")
+    assert code12 == 0
+    assert growth_line(out) == growth_line(out12)
 
 
 def test_xi_json_past_int_digit_limit(capsys, tmp_path):

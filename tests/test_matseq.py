@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlab import matseq
 from sturmlab.exactlin import IntMat2
 from sturmlab.matseq import (
     BadRoyTriple, DegenerateSeed, HatW, MatrixSeed, MatrixSequence,
@@ -201,6 +203,80 @@ def test_growth_certificate(seed_and_shape, prog):
     for k in range(1, 8):
         assert all(shape(seq.ladder(k, l)) for l in range(prog.s(k + 1) + 2)), k
     assert all(num >= den for num, den in _growth_ratios(seq, 7))
+
+
+def _exact_extremes(ratios):
+    """float(min) and float(max) of the exact Fractions num / den; the
+    comparisons cross-multiply, so only the two extremes are reduced."""
+    key = functools.cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+    return tuple(float(Fraction(*pick(ratios, key=key))) for pick in (min, max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shaped_seeds(), PROGRAMS, st.integers(1, 10))
+def test_growth_range_is_the_exact_extremes(seed_and_shape, prog, k_max):
+    seq = MatrixSequence(seed_and_shape[0], prog)
+    rep = check_mult_growth(seq, k_max)
+    assert (rep.ratio_min, rep.ratio_max) == _exact_extremes(_growth_ratios(seq, k_max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shaped_seeds(), PROGRAMS, st.integers(1, 10))
+def test_rung_enclosures_enclose_the_rungs(seed_and_shape, prog, k_max):
+    """2^e lo <= w_k^l w_{k-1} <= 2^e hi entrywise, and likewise for w_k, at
+    the scan's first precision."""
+    seq = MatrixSequence(seed_and_shape[0], prog)
+
+    def encloses(enc, m):
+        e, lo, hi = enc
+        return all((x << e) <= y <= (z << e) for x, y, z in
+                   zip(dataclasses.astuple(lo), dataclasses.astuple(m), dataclasses.astuple(hi)))
+
+    rungs = list(matseq._rung_enclosures(seq, k_max, matseq._GROWTH_BITS))
+    assert len(rungs) == sum(prog.s(k + 1) + 2 for k in range(1, k_max + 1))
+    for k, l, w_k, rung in rungs:
+        assert encloses(w_k, seq.w(k)) and encloses(rung, seq.ladder(k, l)), (k, l)
+
+
+def _recorded_precisions(monkeypatch):
+    """The p of every scan `check_mult_growth` starts, in order."""
+    calls = []
+    scan = matseq._rung_enclosures
+
+    def recorded(seq, k_max, p):
+        calls.append(p)
+        return scan(seq, k_max, p)
+
+    monkeypatch.setattr(matseq, "_rung_enclosures", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("seed, prog", [
+    (roy_family(2, 1, 2), SturmianProgram([-1, 1], [2])),
+    (roy_family(2, 7, 8), SturmianProgram([-1, 1], [1, 2])),
+    (bl_family(1, 2), SturmianProgram.all_ones()),
+])
+def test_growth_rescan_doubles_the_precision(monkeypatch, seed, prog):
+    """From 8 bits a ratio is undecided: the scan doubles p and still returns
+    the exact extremes."""
+    monkeypatch.setattr(matseq, "_GROWTH_BITS", 8)
+    calls = _recorded_precisions(monkeypatch)
+    seq = MatrixSequence(seed, prog)
+    rep = check_mult_growth(seq, 10)
+    assert len(calls) > 1 and calls == [8 << i for i in range(len(calls))]
+    assert (rep.ratio_min, rep.ratio_max) == _exact_extremes(_growth_ratios(seq, 10))
+
+
+def test_growth_of_a_seed_with_a_negative_entry(monkeypatch):
+    """Enclosures need entries >= 0; a custom seed with a negative entry is
+    scanned once with no shift, and its range is the exact extremes."""
+    w0, w1 = IntMat2(1, 2, -1, 3), IntMat2(2, 1, 1, 1)
+    seq = _seq(MatrixSeed(w0, w1, solve_admissibility(w0, w1), family="custom", params=()))
+    calls = _recorded_precisions(monkeypatch)
+    rep = check_mult_growth(seq, 8)
+    assert calls == [None]
+    assert (rep.ratio_min, rep.ratio_max) == _exact_extremes(_growth_ratios(seq, 8))
+    assert rep.ratio_min < 1 < rep.ratio_max
 
 
 def test_delta_exact_zero_for_unimodular():
