@@ -55,6 +55,8 @@ class YSeq:
     def content(self, i: int) -> int:
         # a content c > 1 has c^2 | det y_i = det(w_k)^{l+1} det(w_{k-1}) det N, so it
         # shares a prime with P = seq.modulus, and gcd(P, y_i mod P) = gcd(P, y_i)
+        if self.seq.modulus == 1 and i >= -2:     # P has no prime (every bl seed)
+            return 1
         r = self._product(i, self.seq.ladder_mod)
         return 1 if gcd(self.seq.modulus, r.a, r.b, r.d) == 1 else self.at(i).content()
 
@@ -248,8 +250,9 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
 
     def ladder_gcd(k, l):
         # det(w_k^l w_{k-1}) = det(w_k)^l det(w_{k-1}), whose primes all divide d01,
-        # and d01 divides the ladder's modulus, so the residue's trace gives gcd(tr, d01)
-        if gcd(seq.ladder_mod(k, l).trace(), d01) == 1:
+        # and d01 divides the ladder's modulus, so the residue's trace gives gcd(tr, d01);
+        # where |d01| = 1 (every bl seed) that determinant is +-1 and the gcd is 1
+        if abs(d01) == 1 or gcd(seq.ladder_mod(k, l).trace(), d01) == 1:
             return 1
         return gcd(seq.ladder(k, l).trace(), abs(seq.det(k) ** l * seq.det(k - 1)))
 

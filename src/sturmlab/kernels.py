@@ -75,9 +75,9 @@ def _size_keys(u, q, p):
     of a key is within eta = 3 e^q 2^{-p} of the trajectory plus a constant
     ((3p/2) log 2, plus q on the dual side), and the keys can order two
     points against their trajectories only if those agree to within 2 eta.
-    At prec_for(q) > 3.3 q + 191 bits, eta < 2^{-189}: a near-tie can swap
-    only points whose trajectories are equal to the p-bit rounding that the
-    trajectories themselves carry."""
+    At p = prec_for(q) >= q log2(e) + 192 bits, eta = 3 e^q 2^-p <=
+    3 2^-192 < 2^-190: a near-tie can swap only points whose trajectories
+    are equal to the p-bit rounding that the trajectories themselves carry."""
     U = SymVec(*(int(mpmath.nint(mpmath.ldexp(c, p))) for c in u))
     E = int(mpmath.nint(mpmath.ldexp(mpmath.exp(2 * q), p)))
     s, UU = 3 * p, U.dot(U)

@@ -13,9 +13,9 @@ convex bodies with respect to Z^3.  Both sides go through one code path
 indexed by PRIMAL/DUAL: the bodies max(|x|, e^q|x.u|) and max(|x^u|, e^-q|x|),
 with the quadratic forms |x|^2 + e^{2q}(x.u)^2 and |x^u|^2 + e^{-2q}|x|^2.
 Each body has one exact definition, the integer terms of `kernels._size_keys`:
-they rank points for the candidate and the brute-force minima and fix the
-centres of plane completions; logarithms are taken only for the reported
-points.
+they rank points for the candidate and the brute-force minima, fix the
+centres of plane completions and pick, for each reported point, the one
+logarithm taken: that of its larger term.
 """
 from __future__ import annotations
 
@@ -182,6 +182,7 @@ class SystemBreakpoints:
                 self.delta = mpmath.mpf(str(delta)) if not isinstance(delta, mpmath.mpf) else delta
                 self.delta_source = "forced"
         self._idx = {}
+        self._num = {}
         self._wexp = {}
         self._d_k = {}
         for i in range(self.prog.t(self.k_lo) - 1, self.prog.t(self.k_hi) + 1):
@@ -230,8 +231,15 @@ class SystemBreakpoints:
         return self._idx[i]
 
     def num(self, e: LinExpr):
-        with mpmath.workprec(self.prec):
-            return e.eval(self._anchor_vals[0], self._anchor_vals[1], self.delta)
+        """e at the anchors and delta, at self.prec bits.  Each expression is
+        evaluated once, memoised by its coefficients in their order, which is
+        the order `eval` sums them in (not by id: a temporary expression's id
+        can be reused by another)."""
+        key = tuple(e.c.items())
+        if key not in self._num:
+            with mpmath.workprec(self.prec):
+                self._num[key] = e.eval(self._anchor_vals[0], self._anchor_vals[1], self.delta)
+        return self._num[key]
 
     # -- component functions ------------------------------------------------
     def hatL(self, i: int) -> PLFunc:
@@ -461,17 +469,62 @@ def _shape_checks(P: SystemBreakpoints, tol):
 PRIMAL, DUAL = 0, 1      # the two sides, as in (L_x(q), L*_x(q))
 
 
-def _traj(x, u, q, side):
-    """L_x(q) (side PRIMAL) or L*_x(q) (side DUAL) at current mpmath
-    precision; q an mpf.  Each side takes only the two logs it needs."""
+# two terms within a relative 2^-TIE_BITS of each other take both logarithms
+TIE_BITS = 150
+
+
+def _traj(x, u, q, side, terms):
+    """L_x(q) (side PRIMAL) or L*_x(q) (side DUAL) at the current mpmath
+    precision p; q an mpf, `terms` the side's terms of `_size_keys` at u, q
+    and p.  The two logarithms of a side,
+
+        primal  log|x|,      log|x.u| + q
+        dual    log|x^u|,    log|x| - q
+
+    stand for the side's two terms t0, t1 = terms(x, x) in that order, and
+    only the logarithm of the larger term is taken, unless the terms are
+    within a relative 2^-TIE_BITS of each other, where both are.
+
+    The result is bit-identical to the max of both logarithms at p.  One
+    term of each side, 2^{3p} |x|^2, is exact.  By `_size_keys`, the square
+    root of the other is within eta max(N, R) of R, its real counterpart
+    (2^{3p/2} e^q |x.u| or 2^{3p/2} e^q |x^u|), where N = 2^{3p/2} |x| and
+    eta = 3 e^q 2^-p; p >= q log2(e) + 192 (`CandidateBuilder.prec_for`)
+    gives eta <= 3 2^-192 < 2^-190.  Outside the tie margin the square
+    roots of the two terms differ by a relative 2^-151 or more, so N and R
+    are ordered like the terms, apart by a relative 2^-152 or more, and so
+    are the two real logarithms.  The p-bit dot and cross products err by a
+    few |x| |u| 2^-p, which is a few |u| e^q 2^-p, about 2^-188, relative to
+    e^-q |x|, the scale at which the two quantities of a side meet
+    (e^q |x.u| against |x|, |x^u| against e^-q |x|); the logarithms add the
+    p-bit rounding of values below a few thousand.  So the computed
+    logarithm of the larger quantity is within about 2^-188 of its real
+    value, the other stays below it, and max returns the logarithm of the
+    larger term."""
+    t0, t1 = terms(x, x)
+    both = abs(t0 - t1) << TIE_BITS <= max(t0, t1)
     fx0, fx1, fx2 = mpmath.mpf(x.x0), mpmath.mpf(x.x1), mpmath.mpf(x.x2)
-    ln = mpmath.log(mpmath.sqrt(fx0 ** 2 + fx1 ** 2 + fx2 ** 2))
+
+    def ln():
+        return mpmath.log(mpmath.sqrt(fx0 ** 2 + fx1 ** 2 + fx2 ** 2))
+
     if side == PRIMAL:
-        return max(ln, mpmath.log(abs(fx0 * u[0] + fx1 * u[1] + fx2 * u[2])) + q)
-    w0 = fx1 * u[2] - fx2 * u[1]
-    w1 = fx2 * u[0] - fx0 * u[2]
-    w2 = fx0 * u[1] - fx1 * u[0]
-    return max(mpmath.log(mpmath.sqrt(w0 * w0 + w1 * w1 + w2 * w2)), ln - q)
+        first = ln
+
+        def second():
+            return mpmath.log(abs(fx0 * u[0] + fx1 * u[1] + fx2 * u[2])) + q
+    else:
+        def first():
+            w0 = fx1 * u[2] - fx2 * u[1]
+            w1 = fx2 * u[0] - fx0 * u[2]
+            w2 = fx0 * u[1] - fx1 * u[0]
+            return mpmath.log(mpmath.sqrt(w0 * w0 + w1 * w1 + w2 * w2))
+
+        def second():
+            return ln() - q
+    if both:
+        return max(first(), second())
+    return first() if t0 > t1 else second()
 
 
 @dataclass
@@ -528,7 +581,12 @@ class CandidateBuilder:
         self._u_cache = {}
 
     def prec_for(self, q) -> int:
-        return max(self.base_prec, int(3.3 * float(q)) + 192)
+        """The working precision p of the candidate and brute-force minima at
+        q: max(base precision, ceil(q / ln 2) + 192).  Then the rounding
+        bound of the keys of `_size_keys` is eta = 3 e^q 2^-p <= 3 2^-192 <
+        2^-190, and `_traj` takes one logarithm per point.  With the default
+        256 bits, p is 256 up to q ~ 44.3."""
+        return max(self.base_prec, math.ceil(float(q) / math.log(2)) + 192)
 
     def u(self, prec):
         from .xi import xi_value
@@ -667,8 +725,9 @@ def minima_candidates(builder: CandidateBuilder, q, P: Optional[SystemBreakpoint
     """Upper bounds for the primal minima L_j and the dual minima L*_j at q
     from the candidate set.  Each side ranks the base points and the plane
     completions of its own body by the exact integer keys of `_size_keys`;
-    logarithms are taken only for the three points it reports, so each L_j
-    and L*_j is the trajectory of its own point."""
+    `_traj` takes one logarithm for each of the three points it reports,
+    that of the point's larger term, so each L_j and L*_j is the trajectory
+    of its own point."""
     prec = builder.prec_for(q)
     with mpmath.workprec(prec):
         qm = mpmath.mpf(q) if not isinstance(q, mpmath.mpf) else q
@@ -681,7 +740,7 @@ def minima_candidates(builder: CandidateBuilder, q, P: Optional[SystemBreakpoint
             triple = _greedy_triple(pts, keys)
             triple = builder._complete(triple, pts, keys, terms)
             chosen.append([pts[i] for i in triple])
-            minima.append(tuple(_traj(p, u, qm, side) for p in chosen[-1]))
+            minima.append(tuple(_traj(p, u, qm, side, terms) for p in chosen[-1]))
     return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="candidate",
                         points=chosen[PRIMAL], dual_points=chosen[DUAL],
                         gray=None if P is None else P.in_gray(float(q)), kind=kind, k=k)
@@ -718,7 +777,8 @@ def minima_bruteforce(builder: CandidateBuilder, q) -> MinimaSample:
         for side, (collect, bound) in enumerate(zip((kernels.collect_primal, kernels.collect_dual), bounds)):
             pts, keys = collect(u[1], u[2], qm, prec, Fraction(bound, 2 ** (3 * prec)))
             chosen.append([pts[i] for i in _greedy_triple(pts, keys)])
-            minima.append(tuple(_traj(p, u, qm, side) for p in chosen[-1]))
+            terms = kernels._body(side, u[1], u[2], qm, prec)[0]
+            minima.append(tuple(_traj(p, u, qm, side, terms) for p in chosen[-1]))
         return MinimaSample(q=qm, L=minima[PRIMAL], Lstar=minima[DUAL], method="bruteforce",
                             points=chosen[PRIMAL], dual_points=chosen[DUAL])
 

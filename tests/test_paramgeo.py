@@ -25,11 +25,24 @@ from sturmlab.paramgeo import (
 from test_approx import WedgeZ
 
 
+def two_log_traj(x, u, q, side):
+    """L_x(q) (side PRIMAL) or L*_x(q) (side DUAL) by its definition, the max
+    of both logarithms, at the current mpmath precision; q an mpf."""
+    fx0, fx1, fx2 = mpmath.mpf(x.x0), mpmath.mpf(x.x1), mpmath.mpf(x.x2)
+    ln = mpmath.log(mpmath.sqrt(fx0 ** 2 + fx1 ** 2 + fx2 ** 2))
+    if side == paramgeo.PRIMAL:
+        return max(ln, mpmath.log(abs(fx0 * u[0] + fx1 * u[1] + fx2 * u[2])) + q)
+    w0 = fx1 * u[2] - fx2 * u[1]
+    w1 = fx2 * u[0] - fx0 * u[2]
+    w2 = fx0 * u[1] - fx1 * u[0]
+    return max(mpmath.log(mpmath.sqrt(w0 * w0 + w1 * w1 + w2 * w2)), ln - q)
+
+
 def traj_eval(x, u, q, prec: int = 256):
     """(L_x(q), L*_x(q)) of a nonzero integer point at `prec` bits."""
     with mpmath.workprec(prec):
         qm = q if isinstance(q, mpmath.mpf) else mpmath.mpf(q)
-        return tuple(paramgeo._traj(x, u, qm, side) for side in (paramgeo.PRIMAL, paramgeo.DUAL))
+        return tuple(two_log_traj(x, u, qm, side) for side in (paramgeo.PRIMAL, paramgeo.DUAL))
 
 
 def sum_rule_exact(P, k: int) -> bool:
@@ -479,6 +492,113 @@ def test_candidate_minima_are_own_trajectories(request, builder, qs):
             assert s.Lstar[j] == traj_eval(s.dual_points[j], u, s.q, prec)[1], (q, j)
 
 
+def test_prec_for_bounds_key_rounding(cb_bl):
+    """prec_for(q) = max(256, ceil(q / ln 2) + 192) keeps the rounding bound
+    of the keys, eta = 3 e^q 2^-p, below 2^-190 up to q = 2 10^4, also where
+    q / ln 2 is next to an integer, and stays at 256 bits for q <= 44."""
+    ln2 = math.log(2)
+    qs = [i / 8 for i in range(0, 160_001, 97)]
+    qs += [k * ln2 + e for k in range(1, 28_854, 37) for e in (-1e-9, 0.0, 1e-9)]
+    with mpmath.workprec(128):
+        for q in qs:
+            p = cb_bl.prec_for(q)
+            assert 3 * mpmath.exp(q) * mpmath.ldexp(1, -p) < mpmath.ldexp(1, -190), q
+    assert all(cb_bl.prec_for(q / 8) == 256 for q in range(0, 44 * 8 + 1))
+
+
+def _assert_traj_is_two_logs(cb, q, points_by_side, terms_of):
+    """`_traj` with the terms `terms_of(side, u, q, p)` equals the two-log
+    definition bit for bit on each side's points, at prec_for(q)."""
+    p = cb.prec_for(q)
+    u = cb.u(p)
+    with mpmath.workprec(p):
+        for side, pts in enumerate(points_by_side):
+            terms = terms_of(side, u, q, p)
+            for x in pts:
+                got, want = paramgeo._traj(x, u, q, side, terms), two_log_traj(x, u, q, side)
+                assert got._mpf_ == want._mpf_, (float(q), side, x)
+
+
+def _candidate_terms(side, u, q, p):
+    return paramgeo._size_keys(u, q, p)[side][1]
+
+
+@pytest.mark.parametrize("prog, window", [(SturmianProgram.all_ones(), (3, 12)),
+                                          (SturmianProgram([-1, 1], [2]), (3, 7))],
+                         ids=["bl12", "bl12_p2"])
+def test_single_log_traj_on_breakpoint_samples(prog, window):
+    """On every breakpoint sample of the golden corpus's bl(1,2) systems,
+    `_traj` gives the two-log trajectory of each base point and each reported
+    point, bit for bit, and so does every reported L_j and L*_j."""
+    cb = CandidateBuilder(make_bundle(bl_family(1, 2), prog), prec=256)
+    P = predicted_system(cb.bundle, window, prec=256)
+    seen = set()
+    for s in breakpoint_samples(cb, P):
+        if s.q in seen:
+            continue
+        seen.add(s.q)
+        base = cb.base_points(s.q)
+        _assert_traj_is_two_logs(cb, s.q, (base + s.points, base + s.dual_points), _candidate_terms)
+        with mpmath.workprec(cb.prec_for(s.q)):
+            u = cb.u(cb.prec_for(s.q))
+            assert s.L == tuple(two_log_traj(x, u, s.q, paramgeo.PRIMAL) for x in s.points)
+            assert s.Lstar == tuple(two_log_traj(x, u, s.q, paramgeo.DUAL) for x in s.dual_points)
+    assert len(seen) > 20
+
+
+def test_single_log_traj_on_bruteforce_grid():
+    """On the brute-force grid of the golden corpus, `_traj` with the terms of
+    `kernels._body` gives the two-log trajectory of each base point and each
+    recorded brute-force point, bit for bit."""
+    import json
+    from make_bruteforce import OUT, builder
+    from sturmlab import kernels
+
+    def body_terms(side, u, q, p):
+        return kernels._body(side, u[1], u[2], q, p)[0]
+
+    for r in json.loads(OUT.read_text()):
+        cb, q = builder(r["seed"]), mpmath.mpf(r["q_float"])
+        base = cb.base_points(q)
+        _assert_traj_is_two_logs(cb, q, [base + [SymVec(*x) for x in r[name]]
+                                         for name in ("points", "dual_points")], body_terms)
+
+
+@pytest.mark.parametrize("side", [paramgeo.PRIMAL, paramgeo.DUAL])
+def test_single_log_traj_near_tie_takes_both(cb_bl, monkeypatch, side):
+    """Where the two quantities of a side meet (e^q |x.u| = |x|, or
+    |x^u| = e^-q |x|), the terms are within the tie margin and `_traj` takes
+    both logarithms; a little away from it, one."""
+    x = cb_bl.bundle.ys.at(6).primitive()
+    p = 256
+    u = cb_bl.u(p + 64)
+    with mpmath.workprec(p + 64):
+        fx = [mpmath.mpf(c) for c in x.as_tuple()]
+        norm = mpmath.sqrt(sum(c * c for c in fx))
+        if side == paramgeo.PRIMAL:
+            other = abs(sum(c * v for c, v in zip(fx, u)))
+        else:
+            w = (fx[1] * u[2] - fx[2] * u[1], fx[2] * u[0] - fx[0] * u[2], fx[0] * u[1] - fx[1] * u[0])
+            other = mpmath.sqrt(sum(c * c for c in w))
+        q_tie = mpmath.log(norm) - mpmath.log(other)
+    calls = []
+    log = mpmath.log
+    for q, logs in ((q_tie, 2), (q_tie + 1e-30, 1), (q_tie - 1e-30, 1)):
+        assert cb_bl.prec_for(q) == p
+        u = cb_bl.u(p)
+        with mpmath.workprec(p):
+            q = +q
+            terms = paramgeo._size_keys(u, q, p)[side][1]
+            t0, t1 = terms(x, x)
+            assert ((abs(t0 - t1) << paramgeo.TIE_BITS) <= max(t0, t1)) == (logs == 2)
+            calls.clear()
+            monkeypatch.setattr(mpmath, "log", lambda *a: calls.append(a) or log(*a))
+            got = paramgeo._traj(x, u, q, side, terms)
+            monkeypatch.undo()
+            assert len(calls) == logs
+            assert got._mpf_ == two_log_traj(x, u, q, side)._mpf_
+
+
 # (seed, q, method, points, dual points, L and L* to 50 digits): the selection
 # of the candidate and brute-force minima, pinned so that a change to the
 # scoring cannot move it unnoticed.  A q given as (kind, k) is that breakpoint
@@ -514,7 +634,7 @@ PINNED_MINIMA = [
      [(-576, -415, -299), (-14425, -10393, -7488), (45450, 32746, 23593)],
      ('3.1881140940130155951947140339451112446354980897319', '4.2506335204329891047412379231812402153872707890243', '6.6844456749865053146268084692306241278292176055257'),
      ('-6.6567852236598016297603452877787902086710134828966', '-4.3636468611487395481437356085458953791563561251053', '-3.4741140024134871651555034856470038108894205556572')),
-    # period-2 bl(1,2) at q ~ 282, scored at 1122 bits
+    # period-2 bl(1,2) at q ~ 282, scored at 599 bits
     ('bl_p2', ('q_t1', 6), 'candidate',
      [(11264716891871862407000153, -15103507986919000840794730, -7363011698691531810777305),
       (-7109840720309914361039548076275002, -96569896128978592647026151135858598,
@@ -539,25 +659,25 @@ PINNED_MINIMA = [
      [(4753, 13662, 39270), (-3742, -10756, -30917), (-3105, -8925, -25654)],
      ('5.222513325729031480829446209091673794626634213034', '5.4292398159736789800890188722037212172851243224852', '5.9524696598441450250891591462392931385147936836659'),
      ('-4.1081667264822300836501373079586491826261866236607', '-3.5384155094276479834898762351244965592746547211327', '-3.0581849957508893288444322627765830958690564857418')),
-    # period-2 bl(1,2) at q ~ 399, scored at 1508 bits: the exact completion
+    # period-2 bl(1,2) at q ~ 399, scored at 768 bits: the exact completion
     # centres find a second dual minimum 1.02 lower than a centre solved in mpf
     ('bl_p2', ('q_t', 7), 'candidate',
      [(11264716891871862407000153, -15103507986919000840794730, -7363011698691531810777305),
       (-7163417544578261295827014805035787644112377391054973682470823,
        7093979055811372866409752351739824236283865555642763998601217,
        9002117477295798285838928047649397537365597398007403218483419),
-      (-22049944839835510241507250699775901055535892361454094294443408928869719916698956400250,
-       90836706081815683410211406392816112041546117733616984236180535414557801324694495615841,
-       -91016391692351494563825548264399789509192405501741766421410243711130222568222280279007)],
+      (-22049944839835510241507250699775901055535892361454094294443386399435936172974142399944,
+       90836706081815683410211406392816112041546117733616984236180505207541827486692814026381,
+       -91016391692351494563825548264399789509192405501741766421410258437153619951285901833617)],
      [(83730502439308371146084819939225869050287113362281641567998657954086621416751798601685,
        48661977625766990262040809163199549240377887792392874442079919362235870891989347891092,
        28281068397589889936995768876356841813255956474316279440714788780414414817520252176589),
       (-2051126872602406017872286493578972381988408807334206835561626191297818862837891644346859197130185615689329562805,
        -1192061280828164650361539922529986200708250008270177478435194841902626153409696221485553256919527999172177937929,
        -692794832065532341687452368368243277429640899906498100113199486281205132867495875487355614954225029264808538859),
-      (-1463391075800160234221439474099557176127003931625386622604128366702369684620119817841731349419539640568683092726586109737572027276936208995731006913,
-       -850484610909289351811398053593082576975563525440249703303792985060434954358700302864153346578174615313573471072634138951552056015438332854178423859,
-       -494279407162588151035221857348720956811862104701643460613499324927630766402099898792036319033362250451320919496138719735455700934305456368387688284)],
+      (-1463391075800160234221439474099557176127003931625386622604128282971867245311748671756911410193670590281569730444944541738914073190314792243932405228,
+       -850484610909289351811398053593082576975563525440249703303792936398457328591710040823344183378625374935685678679759696871632693779567440864830532767,
+       -494279407162588151035221857348720956811862104701643460613499296646562368812209961796267442676520437195364445179859279020666920519890638848135511695)],
      ('60.042856348455095289099725161940502149210202265952', '140.75896593425650818191414352785117791029739550923', '198.28826380606067909691625920117148730614019899549'),
      ('-198.10557160381315569063124511653444822464279949822', '-140.5971686873699582088074058377155882114671741646', '-59.884831572328502061041401790715950019603913813193')),
 ]
@@ -658,7 +778,7 @@ def _full_grid_candidates(cb, q):
                     break
                 triple = new
             chosen = [pts[i] for i in triple]
-            out.append((chosen, [paramgeo._traj(x, u, q, side) for x in chosen]))
+            out.append((chosen, [two_log_traj(x, u, q, side) for x in chosen]))
     return out
 
 
