@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -22,6 +23,7 @@ from sturmlab.paramgeo import (
     svg_plot, validate_3system,
 )
 
+from make_bruteforce import OUT as BRUTEFORCE_RECORDS, builder as golden_builder
 from test_approx import WedgeZ
 
 
@@ -550,15 +552,13 @@ def test_single_log_traj_on_bruteforce_grid():
     """On the brute-force grid of the golden corpus, `_traj` with the terms of
     `kernels._body` gives the two-log trajectory of each base point and each
     recorded brute-force point, bit for bit."""
-    import json
-    from make_bruteforce import OUT, builder
     from sturmlab import kernels
 
     def body_terms(side, u, q, p):
         return kernels._body(side, u[1], u[2], q, p)[0]
 
-    for r in json.loads(OUT.read_text()):
-        cb, q = builder(r["seed"]), mpmath.mpf(r["q_float"])
+    for r in json.loads(BRUTEFORCE_RECORDS.read_text()):
+        cb, q = golden_builder(r["seed"]), mpmath.mpf(r["q_float"])
         base = cb.base_points(q)
         _assert_traj_is_two_logs(cb, q, [base + [SymVec(*x) for x in r[name]]
                                          for name in ("points", "dual_points")], body_terms)
