@@ -54,10 +54,11 @@ class YSeq:
 
     def content(self, i: int) -> int:
         # a content c > 1 has c^2 | det y_i = det(w_k)^{l+1} det(w_{k-1}) det N, so it
-        # shares a prime with P = seq.modulus, and gcd(P, y_i mod P) = gcd(P, y_i)
+        # shares a prime with P = seq.modulus, and gcd(P, y_i mod P) = gcd(P, y_i),
+        # with y_i mod P built from the residue ladder `seq.residues`
         if self.seq.modulus == 1 and i >= -2:     # P has no prime (every bl seed)
             return 1
-        r = self._product(i, self.seq.ladder_mod)
+        r = self._product(i, self.seq.residues.ladder)
         return 1 if gcd(self.seq.modulus, r.a, r.b, r.d) == 1 else self.at(i).content()
 
 
@@ -159,11 +160,12 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
     coprimality of every ladder rung up to i_max.
 
     Each gcd is first taken between d_0 d_1 (d_k = det w_k) and the trace of
-    the rung's residue mod P = |det w0 det w1 det N| (`MatrixSequence.ladder_mod`,
+    the rung's residue mod P = |det w0 det w1 det N| (`MatrixSequence.residues`,
     stepped by w_{k+1} = w_k^{s_{k+1}} w_{k-1} mod P).  As d_0 d_1 divides P, that
     gcd is gcd(tr, d_0 d_1); every prime of the rung's determinant d_k^l d_{k-1}
     divides d_0 d_1, since d_{k+1} = d_k^{s_{k+1}} d_{k-1}, so when it is 1 so is
-    gcd(tr, d_k^l d_{k-1}).  Only otherwise is the rung formed in full.
+    gcd(tr, d_k^l d_{k-1}).  Only otherwise is the rung formed in full, and
+    its determinant read off `MatrixSequence.dets`.
 
     Not formed, as they cannot fail (the families of `PROVED`) or repeat
     another instance.  Here d_k = det w_k, N_k = N for even k and N^T for odd k,
@@ -252,9 +254,9 @@ def verify_identities(bundle: Bundle, i_max: int) -> IdentityReport:
         # det(w_k^l w_{k-1}) = det(w_k)^l det(w_{k-1}), whose primes all divide d01,
         # and d01 divides the ladder's modulus, so the residue's trace gives gcd(tr, d01);
         # where |d01| = 1 (every bl seed) that determinant is +-1 and the gcd is 1
-        if abs(d01) == 1 or gcd(seq.ladder_mod(k, l).trace(), d01) == 1:
+        if abs(d01) == 1 or gcd(seq.residues.ladder(k, l).trace(), d01) == 1:
             return 1
-        return gcd(seq.ladder(k, l).trace(), abs(seq.det(k) ** l * seq.det(k - 1)))
+        return gcd(seq.ladder(k, l).trace(), abs(seq.dets.ladder(k, l)))
 
     hyp = gcd(seq.tr(1), abs(seq.det(1))) == 1 and all(
         ladder_gcd(1, l) == 1 for l in range(prog.s(2) + 2))

@@ -34,10 +34,8 @@ def to_real(x, prec: int = DEFAULT_PRECISION):
 
 
 def log_real(x, prec: int = DEFAULT_PRECISION):
-    """log of a positive int / Fraction / mpf at `prec` bits."""
+    """log of a positive int / mpf at `prec` bits."""
     with mpmath.workprec(prec):
-        if isinstance(x, Fraction):
-            return mpmath.log(mpmath.mpf(x.numerator)) - mpmath.log(mpmath.mpf(x.denominator))
         return mpmath.log(mpmath.mpf(x))
 
 

@@ -1,12 +1,16 @@
-"""Seed construction (families, admissibility solving) and the matrix
-recurrence w_{k+1} = w_k^{s_{k+1}} w_{k-1}, with growth / determinant-exponent
-diagnostics and the idealized log-norm sequence hat-W.
+"""Seed construction (families, admissibility solving) and the Sturmian
+recurrence x_{k+1} = x_k^{s_{k+1}} x_{k-1} (`Ladder`), walked once for each
+product: the matrices w_k (`MatrixSequence`), their residues, determinants and
+p-bit enclosures (its sibling ladders), and the exponents f_k of the roy
+bracket; with growth / determinant-exponent diagnostics and the idealized
+log-norm sequence hat-W.
 
 Norms here are sup norms (max absolute coefficient) unless stated otherwise.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,26 +153,20 @@ def bl_family(a: int, b: int, s1_prime: int = 1) -> MatrixSeed:
 # recurrence
 # ---------------------------------------------------------------------------
 
-class MatrixSequence:
-    """w_{k+1} = w_k^{s_{k+1}} w_{k-1}, with a memoized power ladder
-    w_k^l w_{k-1} for 0 <= l <= s_{k+1} + 1 (k >= 1), the same ladder mod
-    `modulus` = |det w0 det w1 det N|, and memoized determinants.
+class Ladder:
+    """x_{k+1} = x_k^{s_{k+1}} x_{k-1} under the product `mul`, from x_0 and x_1,
+    with the memoized power ladder x_k^l x_{k-1} = mul(x_k, x_k^{l-1} x_{k-1})
+    for k >= 1, 0 <= l <= s_{k+1} + 1.  Rung s_{k+1} is x_{k+1}, so no rung is
+    formed twice, and rung s_{k+1} + 1 only on request."""
 
-    Every prime of det w_k, of a rung's det(w_k)^l det(w_{k-1}) and of
-    det y_i = (rung det) det N divides `modulus`, so a gcd with one of these
-    determinants can be read first off the residues."""
-
-    def __init__(self, seed: MatrixSeed, prog: SturmianProgram):
-        self.seed = seed
+    def __init__(self, prog: SturmianProgram, x0, x1, mul):
         self.prog = prog
-        self._w = [seed.w0, seed.w1]
+        self._mul = mul
+        self._w = [x0, x1]
         self._ladder = {}
-        self._det = [seed.w0.det(), seed.w1.det()]
-        self.modulus = abs(self._det[0] * self._det[1] * seed.det_N)
-        self._w_mod = [seed.w0 % self.modulus, seed.w1 % self.modulus]
-        self._ladder_mod = {}
 
-    def w(self, k: int) -> IntMat2:
+    def w(self, k: int):
+        """x_k for k >= 0."""
         if k < 0:
             raise ValueError("w_k defined for k >= 0")
         while len(self._w) <= k:
@@ -176,57 +174,67 @@ class MatrixSequence:
             self._w.append(self.ladder(j, self.prog.s(j + 1)))
         return self._w[k]
 
-    def _check_rung(self, k: int, l: int):
-        if k < 1:
-            raise ValueError("power ladder defined for k >= 1")
-        if not (0 <= l <= self.prog.s(k + 1) + 1):
-            raise ValueError(f"l = {l} out of range for k = {k} (s_{k+1} = {self.prog.s(k + 1)})")
+    def ladder(self, k: int, l: int):
+        """x_k^l x_{k-1} for k >= 1, 0 <= l <= s_{k+1} + 1."""
+        rung = self._ladder.get((k, l))
+        if rung is None:
+            if k < 1:
+                raise ValueError("power ladder defined for k >= 1")
+            # s_{k+1} >= 1, so 0 <= l <= 2 is in range without looking s_{k+1} up
+            if l < 0 or l > 2 and l > self.prog.s(k + 1) + 1:
+                raise ValueError(f"l = {l} out of range for k = {k} "
+                                 f"(s_{k+1} = {self.prog.s(k + 1)})")
+            rung = self._ladder[k, l] = (self.w(k - 1) if l == 0
+                                         else self._mul(self.w(k), self.ladder(k, l - 1)))
+        return rung
 
-    def ladder(self, k: int, l: int) -> IntMat2:
-        """w_k^l w_{k-1} for k >= 1, 0 <= l <= s_{k+1} + 1."""
-        key = (k, l)
-        if key not in self._ladder:
-            self._check_rung(k, l)
-            if l == 0:
-                val = self.w(k - 1)
-            else:
-                val = self.w(k) @ self.ladder(k, l - 1)
-            self._ladder[key] = val
-        return self._ladder[key]
 
-    def w_mod(self, k: int) -> IntMat2:
-        """w_k mod `modulus`."""
-        if k < 0:
-            raise ValueError("w_k defined for k >= 0")
-        while len(self._w_mod) <= k:
-            j = len(self._w_mod) - 1
-            self._w_mod.append(self.ladder_mod(j, self.prog.s(j + 1)))
-        return self._w_mod[k]
+class MatrixSequence(Ladder):
+    """The matrix ladder w_{k+1} = w_k^{s_{k+1}} w_{k-1} from w0 and w1, and
+    three sibling ladders of the same recurrence: `residues`, the rungs mod
+    `modulus` = |det w0 det w1 det N|; `dets`, the rungs' determinants
+    d_k^l d_{k-1} (d_k = det w_k); and `enclosures(p)`, p-bit enclosures of
+    the rungs.
 
-    def ladder_mod(self, k: int, l: int) -> IntMat2:
-        """`ladder(k, l)` mod `modulus`: the same steps, each product reduced."""
-        key = (k, l)
-        if key not in self._ladder_mod:
-            self._check_rung(k, l)
-            if l == 0:
-                val = self.w_mod(k - 1)
-            else:
-                val = (self.w_mod(k) @ self.ladder_mod(k, l - 1)) % self.modulus
-            self._ladder_mod[key] = val
-        return self._ladder_mod[key]
+    Every prime of det w_k, of a rung's det(w_k)^l det(w_{k-1}) and of
+    det y_i = (rung det) det N divides `modulus`, so a gcd with one of these
+    determinants can be read first off the residues."""
+
+    def __init__(self, seed: MatrixSeed, prog: SturmianProgram):
+        super().__init__(prog, seed.w0, seed.w1, operator.matmul)
+        self.seed = seed
+        self.dets = Ladder(prog, seed.w0.det(), seed.w1.det(), operator.mul)
+        P = self.modulus = abs(self.dets.w(0) * self.dets.w(1) * seed.det_N)
+        self.residues = Ladder(prog, seed.w0 % P, seed.w1 % P, lambda x, y: (x @ y) % P)
+        self._enclosures = {}
+
+    def enclosures(self, p: Optional[int]):
+        """The ladder of enclosures (e, lo, hi) with 2^e lo <= . <= 2^e hi
+        entrywise, memoized per p.  A product multiplies lo by lo and hi by hi,
+        then shifts both right by the s that leaves max(hi) p bits, floor for lo
+        and ceiling for hi.  p = None gives the exact ladder itself, whose rung
+        M is its own enclosure (0, M, M)."""
+        if p is None:
+            return self
+        if p not in self._enclosures:
+            def mul(x, y):
+                e, lo, hi = x[0] + y[0], x[1] @ y[1], x[2] @ y[2]
+                s = max(0, hi.sup_norm().bit_length() - p)
+                if s:
+                    lo = IntMat2(lo.a >> s, lo.b >> s, lo.c >> s, lo.d >> s)
+                    hi = IntMat2(-(-hi.a >> s), -(-hi.b >> s), -(-hi.c >> s), -(-hi.d >> s))
+                return e + s, lo, hi
+
+            w0, w1 = self.seed.w0, self.seed.w1
+            self._enclosures[p] = Ladder(self.prog, (0, w0, w0), (0, w1, w1), mul)
+        return self._enclosures[p]
 
     def tr(self, k: int) -> int:
         return self.w(k).trace()
 
     def det(self, k: int) -> int:
-        """d_k = det w_k, by d_{k+1} = d_k^{s_{k+1}} d_{k-1}, the determinant of
-        w_{k+1} = w_k^{s_{k+1}} w_{k-1}."""
-        if k < 0:
-            raise ValueError("w_k defined for k >= 0")
-        while len(self._det) <= k:
-            j = len(self._det) - 1
-            self._det.append(self._det[j] ** self.prog.s(j + 1) * self._det[j - 1])
-        return self._det[k]
+        """d_k = det w_k, by d_{k+1} = d_k^{s_{k+1}} d_{k-1} (`dets`)."""
+        return self.dets.w(k)
 
     def norm(self, k: int) -> int:
         return self.w(k).sup_norm()
@@ -264,53 +272,27 @@ class GrowthReport:
 _GROWTH_BITS = 96
 
 
-def _rung_enclosures(seq: MatrixSequence, k_max: int, p: Optional[int]):
-    """Yield (k, l, w_k, rung) for k = 1..k_max, 0 <= l <= s_{k+1} + 1, where
-    w_k and rung = w_k^l w_{k-1} are enclosures (e, lo, hi) with
-    2^e lo <= . <= 2^e hi entrywise.  A product multiplies lo by lo and hi by
-    hi, then shifts both right by the s that leaves max(hi) p bits, floor for
-    lo and ceiling for hi; p = None keeps s = 0, so lo = hi = the exact rung."""
-    def mul(x, y):
-        e, lo, hi = x[0] + y[0], x[1] @ y[1], x[2] @ y[2]
-        s = 0 if p is None else max(0, hi.sup_norm().bit_length() - p)
-        if s:
-            lo = IntMat2(lo.a >> s, lo.b >> s, lo.c >> s, lo.d >> s)
-            hi = IntMat2(-(-hi.a >> s), -(-hi.b >> s), -(-hi.c >> s), -(-hi.d >> s))
-        return e + s, lo, hi
-
-    prev, cur = ((0, m, m) for m in (seq.w(0), seq.w(1)))
-    for k in range(1, k_max + 1):
-        s = seq.prog.s(k + 1)
-        rung = prev
-        yield k, 0, cur, rung
-        for l in range(1, s + 2):
-            rung = mul(cur, rung)
-            yield k, l, cur, rung
-            if l == s:
-                nxt = rung
-        prev, cur = cur, nxt
-
-
 def check_mult_growth(seq: MatrixSequence, k_max: int) -> GrowthReport:
     """The ratios num / den = ||w_k^l w_{k-1}|| / (||w_k|| ||w_k^{l-1} w_{k-1}||)
     for k = 1..k_max, 1 <= l <= s_{k+1} + 1 (sup norms), for information: the
     smallest and the largest of the floats num / den, correctly rounded.
 
-    They are read from p-bit enclosures of the rungs (`_rung_enclosures`), not
-    from the rungs themselves.  Every entry of w0 and w1 of a roy or bl seed is
-    >= 0, so every rung's entries are >= 0, and on nonnegative matrices
-    products and sup norms are monotone entrywise: 2^e lo <= M <= 2^e hi gives
-    2^e ||lo|| <= ||M|| <= 2^e ||hi||, and lo lo' <= M M' <= hi hi' (floor
-    keeps lo >= 0).  So num / den lies between num_lo 2^D / den_hi and
-    num_hi 2^D / den_lo, D the difference of the exponents.  CPython's int /
-    int true division is correctly rounded and monotone, so when those two
-    floats are equal, that float is the correctly rounded num / den.  If a
-    ratio is undecided, or a lower bound is 0, the scan doubles p and starts
-    again.  This ends: once p is at least the bit length of every entry, every
-    shift is 0 and lo = hi = the exact rung.  A seed with a negative entry
-    (custom seeds only) is scanned with no shift at all, so its ratios are the
-    exact ones.  As rounding is monotone, the smallest and largest floats are
-    the rounded exact extremes.
+    They are read from p-bit enclosures of the rungs
+    (`MatrixSequence.enclosures`), not from the rungs themselves.  Every entry
+    of w0 and w1 of a roy or bl seed is >= 0, so every rung's entries are >= 0,
+    and on nonnegative matrices products and sup norms are monotone entrywise:
+    2^e lo <= M <= 2^e hi gives 2^e ||lo|| <= ||M|| <= 2^e ||hi||, and
+    lo lo' <= M M' <= hi hi' (floor keeps lo >= 0).  So num / den lies between
+    num_lo 2^D / den_hi and num_hi 2^D / den_lo, D the difference of the
+    exponents.  CPython's int / int true division is correctly rounded and
+    monotone, so when those two floats are equal, that float is the correctly
+    rounded num / den.  If a ratio is undecided, or a lower bound is 0, the
+    scan doubles p and starts again.  This ends: once p is at least the bit
+    length of every entry, every shift is 0 and lo = hi = the exact rung.  A
+    seed with a negative entry (custom seeds only) is scanned once on the exact
+    ladder (p = None), whose rungs it shares, so its ratios are the exact
+    ones.  As rounding is monotone, the smallest and largest floats are the
+    rounded exact extremes.
 
     `shape_ok` proves num >= den at every k and l.  Roy's shape
     1 <= a <= min(b, c) <= max(b, c) <= d (`lemma_shape_ok`, every roy seed) is
@@ -327,28 +309,42 @@ def check_mult_growth(seq: MatrixSequence, k_max: int) -> GrowthReport:
         raise DegenerateGrowth(f"no growth ratio for k_max = {k_max} < 1")
     w0, w1 = seq.w(0), seq.w(1)
     p = _GROWTH_BITS if min(w0.a, w0.b, w0.c, w0.d, w1.a, w1.b, w1.c, w1.d) >= 0 else None
-    while True:
-        ratios = []
-        for k, l, (e_a, a_lo, a_hi), rung in _rung_enclosures(seq, k_max, p):
-            if l:
-                (e_n, n_lo, n_hi), (e_b, b_lo, b_hi) = rung, last
-                shift = e_n - e_a - e_b
-                num_lo, num_hi = n_lo.sup_norm() << shift, n_hi.sup_norm() << shift
-                den_lo = a_lo.sup_norm() * b_lo.sup_norm()
-                if not (num_lo and den_lo):
-                    break
-                lo = num_lo / (a_hi.sup_norm() * b_hi.sup_norm())
-                if lo != num_hi / den_lo:
-                    break
-                ratios.append(lo)
-            last = rung
-        else:
-            break
+    while (ratios := _growth_scan(seq.enclosures(p), k_max, p is None)) is None:
         p *= 2
     return GrowthReport(ratio_min=min(ratios), ratio_max=max(ratios),
                         shape_ok=any(shape(w0) and shape(w1)
                                      for shape in (lemma_shape_ok, mirror_shape_ok)),
                         k_max=k_max)
+
+
+def _growth_scan(rungs: Ladder, k_max: int, exact: bool) -> Optional[list]:
+    """The floats num / den of `check_mult_growth`, read off the enclosure
+    ladder `rungs` (the exact ladder if `exact`, each rung M read as (0, M, M)),
+    or None if one is undecided or has a lower bound 0."""
+    def norms(x):
+        e, lo, hi = (0, x, x) if exact else x
+        return e, lo.sup_norm(), hi.sup_norm()
+
+    ratios = []
+    prev, cur = norms(rungs.w(0)), norms(rungs.w(1))
+    for k in range(1, k_max + 1):
+        (e_a, a_lo, a_hi), (e_b, b_lo, b_hi) = cur, prev
+        s = rungs.prog.s(k + 1)
+        for l in range(1, s + 2):
+            e_n, n_lo, n_hi = rung = norms(rungs.ladder(k, l))
+            shift = e_n - e_a - e_b
+            num_lo, den_lo = n_lo << shift, a_lo * b_lo
+            if not (num_lo and den_lo):
+                return None
+            lo = num_lo / (a_hi * b_hi)
+            if lo != (n_hi << shift) / den_lo:
+                return None
+            ratios.append(lo)
+            e_b, b_lo, b_hi = rung
+            if l == s:
+                nxt = rung
+        prev, cur = cur, nxt
+    return ratios
 
 
 @dataclass
@@ -413,12 +409,10 @@ def _bracket_holds(seq: MatrixSequence, dets: list) -> bool:
     for k < len(dets), where dets[k] = |det w_k|, f_0 = f_1 = 1 and
     f_{k+1} = s_{k+1} f_k + f_{k-1}: the bracket's two sides in exact integers."""
     a, b, c = seq.seed.params
-    f = [1, 1]
-    for k in range(1, len(dets) - 1):
-        f.append(seq.prog.s(k + 1) * f[k] + f[k - 1])
-    return all(d == a ** f[k]
-               and (a * (b + 1)) ** f[k] <= seq.norm(k)
-               and 2 * seq.norm(k) <= (2 * a * (c + 1)) ** f[k]
+    f = Ladder(seq.prog, 1, 1, operator.add)
+    return all(d == a ** f.w(k)
+               and (a * (b + 1)) ** f.w(k) <= seq.norm(k)
+               and 2 * seq.norm(k) <= (2 * a * (c + 1)) ** f.w(k)
                for k, d in enumerate(dets))
 
 

@@ -464,6 +464,26 @@ def test_linear_z_equals_the_wedge(seed, period):
     assert _linear_z_mismatches(bundle, bundle.prog.t(10)) == []
 
 
+def _recorded_calls(monkeypatch, obj, name):
+    """The arguments of every call of the method `obj.name` from now on,
+    including the calls `obj` makes of it itself."""
+    calls = []
+    method = getattr(obj, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(obj, name, recorded)
+    return calls
+
+
+def _scaled_at(monkeypatch, obj, name, args, scale):
+    """Make the method `obj.name` return scale(value) at `args`."""
+    method = getattr(obj, name)
+    monkeypatch.setattr(obj, name, lambda *a: scale(method(*a)) if a == args else method(*a))
+
+
 @pytest.mark.parametrize("period", PROOF_PERIODS[:3], ids=str)
 @pytest.mark.parametrize("seed", PROOF_SEEDS, ids=lambda s: f"{s.family}{s.params}")
 def test_det_recurrence_and_residue_ladder(seed, period):
@@ -473,25 +493,27 @@ def test_det_recurrence_and_residue_ladder(seed, period):
     assert seq.modulus == abs(seed.w0.det() * seed.w1.det() * seed.det_N)
     for k in range(0, 11):
         assert seq.det(k) == seq.w(k).det(), k
-        assert seq.w_mod(k) == seq.w(k) % seq.modulus, k
+        assert seq.residues.w(k) == seq.w(k) % seq.modulus, k
     for k in range(1, 10):
         for l in range(seq.prog.s(k + 1) + 2):
-            assert seq.ladder_mod(k, l) == seq.ladder(k, l) % seq.modulus, (k, l)
+            assert seq.residues.ladder(k, l) == seq.ladder(k, l) % seq.modulus, (k, l)
 
 
 @pytest.mark.parametrize("seed", [bl_family(1, 2), roy_family(2, 1, 2)], ids=["bl12", "roy212"])
-def test_deep_reports_form_no_full_size_matrix(seed):
+def test_deep_reports_form_no_full_size_matrix(monkeypatch, seed):
     """At depth 40, `verify_identities` and `contents_report` read residues and
     proved forms only: no y, z, w_k past w_1 or ladder rung is formed in full."""
     bundle = make_bundle(seed, SturmianProgram.all_ones())
+    # w_k for k >= 2 is built as a rung, so recording the exact rungs covers it
+    formed = [_recorded_calls(monkeypatch, obj, name)
+              for obj, name in ((bundle.ys, "mat"), (bundle.zs, "z"), (bundle.seq, "ladder"))]
     i_max = bundle.prog.t(40)
     rep = verify_identities(bundle, i_max)
     assert rep.ok and rep.checks["ladder_coprime"] == 117
     crep = contents_report(bundle, i_max)
     assert crep.y_divides_detN and crep.z_integral and crep.z_divides_bound
     assert set(crep.y_contents.values()) == {1}
-    seq = bundle.seq
-    assert (bundle.ys._memo, bundle.zs._memo, seq._ladder, len(seq._w)) == ({}, {}, {}, 2)
+    assert formed == [[], [], []]
 
 
 SMALL_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -634,14 +656,14 @@ def test_content_equals_full_gcd(abc, period):
         assert ys.content(i) == math.gcd(*ys.at(i).as_tuple()), i
 
 
-def test_content_full_gcd_when_the_quick_test_fails():
+def test_content_full_gcd_when_the_quick_test_fails(monkeypatch):
     bundle = make_bundle(roy_family(2, 1, 2), SturmianProgram.all_ones())
     seed, seq = bundle.seed, bundle.seq
     assert abs(seed.w0.det() * seed.w1.det() * seed.det_N) == 8 == seq.modulus
     # y_5 and the residue of the rung it is built from, both times 6
     k, l = bundle.prog.block_of(5)
-    bundle.ys._memo[5] = 6 * bundle.ys.mat(5)
-    seq._ladder_mod[k, l + 1] = 6 * seq.ladder_mod(k, l + 1) % seq.modulus
+    _scaled_at(monkeypatch, bundle.ys, "mat", (5,), lambda m: 6 * m)
+    _scaled_at(monkeypatch, seq.residues, "ladder", (k, l + 1), lambda m: 6 * m % seq.modulus)
     assert bundle.ys.content(5) == 6
     # |det w0 det w1 det N| = 32 here and y_i has content 1, 2, 2, 4, 8, 16, 16, ...
     custom = _custom_bundle(IntMat2(0, 1, 1, 0), IntMat2(0, 2, 1, 3))

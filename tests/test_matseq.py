@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from sturmlab import matseq
 from sturmlab.exactlin import IntMat2
 from sturmlab.matseq import (
-    BadRoyTriple, DegenerateSeed, HatW, MatrixSeed, MatrixSequence,
+    BadRoyTriple, DegenerateSeed, HatW, Ladder, MatrixSeed, MatrixSequence,
     DELTA_BITS, admissibility_checks, bl_family, check_mult_growth, delta_estimate,
     lemma_shape_ok, mirror_shape_ok, resolve_delta, roy_family, solve_admissibility,
 )
@@ -223,31 +224,100 @@ def test_growth_range_is_the_exact_extremes(seed_and_shape, prog, k_max):
 @settings(max_examples=40, deadline=None)
 @given(_shaped_seeds(), PROGRAMS, st.integers(1, 10))
 def test_rung_enclosures_enclose_the_rungs(seed_and_shape, prog, k_max):
-    """2^e lo <= w_k^l w_{k-1} <= 2^e hi entrywise, and likewise for w_k, at
-    the scan's first precision."""
-    seq = MatrixSequence(seed_and_shape[0], prog)
+    """At every rung w_k^l w_{k-1}, k <= k_max, the sibling ladders agree with
+    the exact one: 2^e lo <= rung <= 2^e hi entrywise at the scan's first
+    precision (likewise for w_k), `residues` is the rung mod `modulus` and
+    `dets` its determinant; on roy seeds |det w_k| = a^{f_k}, with
+    f_0 = f_1 = 1 and f_{k+1} = s_{k+1} f_k + f_{k-1}."""
+    seed = seed_and_shape[0]
+    seq = MatrixSequence(seed, prog)
+    enclosures = seq.enclosures(matseq._GROWTH_BITS)
 
     def encloses(enc, m):
         e, lo, hi = enc
         return all((x << e) <= y <= (z << e) for x, y, z in
                    zip(dataclasses.astuple(lo), dataclasses.astuple(m), dataclasses.astuple(hi)))
 
-    rungs = list(matseq._rung_enclosures(seq, k_max, matseq._GROWTH_BITS))
-    assert len(rungs) == sum(prog.s(k + 1) + 2 for k in range(1, k_max + 1))
-    for k, l, w_k, rung in rungs:
-        assert encloses(w_k, seq.w(k)) and encloses(rung, seq.ladder(k, l)), (k, l)
+    f = [1, 1]
+    for k in range(1, k_max):
+        f.append(prog.s(k + 1) * f[k] + f[k - 1])
+    exponents = Ladder(prog, 1, 1, operator.add)
+    for k in range(1, k_max + 1):
+        assert encloses(enclosures.w(k), seq.w(k)), k
+        assert exponents.w(k) == f[k], k
+        if seed.family == "roy":
+            assert abs(seq.dets.w(k)) == seed.params[0] ** f[k], k
+        for l in range(prog.s(k + 1) + 2):
+            rung = seq.ladder(k, l)
+            assert encloses(enclosures.ladder(k, l), rung), (k, l)
+            assert seq.residues.ladder(k, l) == rung % seq.modulus, (k, l)
+            assert seq.dets.ladder(k, l) == rung.det(), (k, l)
+
+
+LADDERS = {"exact": lambda seq: seq, "residues": lambda seq: seq.residues,
+           "dets": lambda seq: seq.dets, "enclosures": lambda seq: seq.enclosures(96)}
+
+
+@pytest.mark.parametrize("prog", [SturmianProgram.all_ones(), SturmianProgram([-1, 1], [1, 2])],
+                         ids=["fib", "period12"])
+@pytest.mark.parametrize("pick", LADDERS.values(), ids=LADDERS.keys())
+def test_ladder_range_checks(pick, prog):
+    """Every ladder refuses w_k for k < 0 and the rungs (k, l) outside k >= 1,
+    0 <= l <= s_{k+1} + 1, also once the rungs around them are built."""
+    ladder = pick(MatrixSequence(roy_family(2, 1, 2), prog))
+    ladder.w(6)
+    for k in range(1, 6):
+        ladder.ladder(k, prog.s(k + 1) + 1)
+        for l in (-1, prog.s(k + 1) + 2):
+            with pytest.raises(ValueError):
+                ladder.ladder(k, l)
+    for call in (lambda: ladder.w(-1), lambda: ladder.ladder(0, 0)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def _counted_products(monkeypatch):
+    """A list that grows by one at every `IntMat2` product formed from now on,
+    counted on `IntMat2.__matmul__`, the hook sturmbench's tracer counts."""
+    products = []
+    matmul = IntMat2.__matmul__
+
+    def counted(x, y):
+        products.append(None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(IntMat2, "__matmul__", counted)
+    return products
+
+
+@pytest.mark.parametrize("prog", [SturmianProgram.all_ones(), SturmianProgram([-1, 1], [1, 2])],
+                         ids=["fib", "period12"])
+def test_exact_ladder_forms_each_rung_once(monkeypatch, prog):
+    """w_K costs s_2 + ... + s_K products, each through `@`: the rungs
+    l = 1..s_{k+1} of each k < K, rung s_{k+1} being w_{k+1}; rung
+    s_{k+1} + 1 is formed only on request."""
+    seq = MatrixSequence(roy_family(2, 1, 2), prog)
+    products = _counted_products(monkeypatch)
+    K = 12
+    seq.w(K)
+    assert len(products) == sum(prog.s(k + 1) for k in range(1, K))
+    seq.w(K)
+    seq.ladder(K - 1, prog.s(K))
+    assert len(products) == sum(prog.s(k + 1) for k in range(1, K))
+    seq.ladder(K - 1, prog.s(K) + 1)
+    assert len(products) == sum(prog.s(k + 1) for k in range(1, K)) + 1
 
 
 def _recorded_precisions(monkeypatch):
     """The p of every scan `check_mult_growth` starts, in order."""
     calls = []
-    scan = matseq._rung_enclosures
+    enclosures = MatrixSequence.enclosures
 
-    def recorded(seq, k_max, p):
+    def recorded(seq, p):
         calls.append(p)
-        return scan(seq, k_max, p)
+        return enclosures(seq, p)
 
-    monkeypatch.setattr(matseq, "_rung_enclosures", recorded)
+    monkeypatch.setattr(MatrixSequence, "enclosures", recorded)
     return calls
 
 
@@ -269,13 +339,18 @@ def test_growth_rescan_doubles_the_precision(monkeypatch, seed, prog):
 
 def test_growth_of_a_seed_with_a_negative_entry(monkeypatch):
     """Enclosures need entries >= 0; a custom seed with a negative entry is
-    scanned once with no shift, and its range is the exact extremes."""
+    scanned once on the exact ladder, forming each rung once, and its range
+    is the exact extremes."""
     w0, w1 = IntMat2(1, 2, -1, 3), IntMat2(2, 1, 1, 1)
     seq = _seq(MatrixSeed(w0, w1, solve_admissibility(w0, w1), family="custom", params=()))
     calls = _recorded_precisions(monkeypatch)
+    products = _counted_products(monkeypatch)
     rep = check_mult_growth(seq, 8)
     assert calls == [None]
+    # one product per rung (k, l), 1 <= k <= 8, 1 <= l <= 2, shared with `seq.ladder`
+    assert len(products) == 16
     assert (rep.ratio_min, rep.ratio_max) == _exact_extremes(_growth_ratios(seq, 8))
+    assert len(products) == 16
     assert rep.ratio_min < 1 < rep.ratio_max
 
 
