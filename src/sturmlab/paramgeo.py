@@ -234,8 +234,10 @@ class SystemBreakpoints:
         """e at the anchors and delta, at self.prec bits.  Each expression is
         evaluated once, memoised by its coefficients in their order, which is
         the order `eval` sums them in (not by id: a temporary expression's id
-        can be reused by another)."""
-        key = tuple(e.c.items())
+        can be reused by another).  The key holds each coefficient as its
+        integer numerator and denominator: hashing a Fraction costs a modular
+        inverse."""
+        key = tuple((s, p, v.numerator, v.denominator) for (s, p), v in e.c.items())
         if key not in self._num:
             with mpmath.workprec(self.prec):
                 self._num[key] = e.eval(self._anchor_vals[0], self._anchor_vals[1], self.delta)
@@ -565,8 +567,10 @@ def _greedy_triple(pts, keys):
 
 
 # plane completions: the (2 COMPLETION_WINDOW + 1)^2 grid points of a layer
-# around its least-squares centre, of which only those that can still enter
-# the triple are kept, and only those the selection reads are built
+# around its least-squares centre, of which only the rows and columns that
+# the form's ellipse below the round's bound reaches are scanned, only the
+# points that can still enter the triple are kept, and only those the
+# selection reads are built
 COMPLETION_WINDOW = 4
 
 
@@ -623,23 +627,40 @@ class CandidateBuilder:
         completions around the current best pairs, then redo the greedy
         selection.
 
-        Only the completion points whose key is at most that of the current
-        third point are kept, and the selection is the one that the full
-        grids would give.  A kept point is built only when the selection
-        reads it, and exactly: its key is the six-pair expansion's exact key,
-        and the point built is the same x_c + da v1 + db v2.
-        `_greedy_triple` sorts stably by (key, index), and
-        new points get larger indices, so the prefix that ends at the current
-        third point already has rank 3 and greedy picks all three points
-        inside it: a point with a larger key is never picked.  The second
-        round's third key is no larger than the first round's, so what the
-        first round dropped stays irrelevant.  The keys are exact values of
-        the side's pair of terms, the one definition of its body, so
+        Each round first forms the centres of its three pairs (`_centre`).
+        With B the key of the current third point, the round's bound B' is
+        the third key that `_greedy_triple` gives on the current triple and
+        the three centres (a centre with key above B is never read there),
+        and each completion keeps only its points of key at most B'.  The
+        selection is the one that the full grids would give:
+
+        * Each centre is the (0, 0) point of its own grid, so the set greedy
+          ran on is a subset of the candidates with the full grids, and it
+          contains a basis.  Greedy is optimal on a linear matroid (Gale
+          1968): the third key it reaches on all candidates is the least
+          third key of any basis among them, so it is at most B'.
+        * `_greedy_triple` sorts stably by (key, index), so it reads every
+          candidate of key at most that third key, and nothing of a larger
+          key, before it has its third point: the points of key above B'
+          are never read.  The kept entries keep their (pair, da, db) order
+          and new points get larger indices, so the points picked are the
+          same.
+        * The second round's third key is no larger than the first round's,
+          so what the first round dropped stays irrelevant.
+
+        A kept point is built only when the selection reads it, and exactly:
+        its key is the six-pair expansion's exact key, and the point built is
+        the same x_c + da v1 + db v2.  The keys are exact values of the
+        side's pair of terms, the one definition of its body, so
         key <= form <= 2 key holds as for every other point."""
         for _ in range(2):
-            bound = keys[triple[2]]
-            for i, j in ((triple[0], triple[1]), (triple[0], triple[2]), (triple[1], triple[2])):
-                entries = self._completions(pts[i], pts[j], terms, bound)
+            pairs = ((triple[0], triple[1]), (triple[0], triple[2]), (triple[1], triple[2]))
+            centres = [_centre(pts[i], pts[j], terms) for i, j in pairs]
+            near = [pts[i] for i in triple] + [xc for xc, _, _ in centres]
+            near_keys = [keys[i] for i in triple] + [max(six[0]) for _, six, _ in centres]
+            bound = near_keys[_greedy_triple(near, near_keys)[2]]
+            for (i, j), centre in zip(pairs, centres):
+                entries = self._completions(pts[i], pts[j], centre, bound)
                 pts += entries
                 keys += [entry[0] for entry in entries]
             new = _greedy_triple(pts, keys)
@@ -648,24 +669,42 @@ class CandidateBuilder:
             triple = new
         return triple
 
-    def _completions(self, v1: SymVec, v2: SymVec, terms, bound):
+    def _completions(self, v1: SymVec, v2: SymVec, centre, bound):
         """An entry (key, x_c, v1, da, v2, db) for each point x_c + da v1 +
         db v2, |da|, |db| <= COMPLETION_WINDOW, rows of da first, whose key
-        (the larger of the two terms) is at most `bound`; x_c is the rounded
-        centre of `_centre`.  Each term T is a symmetric bilinear form, so
-        T(x, x) = T(x_c, x_c) + 2 da T(x_c, v1) + 2 db T(x_c, v2) +
-        da^2 T(v1, v1) + 2 da db T(v1, v2) + db^2 T(v2, v2), and the exact
-        key of every grid point follows from the six pairs.  No point is
-        built here: `_greedy_triple` builds the same x_c + da v1 + db v2
-        from an entry when it reads it, so the key is exactly that point's."""
-        xc, six = _centre(v1, v2, terms)
+        (the larger of the two terms) is at most `bound`; `centre` is what
+        `_centre` returns for v1, v2: x_c, the terms on six pairs, and
+        f11 = form(v1, v1), f22 = form(v2, v2) and det = f11 f22 - f12^2.
+        Each term T is a symmetric bilinear form, so T(x, x) = T(x_c, x_c) +
+        2 da T(x_c, v1) + 2 db T(x_c, v2) + da^2 T(v1, v1) + 2 da db T(v1, v2)
+        + db^2 T(v2, v2), and the exact key of every grid point follows from
+        the six pairs.  No point is built here: `_greedy_triple` builds the
+        same x_c + da v1 + db v2 from an entry when it reads it, so the key
+        is exactly that point's.
+
+        Only the rows with da = 0 or (2|da| - 1)^2 det <= 8 bound f22 are
+        scanned, and in them the columns with db = 0 or
+        (2|db| - 1)^2 det <= 8 bound f11: no other grid point has key at
+        most `bound`.  A key is at least half the form, so such a point x
+        has form(x) <= 2 bound.  On the layer, form(x) = form(x*) + Q(e),
+        where x* = x_0 + a* v1 + b* v2 is the exact minimiser, e the offset
+        of x from it in (v1, v2) coordinates and Q the Gram [[f11, f12],
+        [f12, f22]]; form(x*) > 0, and Q(e) >= e1^2 det / f22, its minimum
+        over e2.  x_c rounds a* and b*, so |e1| >= |da| - 1/2, and
+        (|da| - 1/2)^2 det / f22 <= 2 bound is the row test; the column
+        test follows the same way from Q(e) >= e2^2 det / f11."""
+        xc, six, (f11, f22, det) = centre
+        # the largest |da| (|db|) that passes, as 2m - 1 <= isqrt(8 bound f // det)
+        ra, rb = (min(COMPLETION_WINDOW, (math.isqrt(8 * bound * f // det) + 1) // 2)
+                  for f in (f22, f11))
+        by_term = list(zip(*six))
         out = []
-        for da in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1):
+        for da in range(-ra, ra + 1):
             # along the row of da, the two terms are a + db (b + db c)
             (a0, b0, c0), (a1, b1, c1) = [
                 (xx + da * (2 * x1 + da * s11), 2 * (x2 + da * s12), s22)
-                for xx, x1, x2, s11, s12, s22 in zip(*six)]
-            for db in range(-COMPLETION_WINDOW, COMPLETION_WINDOW + 1):
+                for xx, x1, x2, s11, s12, s22 in by_term]
+            for db in range(-rb, rb + 1):
                 k0 = a0 + db * (b0 + db * c0)
                 if k0 <= bound:
                     k1 = a1 + db * (b1 + db * c1)
@@ -677,9 +716,10 @@ class CandidateBuilder:
 def _centre(v1: SymVec, v2: SymVec, terms):
     """x_c = x0 + a v1 + b v2, the least-squares centre of the layer
     x . n = 1 (n the primitive normal of the v1-v2 plane) in the side's form
-    (the sum of its terms), with a, b rounded to integers, half to even; and
-    the terms on the six pairs (x_c, x_c), (x_c, v1), (x_c, v2), (v1, v1),
-    (v1, v2), (v2, v2).
+    (the sum of its terms), with a, b rounded to integers, half to even; the
+    terms on the six pairs (x_c, x_c), (x_c, v1), (x_c, v2), (v1, v1),
+    (v1, v2), (v2, v2); and (f11, f22, det), the form on (v1, v1) and
+    (v2, v2) and the determinant of the normal equations.
 
     v1 and v2 come from a greedy triple, so they are independent and n
     exists; n is primitive, so the extended gcd of its coordinates is
@@ -698,7 +738,7 @@ def _centre(v1: SymVec, v2: SymVec, terms):
     xc = (x0 + _round_div(r1 * f22 - r2 * f12, det) * v1
           + _round_div(r2 * f11 - r1 * f12, det) * v2)
     uc = xc.dot(terms.U)
-    return xc, (of(xc, uc, xc, uc), of(xc, uc, v1, u1), of(xc, uc, v2, u2)) + vv
+    return xc, (of(xc, uc, xc, uc), of(xc, uc, v1, u1), of(xc, uc, v2, u2)) + vv, (f11, f22, det)
 
 
 def _round_div(n: int, d: int) -> int:
@@ -709,6 +749,25 @@ def _round_div(n: int, d: int) -> int:
 
 
 def _ext_gcd(a, b):
+    """(g, s, t) with a s + b t = g, +-gcd(a, b), exactly as the extended
+    Euclidean loop on (a, b) with floor division gives them.
+
+    With a and b nonzero, g is gcd(a, b) with the sign of b (after the
+    first step every remainder has the sign of b).  With m = b / g > 0,
+    a s = g mod b makes s the inverse of a / g mod m, and the loop's s has
+    |s| <= m / 2, the classical bound of its coefficients.  s is prime to
+    m, so for m > 2 that fixes s in (-m/2, m/2]; for m = 1 the loop stops
+    after one step with s = 0, and for m = 2 after two with s = 1, the
+    values in that range too.  So s is one modular inverse by `pow`, taken
+    in (-m/2, m/2], and t = (g - a s) / b exactly.  A zero input keeps the
+    loop, which returns (a, 1, 0) for b = 0 and (b, 0, 1) for a = 0."""
+    if a and b:
+        g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+        m = b // g
+        s = pow(a // g, -1, m)
+        if 2 * s > m:
+            s -= m
+        return g, s, (g - a * s) // b
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1

@@ -743,8 +743,9 @@ def cb_roy278(prog_ones):
 def _full_grid_candidates(cb, q):
     """Reference for `minima_candidates`: each plane completion builds all
     (2 COMPLETION_WINDOW + 1)^2 points of its grid and scores each by
-    key(point), around a centre rounded through Fraction.  Returns
-    (points, minima) per side."""
+    key(point), around a centre rounded through Fraction, from a layer point
+    found by the extended Euclidean loop.  Returns (points, minima) per
+    side."""
     w = range(-paramgeo.COMPLETION_WINDOW, paramgeo.COMPLETION_WINDOW + 1)
     prec = cb.prec_for(q)
     out = []
@@ -761,8 +762,8 @@ def _full_grid_candidates(cb, q):
                              (triple[1], triple[2])):
                     v1, v2 = pts[i], pts[j]
                     n = v1.wedge(v2).primitive()
-                    g1, a, b = paramgeo._ext_gcd(n.x0, n.x1)
-                    g, c, d = paramgeo._ext_gcd(g1, n.x2)
+                    g1, a, b = _euclid(n.x0, n.x1)
+                    g, c, d = _euclid(g1, n.x2)
                     x0 = SymVec(g * c * a, g * c * b, g * d)
                     f11, f22, f12 = form(v1, v1), form(v2, v2), form(v1, v2)
                     r1, r2 = -form(x0, v1), -form(x0, v2)
@@ -782,11 +783,38 @@ def _full_grid_candidates(cb, q):
     return out
 
 
-@pytest.mark.parametrize("seed, q", [
+COMPLETION_SEEDS = [
     ("bl", 1.5), ("bl", 6.0), ("bl", 11.0), ("bl", 25.0), ("bl", ("q_t", 7)),
     ("bl_p2", 4.0), ("bl_p2", 13.0), ("bl_p2", ("q_t", 7)),
     ("roy_p12", 300), ("roy_p12", 741),
-    ("roy278", 3.0), ("roy278", 9.0), ("roy278", ("q_t", 7))])
+    ("roy278", 3.0), ("roy278", 9.0), ("roy278", ("q_t", 7))]
+
+
+def _recorded_completions(monkeypatch, cb, q):
+    """minima_candidates(cb, q), and every `_completions` call it makes as
+    (side, terms, v1, v2, centre, bound, entries), with the terms of the
+    call's side (each side completes once, primal first)."""
+    calls, sides = [], []
+    complete, completions = CandidateBuilder._complete, CandidateBuilder._completions
+
+    def complete_recorded(builder, triple, pts, keys, terms):
+        sides.append(terms)
+        return complete(builder, triple, pts, keys, terms)
+
+    def completions_recorded(builder, v1, v2, centre, bound):
+        out = completions(builder, v1, v2, centre, bound)
+        calls.append((len(sides) - 1, sides[-1], v1, v2, centre, bound, out))
+        return out
+
+    monkeypatch.setattr(CandidateBuilder, "_complete", complete_recorded)
+    monkeypatch.setattr(CandidateBuilder, "_completions", completions_recorded)
+    s = minima_candidates(cb, q)
+    monkeypatch.undo()
+    assert len(sides) == 2
+    return s, calls
+
+
+@pytest.mark.parametrize("seed, q", COMPLETION_SEEDS)
 def test_pruned_completions_match_full_grid(request, monkeypatch, seed, q):
     """Plane completions that keep only the points that can still enter the
     triple give bit-identical candidate minima to the full grids, and the key
@@ -794,23 +822,45 @@ def test_pruned_completions_match_full_grid(request, monkeypatch, seed, q):
     the point x_c + da v1 + db v2 that it stands for."""
     cb = request.getfixturevalue("cb_" + seed)
     q = _at(cb, q)
-    built = []
-    completions = CandidateBuilder._completions
-
-    def recorded(builder, v1, v2, terms, bound):
-        out = completions(builder, v1, v2, terms, bound)
-        built.extend((terms, xc + da * v1 + db * v2, k) for k, xc, v1, da, v2, db in out)
-        return out
-
-    monkeypatch.setattr(CandidateBuilder, "_completions", recorded)
-    s = minima_candidates(cb, q)
-    monkeypatch.undo()
+    s, calls = _recorded_completions(monkeypatch, cb, q)
+    built = [(terms, xc + da * v1 + db * v2, k)
+             for _, terms, _, _, _, _, out in calls for k, xc, v1, da, v2, db in out]
     assert built and all(k == max(terms(x, x)) for terms, x, k in built)
     (points, L), (dual_points, Lstar) = _full_grid_candidates(cb, q)
     assert [x.as_tuple() for x in s.points] == [x.as_tuple() for x in points]
     assert [x.as_tuple() for x in s.dual_points] == [x.as_tuple() for x in dual_points]
     assert [x._mpf_ for x in s.L] == [x._mpf_ for x in L]
     assert [x._mpf_ for x in s.Lstar] == [x._mpf_ for x in Lstar]
+
+
+@pytest.mark.parametrize("seed, q", COMPLETION_SEEDS)
+def test_completions_scan_every_grid_point_below_the_bound(request, monkeypatch, seed, q):
+    """Each plane completion keeps exactly the points of its full grid around
+    x_c whose key is at most its bound B', in grid order.  Each of them
+    passes the row test (2|da| - 1)^2 det <= 8 B' f22 (or da = 0) and the
+    column test (2|db| - 1)^2 det <= 8 B' f11 (or db = 0), so it lies in the
+    rows and columns scanned; and B' is at least the key of the third point
+    that the side reports."""
+    cb = request.getfixturevalue("cb_" + seed)
+    q = _at(cb, q)
+    s, calls = _recorded_completions(monkeypatch, cb, q)
+    w = range(-paramgeo.COMPLETION_WINDOW, paramgeo.COMPLETION_WINDOW + 1)
+    assert {side for side, *_ in calls} == {paramgeo.PRIMAL, paramgeo.DUAL}
+    for side, terms, v1, v2, (xc, _, _), bound, out in calls:
+        third = (s.points, s.dual_points)[side][2]
+        assert bound >= max(terms(third, third))
+        f11, f22, f12 = (sum(terms(x, y)) for x, y in ((v1, v1), (v2, v2), (v1, v2)))
+        det = f11 * f22 - f12 * f12
+        below = []
+        for da in w:
+            for db in w:
+                x = xc + da * v1 + db * v2
+                k = max(terms(x, x))
+                if k <= bound:
+                    below.append((k, da, db))
+                    assert da == 0 or (2 * abs(da) - 1) ** 2 * det <= 8 * bound * f22
+                    assert db == 0 or (2 * abs(db) - 1) ** 2 * det <= 8 * bound * f11
+        assert [(k, da, db) for k, _, _, da, _, db in out] == below
 
 
 def test_greedy_triple_builds_entries_only_where_it_reads():
@@ -879,6 +929,53 @@ def test_round_div_is_round_of_fraction():
                   ((4 * m + 3) * d, 2 * d), (rng.getrandbits(3000) - (1 << 2999), d)]
     for n, d in cases:
         assert paramgeo._round_div(n, d) == round(Fraction(n, d)), (n, d)
+
+
+def _euclid(a, b):
+    """The extended Euclidean loop, with floor division: the reference that
+    `paramgeo._ext_gcd` must reproduce."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        qt = old_r // r
+        old_r, r = r, old_r - qt * r
+        old_s, s = s, old_s - qt * s
+        old_t, t = t, old_t - qt * t
+    return old_r, old_s, old_t
+
+
+@st.composite
+def _gcd_pairs(draw):
+    """Signed pairs: free, with a zero, of equal magnitudes, one an exact
+    multiple of the other, or with a large common factor and a small
+    cofactor (|b| / gcd down to 1 and 2)."""
+    big = st.integers(-2 ** 300, 2 ** 300)
+    a, b = draw(big), draw(big)
+    shape = draw(st.sampled_from(("free", "zero", "equal", "divisor", "common")))
+    if shape == "zero":
+        a, b = draw(st.sampled_from(((0, b), (a, 0), (0, 0))))
+    elif shape == "equal":
+        b = draw(st.sampled_from((a, -a)))
+    elif shape == "divisor":
+        k = draw(st.integers(-9, 9))
+        a, b = draw(st.sampled_from(((b * k, b), (a, a * k))))
+    elif shape == "common":
+        g = draw(st.integers(1, 2 ** 200))
+        a, b = a * g, g * draw(st.integers(-5, 5))
+    return a, b
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_gcd_pairs())
+def test_ext_gcd_is_the_euclid_loop(ab):
+    assert paramgeo._ext_gcd(*ab) == _euclid(*ab)
+
+
+def test_ext_gcd_is_the_euclid_loop_on_small_pairs():
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            assert paramgeo._ext_gcd(a, b) == _euclid(a, b), (a, b)
 
 
 def test_bruteforce_ranks_by_exact_keys(cb_roy, monkeypatch):
