@@ -39,15 +39,9 @@ def log_real(x, prec: int = DEFAULT_PRECISION):
         return mpmath.log(mpmath.mpf(x))
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(frozen=True)
 class IntMat2:
-    """2x2 matrix with (arbitrary precision) integer entries.
-
-    A value type: no code stores to a field after construction
-    (tests/test_value_types.py checks the package source for it), so the
-    hash of the fields, which equal matrices share, stays valid.  Slotted
-    and not frozen, because a frozen dataclass builds each instance through
-    object.__setattr__, at about three times the cost."""
+    """2x2 matrix with (arbitrary precision) integer entries."""
 
     a: int
     b: int
@@ -130,10 +124,9 @@ class IntMat2:
 J = IntMat2(0, -1, 1, 0)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(frozen=True)
 class SymVec:
-    """Integer vector (x0, x1, x2), alias of the symmetric matrix [[x0,x1],[x1,x2]].
-    A value type like `IntMat2`, and slotted for the same reason."""
+    """Integer vector (x0, x1, x2), alias of the symmetric matrix [[x0,x1],[x1,x2]]."""
 
     x0: int
     x1: int

@@ -759,24 +759,17 @@ def _ext_gcd(a, b):
     m, so for m > 2 that fixes s in (-m/2, m/2]; for m = 1 the loop stops
     after one step with s = 0, and for m = 2 after two with s = 1, the
     values in that range too.  So s is one modular inverse by `pow`, taken
-    in (-m/2, m/2], and t = (g - a s) / b exactly.  A zero input keeps the
-    loop, which returns (a, 1, 0) for b = 0 and (b, 0, 1) for a = 0."""
-    if a and b:
-        g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
-        m = b // g
-        s = pow(a // g, -1, m)
-        if 2 * s > m:
-            s -= m
-        return g, s, (g - a * s) // b
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    return old_r, old_s, old_t
+    in (-m/2, m/2], and t = (g - a s) / b exactly.  With a zero input the
+    loop returns (a, 1, 0) for b = 0 (at once) and (b, 0, 1) for a = 0
+    (after one step)."""
+    if not (a and b):
+        return (a, 1, 0) if not b else (b, 0, 1)
+    g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+    m = b // g
+    s = pow(a // g, -1, m)
+    if 2 * s > m:
+        s -= m
+    return g, s, (g - a * s) // b
 
 
 def minima_candidates(builder: CandidateBuilder, q, P: Optional[SystemBreakpoints] = None,
