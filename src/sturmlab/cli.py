@@ -258,8 +258,7 @@ def cmd_xi(args, cfg):
     print(f"proper: {prop.proper} ({prop.delta_evidence})")
     verdict = None
     if bundle.seed.family == "bl":
-        a, b = bundle.seed.params[:2]
-        s1 = bundle.seed.params[2] if len(bundle.seed.params) > 2 else 1
+        a, b, s1 = bundle.seed.params
         oracle = bl_xi_oracle(a, b, s1, bundle.prog, bits)
         gap = abs(xv.mpf() - oracle.mpf())
         verdict = bool(gap < mpmath.mpf(2) ** (-args.digits * 3.32 + 8))

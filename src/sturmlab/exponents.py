@@ -129,6 +129,11 @@ def _theta(sigma, delta, tau, sigma_prime):
     return min(first, second)
 
 
+def _omega2(sigma, delta):
+    """omega_2 = (2 - delta) / sigma + 1 - delta, at the working precision."""
+    return (2 - delta) / sigma + 1 - delta
+
+
 def closed_form(sigma, delta, tau, sigma_prime,
                 prec: int = DEFAULT_PRECISION) -> ExponentSet:
     with mpmath.workprec(prec):
@@ -157,7 +162,7 @@ def closed_form(sigma, delta, tau, sigma_prime,
         # is theta itself
         es.psi2_low = Exact(theta) if first >= theta else Interval(first, theta)
         # standard exponents
-        es.omega2 = Exact((2 - delta) / sigma + 1 - delta)
+        es.omega2 = Exact(_omega2(sigma, delta))
         es.omega2_hat = Exact(1 + X)
         es.lambda2_hat = Exact(X / (1 + X))
         if delta <= h:
@@ -272,13 +277,10 @@ def omega2_sweep(sigma, prec: int = DEFAULT_PRECISION) -> SweepReport:
         d_ivs = [(mpmath.mpf(0), mpmath.mpf(0))]   # unimodular seeds reach delta = 0
         o_ivs = []
 
-        def omega2_of(d):
-            return (2 - d) / sigma + 1 - d
-
         for (a, b, c) in recipe_triples():
             alpha, beta = roy_bracket(a, b, c, prec)
             proper = bool(beta < threshold)
-            o = (omega2_of(beta), omega2_of(alpha))   # omega2 decreasing in delta
+            o = (_omega2(sigma, beta), _omega2(sigma, alpha))   # omega2 decreasing in delta
             rows.append(SweepRow(triple=(a, b, c), bracket=(alpha, beta),
                                  proper=proper, omega2=o))
             d_ivs.append((alpha, beta))

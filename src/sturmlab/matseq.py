@@ -1,9 +1,9 @@
 """Seed construction (families, admissibility solving) and the Sturmian
-recurrence x_{k+1} = x_k^{s_{k+1}} x_{k-1} (`Ladder`), walked once for each
-product: the matrices w_k (`MatrixSequence`), their residues, determinants and
-p-bit enclosures (its sibling ladders), and the exponents f_k of the roy
-bracket; with growth / determinant-exponent diagnostics and the idealized
-log-norm sequence hat-W.
+recurrence x_{k+1} = x_k^{s_{k+1}} x_{k-1} (`sturm.Ladder`), walked once for
+each product: the matrices w_k (`MatrixSequence`), their residues,
+determinants and p-bit enclosures (its sibling ladders), and the integer
+coefficients of the idealized log-norm sequence hat-W (`HatW`); with growth /
+determinant-exponent diagnostics.
 
 Norms here are sup norms (max absolute coefficient) unless stated otherwise.
 """
@@ -17,7 +17,7 @@ from typing import Optional
 import mpmath
 
 from .exactlin import DEFAULT_PRECISION, IntMat2, SymVec, det3, log_real
-from .sturm import SturmianProgram
+from .sturm import Ladder, SturmianProgram
 
 
 class BadRoyTriple(ValueError):
@@ -152,42 +152,6 @@ def bl_family(a: int, b: int, s1_prime: int = 1) -> MatrixSeed:
 # ---------------------------------------------------------------------------
 # recurrence
 # ---------------------------------------------------------------------------
-
-class Ladder:
-    """x_{k+1} = x_k^{s_{k+1}} x_{k-1} under the product `mul`, from x_0 and x_1,
-    with the memoized power ladder x_k^l x_{k-1} = mul(x_k, x_k^{l-1} x_{k-1})
-    for k >= 1, 0 <= l <= s_{k+1} + 1.  Rung s_{k+1} is x_{k+1}, so no rung is
-    formed twice, and rung s_{k+1} + 1 only on request."""
-
-    def __init__(self, prog: SturmianProgram, x0, x1, mul):
-        self.prog = prog
-        self._mul = mul
-        self._w = [x0, x1]
-        self._ladder = {}
-
-    def w(self, k: int):
-        """x_k for k >= 0."""
-        if k < 0:
-            raise ValueError("w_k defined for k >= 0")
-        while len(self._w) <= k:
-            j = len(self._w) - 1          # highest built index
-            self._w.append(self.ladder(j, self.prog.s(j + 1)))
-        return self._w[k]
-
-    def ladder(self, k: int, l: int):
-        """x_k^l x_{k-1} for k >= 1, 0 <= l <= s_{k+1} + 1."""
-        rung = self._ladder.get((k, l))
-        if rung is None:
-            if k < 1:
-                raise ValueError("power ladder defined for k >= 1")
-            # s_{k+1} >= 1, so 0 <= l <= 2 is in range without looking s_{k+1} up
-            if l < 0 or l > 2 and l > self.prog.s(k + 1) + 1:
-                raise ValueError(f"l = {l} out of range for k = {k} "
-                                 f"(s_{k+1} = {self.prog.s(k + 1)})")
-            rung = self._ladder[k, l] = (self.w(k - 1) if l == 0
-                                         else self._mul(self.w(k), self.ladder(k, l - 1)))
-        return rung
-
 
 class MatrixSequence(Ladder):
     """The matrix ladder w_{k+1} = w_k^{s_{k+1}} w_{k-1} from w0 and w1, and
@@ -352,7 +316,7 @@ class DeltaReport:
     deltas: dict            # k -> mpf  (only for k with ||w_k|| > 1)
     delta_hat: object       # mpf: last available delta_k
     increments: dict        # k -> |delta_k - delta_{k-1}| where both defined
-    bracket: Optional[tuple]  # (alpha, beta) for roy seeds, when checked to k_max
+    bracket: Optional[tuple]  # (alpha, beta) for roy seeds, when its base case holds
     exact_zero: bool        # unimodular seeds: delta = 0 exactly
     k_max: int
 
@@ -361,21 +325,34 @@ def delta_estimate(seq: MatrixSequence, k_max: int, prec: int = DEFAULT_PRECISIO
     """delta_k = log|det w_k| / log||w_k|| and, for roy seeds, the certified
     bracket [log a / log(2a(c+1)), log a / log(a(b+1))].
 
-    The bracket comes from the two-sided induction (2||w_k||)^alpha <= |det w_k|
-    <= ||w_k||^beta: on the upper side the multiplicativity constant is 1
-    (||w_{k+1}|| >= ||w_k|| ||w_{k-1}||), so beta carries no extra factor 2;
-    with a factor 2 there the base case k = 0 already fails (a(b+1))^beta < a,
-    and empirically delta sits outside such an interval.  The bracket is
-    returned only when its integer form holds for every k <= k_max (see
-    `_bracket_holds`); otherwise it is None."""
+    The bracket comes from the two-sided bound (2||w_k||)^alpha <= |det w_k|
+    <= ||w_k||^beta, which for every k >= 0 follows from its integer form
+    |det w_k| = a^{f_k}, (a(b+1))^{f_k} <= ||w_k|| and 2||w_k|| <= (2a(c+1))^{f_k},
+    with f_0 = f_1 = 1 and f_{k+1} = s_{k+1} f_k + f_{k-1}.  That form holds at
+    k = 0, 1 when w0 and w1 have Roy's shape (`lemma_shape_ok`), |det w0| =
+    |det w1| = a and a(b+1) <= ||w0||, ||w1|| <= a(c+1) (`_bracket_holds`), and
+    passes from k - 1, k to k + 1 by induction, w_{k+1} being the product of
+    s_{k+1} factors w_k and one w_{k-1}:
+
+    * d_{k+1} = d_k^{s_{k+1}} d_{k-1} (d_k = det w_k) gives |det w_{k+1}| =
+      a^{s_{k+1} f_k + f_{k-1}} = a^{f_{k+1}};
+    * Roy's shape is kept by products, and on it ||MM'|| >= ||M|| ||M'||
+      (`check_mult_growth`), so ||w_{k+1}|| >= ||w_k||^{s_{k+1}} ||w_{k-1}||
+      >= (a(b+1))^{f_{k+1}};
+    * ||MM'|| <= 2||M|| ||M'|| for any 2x2 matrices, so 2||MM'|| <=
+      (2||M||)(2||M'||) and 2||w_{k+1}|| <= (2||w_k||)^{s_{k+1}} (2||w_{k-1}||)
+      <= (2a(c+1))^{f_{k+1}}.
+
+    On the upper side the multiplicativity constant is 1, so beta carries no
+    extra factor 2; with a factor 2 there the base case k = 0 already fails
+    (a(b+1))^beta < a, and empirically delta sits outside such an interval.
+    When the base case fails the bracket is None."""
     deltas = {}
-    dets = [abs(seq.det(k)) for k in range(k_max + 1)]
     with mpmath.workprec(prec):
         for k in range(k_max + 1):
-            n = seq.norm(k)
-            if n <= 1:
+            if seq.norm(k) <= 1:
                 continue
-            deltas[k] = log_real(dets[k], prec) / log_real(n, prec)
+            deltas[k] = log_real(abs(seq.det(k)), prec) / seq.log_norm(k, prec)
     if not deltas:
         raise DegenerateGrowth("no index with ||w_k|| > 1")
     increments = {}
@@ -384,7 +361,7 @@ def delta_estimate(seq: MatrixSequence, k_max: int, prec: int = DEFAULT_PRECISIO
         if b == a + 1:
             increments[b] = abs(deltas[b] - deltas[a])
     bracket = None
-    if seq.seed.family == "roy" and _bracket_holds(seq, dets):
+    if seq.seed.family == "roy" and _bracket_holds(seq):
         bracket = roy_bracket(*seq.seed.params, prec)
     return DeltaReport(
         deltas=deltas,
@@ -404,16 +381,13 @@ def roy_bracket(a: int, b: int, c: int, prec: int = DEFAULT_PRECISION) -> tuple:
         return la / mpmath.log(2 * a * (c + 1)), la / mpmath.log(a * (b + 1))
 
 
-def _bracket_holds(seq: MatrixSequence, dets: list) -> bool:
-    """|det w_k| = a^{f_k}, (a(b+1))^{f_k} <= ||w_k|| and 2||w_k|| <= (2a(c+1))^{f_k}
-    for k < len(dets), where dets[k] = |det w_k|, f_0 = f_1 = 1 and
-    f_{k+1} = s_{k+1} f_k + f_{k-1}: the bracket's two sides in exact integers."""
+def _bracket_holds(seq: MatrixSequence) -> bool:
+    """The base case k = 0, 1 of the bracket's integer form (`delta_estimate`):
+    w0 and w1 have Roy's shape, |det w0| = |det w1| = a and
+    a(b+1) <= ||w0||, ||w1|| <= a(c+1)."""
     a, b, c = seq.seed.params
-    f = Ladder(seq.prog, 1, 1, operator.add)
-    return all(d == a ** f.w(k)
-               and (a * (b + 1)) ** f.w(k) <= seq.norm(k)
-               and 2 * seq.norm(k) <= (2 * a * (c + 1)) ** f.w(k)
-               for k, d in enumerate(dets))
+    return all(lemma_shape_ok(seq.w(k)) and abs(seq.det(k)) == a
+               and a * (b + 1) <= seq.norm(k) <= a * (c + 1) for k in (0, 1))
 
 
 # delta_hat is taken at the deepest k whose ||w_k|| has at most this many bits
@@ -460,37 +434,28 @@ class HatW:
                 f"anchor norms ||w_{k0 - 1}|| = {seq.norm(k0 - 1)}, ||w_{k0}|| = {seq.norm(k0)} "
                 "must both exceed 1; pick a larger k0"
             )
-        self.seq = seq
-        self.prog = seq.prog
-        self.prec = prec
+        self._k0 = k0
         with mpmath.workprec(prec):
             self._anchors = (seq.log_norm(k0 - 1, prec), seq.log_norm(k0, prec))
-        # integer coefficients: log W_k = A_k * anchor0 + B_k * anchor1
-        self._coeffs = {k0 - 1: (1, 0), k0: (0, 1)}
-        self._lo = k0 - 1
-        self._hi = k0
+        # (P_k, Q_k) = (1, 0), (0, 1) at k = 0, 1: log W_k = P_k log W_0 + Q_k log W_1
+        self._pq = Ladder(seq.prog, (1, 0), (0, 1), lambda x, y: (x[0] + y[0], x[1] + y[1]))
 
     def coeffs(self, k: int):
-        while self._hi < k:
-            j = self._hi
-            s = self.prog.s(j + 1)
-            a1, b1 = self._coeffs[j]
-            a0, b0 = self._coeffs[j - 1]
-            self._coeffs[j + 1] = (s * a1 + a0, s * b1 + b0)
-            self._hi += 1
-        while self._lo > k:
-            j = self._lo
-            # log W_{j-1} = log W_{j+1} - s_{j+1} log W_j
-            s = self.prog.s(j + 1)
-            a1, b1 = self._coeffs[j + 1]
-            a0, b0 = self._coeffs[j]
-            self._coeffs[j - 1] = (a1 - s * a0, b1 - s * b0)
-            self._lo -= 1
-            if self.log(j - 1) <= 0:
+        """(A_k, B_k) with log W-hat_k = A_k anchor_0 + B_k anchor_1, k >= 0, by
+        Cramer's rule on the anchor rows (P, Q) at k0 - 1 and k0.  Their
+        determinant D is +-1, as each step [[s, 1], [1, 0]] has determinant -1,
+        so 1/D = D.  Below k0 - 1 it raises DegenerateGrowth at the first index,
+        walking down from k0 - 2, where log W-hat is <= 0."""
+        (p0, q0), (p1, q1), (p, q) = (self._pq.w(j) for j in (self._k0 - 1, self._k0, k))
+        d = p0 * q1 - p1 * q0
+        a, b = d * (p * q1 - q * p1), d * (q * p0 - p * q0)
+        if k < self._k0 - 1:
+            self.coeffs(k + 1)      # the walk down passes k + 1 first
+            if a * self._anchors[0] + b * self._anchors[1] <= 0:
                 raise DegenerateGrowth(
-                    f"downward extension of log W-hat reaches a non-positive value at k = {j - 1}"
+                    f"downward extension of log W-hat reaches a non-positive value at k = {k}"
                 )
-        return self._coeffs[k]
+        return a, b
 
     def log(self, k: int):
         a, b = self.coeffs(k)

@@ -40,7 +40,7 @@ from .kernels import _size_keys
 
 class LinExpr:
     """Exact linear combination  sum  c[(s, p)] * delta^p * anchor_s  where
-    anchor_0 = log W-hat_{k0-1}, anchor_1 = log W-hat_{k0}, with Fraction
+    anchor_0 = log W-hat_{k0-1}, anchor_1 = log W-hat_{k0}, with integer
     coefficients.  Everything in the breakpoint algebra lives here."""
 
     __slots__ = ("c",)
@@ -48,14 +48,10 @@ class LinExpr:
     def __init__(self, c=None):
         self.c = dict(c or {})
 
-    @staticmethod
-    def anchor(s: int, coeff=1) -> "LinExpr":
-        return LinExpr({(s, 0): Fraction(coeff)})
-
     def __add__(self, other: "LinExpr") -> "LinExpr":
         out = dict(self.c)
         for k, v in other.c.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
             if out[k] == 0:
                 del out[k]
         return LinExpr(out)
@@ -63,8 +59,7 @@ class LinExpr:
     def __sub__(self, other: "LinExpr") -> "LinExpr":
         return self + other.scale(-1)
 
-    def scale(self, f) -> "LinExpr":
-        f = Fraction(f)
+    def scale(self, f: int) -> "LinExpr":
         if f == 0:
             return LinExpr()
         return LinExpr({k: v * f for k, v in self.c.items()})
@@ -75,7 +70,7 @@ class LinExpr:
         for (s, p), v in self.c.items():
             for dp, f in poly.items():
                 key = (s, p + dp)
-                out[key] = out.get(key, Fraction(0)) + v * Fraction(f)
+                out[key] = out.get(key, 0) + v * f
         return LinExpr({k: v for k, v in out.items() if v != 0})
 
     def __eq__(self, other):
@@ -85,7 +80,7 @@ class LinExpr:
         total = mpmath.mpf(0)
         anchors = (a0, a1)
         for (s, p), v in self.c.items():
-            term = mpmath.mpf(v.numerator) / v.denominator * anchors[s]
+            term = v * anchors[s]
             if p:
                 term *= delta ** p
             total += term
@@ -189,8 +184,7 @@ class SystemBreakpoints:
             self._idx[i] = self._build(i)
         for k in range(self.k_lo, self.k_hi):
             # hatL_{t_k} (rising) meets hatL_{t_{k+1}} (flat)
-            self._d_k[k] = (self._wk(k).scale(Fraction(3)) + self._wk(k - 1)
-                            ).mul_delta_poly({0: 1}) - (
+            self._d_k[k] = (self._wk(k).scale(3) + self._wk(k - 1)) - (
                 self._wk(k) + self._wk(k - 1)).mul_delta_poly({1: 1})
         self._windows = [self._window(i) for i in self.window_index_range()]
         self._gray = []          # the gray intervals, (i + 1, b_i, a_{i+1})
@@ -202,13 +196,7 @@ class SystemBreakpoints:
     # -- symbolic builders --------------------------------------------------
     def _wk(self, k: int) -> LinExpr:
         if k not in self._wexp:
-            a, b = self.hatw.coeffs(k)
-            e = LinExpr()
-            if a:
-                e = e + LinExpr.anchor(0, a)
-            if b:
-                e = e + LinExpr.anchor(1, b)
-            self._wexp[k] = e
+            self._wexp[k] = LinExpr({(s, 0): v for s, v in enumerate(self.hatw.coeffs(k)) if v})
         return self._wexp[k]
 
     def _build(self, i: int) -> HatData:
@@ -234,10 +222,8 @@ class SystemBreakpoints:
         """e at the anchors and delta, at self.prec bits.  Each expression is
         evaluated once, memoised by its coefficients in their order, which is
         the order `eval` sums them in (not by id: a temporary expression's id
-        can be reused by another).  The key holds each coefficient as its
-        integer numerator and denominator: hashing a Fraction costs a modular
-        inverse."""
-        key = tuple((s, p, v.numerator, v.denominator) for (s, p), v in e.c.items())
+        can be reused by another)."""
+        key = tuple(e.c.items())
         if key not in self._num:
             with mpmath.workprec(self.prec):
                 self._num[key] = e.eval(self._anchor_vals[0], self._anchor_vals[1], self.delta)

@@ -5,11 +5,13 @@ A program is the data s_0 = -1, s_1 = 1, s_k >= 1 for k >= 2, described by an
 explicit finite prefix plus a (non-empty) periodic tail.  The derived objects:
 
 * t_k = s_0 + ... + s_k (so t_0 = -1, t_1 = 0, strictly increasing from k=1);
-* psi(t_k) = t_{k-1} - 1 for k >= 1, psi(i) = i - 1 otherwise.
+* psi(t_k) = t_{k-1} - 1 for k >= 1, psi(i) = i - 1 otherwise;
+* the recurrence x_{k+1} = x_k^{s_{k+1}} x_{k-1} under any product (`Ladder`).
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -320,6 +322,42 @@ class SturmianProgram:
         return i - 1 if k is None else self.t(k - 1) - 1
 
 
+class Ladder:
+    """x_{k+1} = x_k^{s_{k+1}} x_{k-1} under the product `mul`, from x_0 and x_1,
+    with the memoized power ladder x_k^l x_{k-1} = mul(x_k, x_k^{l-1} x_{k-1})
+    for k >= 1, 0 <= l <= s_{k+1} + 1.  Rung s_{k+1} is x_{k+1}, so no rung is
+    formed twice, and rung s_{k+1} + 1 only on request."""
+
+    def __init__(self, prog: SturmianProgram, x0, x1, mul):
+        self.prog = prog
+        self._mul = mul
+        self._w = [x0, x1]
+        self._ladder = {}
+
+    def w(self, k: int):
+        """x_k for k >= 0."""
+        if k < 0:
+            raise ValueError("w_k defined for k >= 0")
+        while len(self._w) <= k:
+            j = len(self._w) - 1          # highest built index
+            self._w.append(self.ladder(j, self.prog.s(j + 1)))
+        return self._w[k]
+
+    def ladder(self, k: int, l: int):
+        """x_k^l x_{k-1} for k >= 1, 0 <= l <= s_{k+1} + 1."""
+        rung = self._ladder.get((k, l))
+        if rung is None:
+            if k < 1:
+                raise ValueError("power ladder defined for k >= 1")
+            # s_{k+1} >= 1, so 0 <= l <= 2 is in range without looking s_{k+1} up
+            if l < 0 or l > 2 and l > self.prog.s(k + 1) + 1:
+                raise ValueError(f"l = {l} out of range for k = {k} "
+                                 f"(s_{k+1} = {self.prog.s(k + 1)})")
+            rung = self._ladder[k, l] = (self.w(k - 1) if l == 0
+                                         else self._mul(self.w(k), self.ladder(k, l - 1)))
+        return rung
+
+
 # ---------------------------------------------------------------------------
 # continued-fraction quantities
 # ---------------------------------------------------------------------------
@@ -392,19 +430,18 @@ def h_of_sigma(sigma, prec: int = DEFAULT_PRECISION):
 
 def characteristic_word(s1_prime: int, prog: SturmianProgram, a, b, n: int):
     """First n letters of the limit of m_0 = b, m_1 = b^{s1'-1} a,
-    m_{k+1} = m_k^{s'_{k+1}} m_{k-1}, where s'_k = s_k of `prog` for k >= 2.
-    The words a and b are strings or lists; the result has their type."""
+    m_{k+1} = m_k^{s'_{k+1}} m_{k-1}, where s'_k = s_k of `prog` for k >= 2:
+    the `Ladder` of `prog` under concatenation.  The words a and b are strings
+    or lists; the result has their type."""
     if s1_prime < 1:
         raise BadSequence("s1' must be >= 1")
-    m_prev = b
-    m_cur = b * (s1_prime - 1) + a
+    m = Ladder(prog, b, b * (s1_prime - 1) + a, operator.add)
     k = 1
-    while len(m_cur) < n:
-        m_prev, m_cur = m_cur, m_cur * prog.s(k + 1) + m_prev
+    while len(m.w(k)) < n:
         k += 1
-        if len(m_cur) == len(m_prev):  # lengths grow unless b is empty
+        if len(m.w(k)) == len(m.w(k - 1)):  # lengths grow unless b is empty
             raise Unbounded("word recurrence stalled")
-    return m_cur[:n]
+    return m.w(k)[:n]
 
 
 def u_value(a: int, n: int) -> QuadSurd:

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sturmlab import matseq
 from sturmlab.exactlin import IntMat2
 from sturmlab.matseq import (
-    BadRoyTriple, DegenerateSeed, HatW, Ladder, MatrixSeed, MatrixSequence,
+    BadRoyTriple, DegenerateGrowth, DegenerateSeed, HatW, Ladder, MatrixSeed, MatrixSequence,
     DELTA_BITS, admissibility_checks, bl_family, check_mult_growth, delta_estimate,
     lemma_shape_ok, mirror_shape_ok, resolve_delta, roy_family, solve_admissibility,
 )
@@ -407,6 +407,36 @@ def test_delta_bracket_needs_its_integer_form():
     assert delta_estimate(_seq(roy_family(2, 1, 2)), 12).bracket is not None
 
 
+ROY_TRIPLES = st.integers(1, 6).flatmap(
+    lambda b: st.tuples(st.integers(2, 6), st.just(b), st.integers(b, 6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ROY_TRIPLES, st.one_of(st.none(), ROY_TRIPLES), PROGRAMS)
+@example((2, 1, 2), (2, 1, 3), SturmianProgram([-1, 1], [1, 2]))    # a looser bracket holds
+@example((2, 1, 2), (2, 1, 1), SturmianProgram.all_ones())          # ||w1|| > a(c+1)
+@example((2, 1, 2), (2, 2, 2), SturmianProgram.all_ones())          # ||w0|| < a(b+1)
+@example((2, 2, 2), (3, 1, 1), SturmianProgram.all_ones())          # norms fit, |det w0| != a
+def test_delta_bracket_base_case_decides_every_k(abc, label, prog):
+    """`_bracket_holds` checks k = 0, 1 only, and `delta_estimate`'s induction
+    carries the bracket's integer form to every k.  On roy matrices labelled
+    with their own triple or with another one, its verdict equals that form
+    checked at each k <= 12.  Programs with f_12 > 10^5 are left out: on the
+    period [3], w_12 has 3 million bits and takes seconds to form."""
+    f = [1, 1]
+    for k in range(1, 12):
+        f.append(prog.s(k + 1) * f[k] + f[k - 1])
+    assume(f[12] <= 10 ** 5)
+    seq = _seq(dataclasses.replace(roy_family(*abc), params=label or abc), prog)
+    a, b, c = label or abc
+    per_k = all(abs(seq.det(k)) == a ** f[k]
+                and (a * (b + 1)) ** f[k] <= seq.norm(k)
+                and 2 * seq.norm(k) <= (2 * a * (c + 1)) ** f[k] for k in range(13))
+    assert matseq._bracket_holds(seq) == per_k
+    if label is None:
+        assert per_k
+
+
 def test_delta_settling():
     rep = delta_estimate(_seq(roy_family(2, 1, 2)), 18)
     # the tail oscillates slightly but contracts; late values agree to ~1e-4
@@ -462,3 +492,47 @@ def test_hatw_drift_is_linear_not_multiplicative():
     gaps = [abs(hw.log(k) - seq.log_norm(k, 256)) for k in range(4, 13)]
     assert gaps[-1] < 0.35 * float(seq.log_norm(12, 256))
     assert all(g < 60 for g in gaps)
+
+
+def _hatw_walk(prog, anchors, k0, k):
+    """log W-hat's coefficient pair at k by the walks up and down from the
+    anchor pair (k0 - 1, k0): the reference for `HatW.coeffs`'s Cramer's
+    rule.  The walk down raises at the first value <= 0 it reaches."""
+    coeffs = {k0 - 1: (1, 0), k0: (0, 1)}
+    for j in range(k0, k):
+        s = prog.s(j + 1)
+        (a1, b1), (a0, b0) = coeffs[j], coeffs[j - 1]
+        coeffs[j + 1] = (s * a1 + a0, s * b1 + b0)
+    for j in range(k0 - 1, k, -1):
+        s = prog.s(j + 1)
+        (a1, b1), (a0, b0) = coeffs[j + 1], coeffs[j]
+        a, b = coeffs[j - 1] = (a1 - s * a0, b1 - s * b0)
+        if a * anchors[0] + b * anchors[1] <= 0:
+            raise DegenerateGrowth(
+                f"downward extension of log W-hat reaches a non-positive value at k = {j - 1}")
+    return coeffs[k]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DegenerateGrowth as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shaped_seeds(),
+       st.builds(lambda extra, period: SturmianProgram([-1, 1] + extra, period),
+                 st.lists(st.integers(1, 3), max_size=3),
+                 st.lists(st.integers(1, 3), min_size=1, max_size=3)),
+       st.integers(2, 8), st.lists(st.integers(0, 24), min_size=1, max_size=6))
+@example((bl_family(1, 2), mirror_shape_ok), SturmianProgram.all_ones(), 4, [0, 1, 2, 9])
+def test_hatw_coeffs_are_the_walks(seed_and_shape, prog, k0, ks):
+    """`HatW.coeffs` equals the walks up and down from the anchors at every k,
+    in any order of calls, and raises the same DegenerateGrowth wherever the
+    walk down reaches a value <= 0."""
+    seq = MatrixSequence(seed_and_shape[0], prog)
+    assume(seq.norm(k0 - 1) > 1 and seq.norm(k0) > 1)
+    hw = HatW(seq, k0=k0)
+    for k in ks:
+        assert _outcome(hw.coeffs, k) == _outcome(_hatw_walk, prog, hw.anchors, k0, k), k

@@ -99,13 +99,44 @@ def cb_bl_p2(prog_twos):
 # --- symbolic layer ----------------------------------------------------------
 
 def test_linexpr_algebra():
-    x = LinExpr.anchor(0, 2) + LinExpr.anchor(1, 3)
+    x = LinExpr({(0, 0): 2, (1, 0): 3})
     y = x.mul_delta_poly({0: 1, 1: -1})      # (1 - delta) x
     assert y.eval(1, 1, 0) == 5
     assert y.eval(1, 1, 1) == 0
-    from fractions import Fraction
-    assert x.scale(Fraction(1, 2)).eval(2, 4, 0) == 8
+    assert x.scale(2).eval(2, 4, 0) == 32
     assert (x - x) == LinExpr()
+
+
+def _fraction_eval(e, P):
+    """`e` at P's anchors and delta with each coefficient taken as a Fraction
+    v = n / d and its term formed as mpf(n) / d * anchor, in the form's order:
+    the reference for `num` on integer coefficients."""
+    anchors = P._anchor_vals
+    with mpmath.workprec(P.prec):
+        total = mpmath.mpf(0)
+        for (s, p), v in e.c.items():
+            v = Fraction(v)
+            term = mpmath.mpf(v.numerator) / v.denominator * anchors[s]
+            if p:
+                term *= P.delta ** p
+            total += term
+        return total
+
+
+@pytest.mark.parametrize("program, window, delta", [
+    ([1], (3, 10), None), ([2], (3, 8), None), ([1], (3, 10), "0.5")],
+    ids=["fib", "period2", "fib-forced-delta"])
+def test_breakpoint_forms_are_integer(program, window, delta):
+    """Every coefficient of every `HatData` form and d_k form of the bl(1,2)
+    systems is an int, and `num` rounds each form exactly as its
+    Fraction-coefficient evaluation does."""
+    bundle = make_bundle(bl_family(1, 2), SturmianProgram([-1, 1], program))
+    P = predicted_system(bundle, window, delta=delta and mpmath.mpf(delta), prec=256)
+    forms = [(d.logY, d.logZ, d.logE, d.logEstar, d.q, d.c, d.a, d.b)
+             for d in map(P.data, sorted(P._idx))]
+    for form in [f for fs in forms for f in fs] + list(P._d_k.values()):
+        assert all(type(v) is int for v in form.c.values()), form
+        assert P.num(form)._mpf_ == _fraction_eval(form, P)._mpf_, form
 
 
 def test_sum_rule_symbolic(P_bl):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sturmlab.exactlin import to_real
 from sturmlab.sturm import (
-    BadSequence, QuadSurd, SturmianProgram,
+    BadSequence, QuadSurd, SturmianProgram, Unbounded,
     cf_eventually_periodic, cf_purely_periodic,
     characteristic_word, delta_an, h_of_sigma, quantities,
     spectrum_endpoints, u_value,
@@ -302,6 +302,50 @@ def test_characteristic_word_s1_prime():
     n = 7
     counts = {w[i:i + n].count("a") for i in range(len(w) - n)}
     assert len(counts) <= 2
+
+
+def _word_loop(s1_prime, prog, a, b, n):
+    """`characteristic_word` as a loop over the last two words: the reference
+    for its ladder."""
+    m_prev, m_cur = b, b * (s1_prime - 1) + a
+    k = 1
+    while len(m_cur) < n:
+        m_prev, m_cur = m_cur, m_cur * prog.s(k + 1) + m_prev
+        k += 1
+        if len(m_cur) == len(m_prev):
+            raise Unbounded("word recurrence stalled")
+    return m_cur[:n]
+
+
+def _word_or_stall(f, *args):
+    try:
+        return f(*args)
+    except Unbounded as e:
+        return str(e)
+
+
+@st.composite
+def _letters(draw):
+    """Two words a, b, possibly empty: both strings or both lists."""
+    word = st.text("ab", max_size=3) if draw(st.booleans()) else st.lists(st.integers(0, 2), max_size=3)
+    return draw(word), draw(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3),
+       st.builds(lambda extra, period: SturmianProgram([-1, 1] + extra, period),
+                 st.lists(st.integers(1, 3), max_size=3),
+                 st.lists(st.integers(1, 3), min_size=1, max_size=3)),
+       _letters(), st.integers(0, 500))
+@example(1, SturmianProgram.all_ones(), ("a", ""), 5)
+@example(1, SturmianProgram.all_ones(), ([], [0]), 5)
+def test_characteristic_word_is_the_two_word_loop(s1_prime, prog, letters, n):
+    """The word ladder gives the loop's word, of the letters' type, or the same
+    `Unbounded` stall (b empty and s_2 = 1, or a empty, s1' = 1 and s_3 = 1)."""
+    a, b = letters
+    got = _word_or_stall(characteristic_word, s1_prime, prog, a, b, n)
+    assert got == _word_or_stall(_word_loop, s1_prime, prog, a, b, n)
+    assert type(got) is type(a) or got == "word recurrence stalled"
 
 
 def test_u_and_delta_values():
